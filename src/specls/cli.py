@@ -28,7 +28,7 @@ from .search import (
 )
 from .spectral import perron_enclosure
 from .theorems import verify_by_id
-from .triangles import bipartite_distance, tau3, triangle_count
+from .triangles import EXACT_CUT_LIMIT, bipartite_distance, tau3, triangle_count
 from .verdicts import TheoremVerdict
 
 EXIT_OK = 0
@@ -45,7 +45,7 @@ def _add_common(p: argparse.ArgumentParser) -> None:
         "--workers", type=int,
         default=int(os.environ.get("SPECLS_WORKERS", "1")),
     )
-    p.add_argument("--exact-limit", type=int, default=30)
+    p.add_argument("--exact-limit", type=int, default=EXACT_CUT_LIMIT)
     p.add_argument("--json", action="store_true", help="emit a JSON report document")
     p.add_argument("--csv", action="store_true", help="emit verdicts as CSV")
 

@@ -10,6 +10,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Optional
 
+import numpy as np
+
 MAX_VERTICES = 4096
 
 # A vertex set is a plain int bitmask (bit v set iff vertex v is in the set).
@@ -121,8 +123,13 @@ def build_graph(n: int, edges: Iterable[tuple[int, int]]) -> Graph:
     return Graph(n, tuple(rows), m)
 
 
-def edge_count(g: Graph) -> int:
-    return g.m
+def adjacency_matrix(g: Graph) -> np.ndarray:
+    """Dense float64 adjacency matrix, unpacked from the bit rows at once."""
+    width = (g.n + 7) // 8
+    packed = np.frombuffer(b"".join(r.to_bytes(width, "little") for r in g.rows), np.uint8)
+    return np.unpackbits(
+        packed.reshape(g.n, width), axis=1, count=g.n, bitorder="little"
+    ).astype(np.float64)
 
 
 def complete_graph(n: int) -> Graph:
@@ -252,3 +259,13 @@ def is_bipartite(g: Graph) -> Optional[PartitionWitness]:
                 elif color[w] == color[v]:
                     return None
     return partition_witness(g, S)
+
+
+def is_complete_bipartite(g: Graph) -> bool:
+    """Connected and complete bipartite: K_{a,b} with a, b >= 0, n >= 1."""
+    if g.n == 0:
+        return False
+    w = is_bipartite(g)
+    if w is None:
+        return False
+    return g.m == w.S.bit_count() * w.T.bit_count() and len(components(g)) == 1

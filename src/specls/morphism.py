@@ -11,8 +11,9 @@ from __future__ import annotations
 
 import numpy as np
 
-from .graph import Graph, bits
+from .graph import Graph, adjacency_matrix, bits
 from .roots import charpoly_exact
+from .triangles import triangle_list
 
 ISO_LIMIT = 12
 _EXACT_CHARPOLY_LIMIT = 16
@@ -80,23 +81,13 @@ def fingerprint(g: Graph) -> tuple:
     Equal fingerprints are necessary, not sufficient, for isomorphism.
     """
     tri_per_vertex = [0] * g.n
-    for u in range(g.n):
-        ru = g.rows[u]
-        for off in bits(ru >> (u + 1)):
-            v = u + 1 + off
-            for off2 in bits((ru & g.rows[v]) >> (v + 1)):
-                w = v + 1 + off2
-                tri_per_vertex[u] += 1
-                tri_per_vertex[v] += 1
-                tri_per_vertex[w] += 1
+    for triangle in triangle_list(g):
+        for v in triangle:
+            tri_per_vertex[v] += 1
     if g.n <= _EXACT_CHARPOLY_LIMIT:
         spectral: tuple = ("charpoly", tuple(charpoly_exact(g)))
     else:
-        A = np.zeros((g.n, g.n))
-        for v in range(g.n):
-            for w in bits(g.rows[v]):
-                A[v, w] = 1.0
-        eig = np.linalg.eigvalsh(A)
+        eig = np.linalg.eigvalsh(adjacency_matrix(g))
         spectral = ("spectrum6", tuple(round(float(x), 6) for x in eig))
     return (
         g.n,

@@ -22,11 +22,10 @@ from __future__ import annotations
 import json
 import multiprocessing
 import random
-import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import comb
-from typing import Callable
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -35,7 +34,7 @@ from .graph import Graph, build_graph, complete_graph, induced, mask_of, remove_
 from .graph6 import emit_graph6
 from .morphism import are_isomorphic
 from .roots import FamilyPolynomial, charpoly_exact, family_lambda, sign_at_largest_root
-from .spectral import exact_lambda, perron_enclosure
+from .spectral import Ordering, _decide, certify_lambda_ge_frac, exact_lambda, perron_enclosure
 from .theorems import is_complete_bipartite, verify_by_id
 from .triangles import triangle_count
 from .verdicts import jsonable_value
@@ -520,55 +519,6 @@ def floyd_sample(rng: random.Random, universe: int, k: int) -> list[int]:
     return sorted(chosen)
 
 
-def _cw_enclosure_dense(
-    A: np.ndarray, tol: float, max_iter: int = 5000
-) -> tuple[float, float, bool]:
-    """Collatz-Wielandt enclosure on a dense adjacency matrix (assumes the
-    graph is connected; the caller checks)."""
-    n = A.shape[0]
-    x = np.ones(n)
-    lo_best, hi_best = 0.0, float(n)
-    shift = 1.0
-    eps = sys.float_info.epsilon
-    snapshot = float("inf")
-    for it in range(1, max_iter + 1):
-        y = A @ x + shift * x
-        ratios = y / x
-        hi_t = float(ratios.max())
-        lo_t = float(ratios.min())
-        slack = 8.0 * n * eps * hi_t
-        lo_best = max(lo_best, lo_t - shift - slack)
-        hi_best = min(hi_best, hi_t - shift + slack)
-        mx = float(y.max())
-        if mx <= 0 or not np.isfinite(mx):
-            return lo_best, hi_best, False
-        x = y / mx
-        width = hi_best - lo_best
-        if width <= tol:
-            return lo_best, hi_best, True
-        if it % 32 == 0:
-            if width >= 0.999 * snapshot:
-                return lo_best, hi_best, False
-            snapshot = width
-        if it % 12 == 0 and lo_best > 1.0:
-            shift = float(round(lo_best))
-    return lo_best, hi_best, False
-
-
-def _connected_dense(A: np.ndarray) -> bool:
-    n = A.shape[0]
-    if n == 0:
-        return True
-    seen = np.zeros(n, dtype=bool)
-    seen[0] = True
-    frontier = seen.copy()
-    while frontier.any():
-        nxt = (A[frontier].any(axis=0)) & ~seen
-        seen |= nxt
-        frontier = nxt
-    return bool(seen.all())
-
-
 def _triangles_dense(A: np.ndarray) -> int:
     return int(round(float(((A @ A) * A).sum()))) // 6
 
@@ -601,6 +551,11 @@ def run_random(job: SearchJob) -> SearchReport:
     iu = np.fromiter((e[0] for e in slots), dtype=np.int64)
     jv = np.fromiter((e[1] for e in slots), dtype=np.int64)
     y_edges = [s for s, (u, v) in enumerate(slots) if yc.graph.has_edge(u, v)]
+    y_lo2, y_hi2 = y_lo * y_lo, y_hi * y_hi
+
+    def above_y(iv) -> Optional[bool]:  # is lambda(G) > lambda(Y)?
+        return True if iv[0] > y_hi2 else False if iv[1] < y_lo2 else None
+
     hyp_true = 0
     min_t = None
     examined = 0
@@ -612,27 +567,8 @@ def run_random(job: SearchJob) -> SearchReport:
         A = np.zeros((n, n))
         A[iu[idx], jv[idx]] = 1.0
         A[jv[idx], iu[idx]] = 1.0
-        connected = _connected_dense(A)
-
-        def enclose(tol: float) -> tuple[float, float, bool]:
-            if connected:
-                return _cw_enclosure_dense(A, tol)
-            g = build_graph(n, [slots[s] for s in chosen])
-            cert = perron_enclosure(g, tol)
-            return cert.lambda_lo, cert.lambda_hi, cert.converged
-
-        decided = None
-        for tol in (1e-9, 1e-12):
-            lo, hi, ok = enclose(tol)
-            if not ok:
-                break
-            if Fraction(lo) > y_hi:
-                decided = True
-                break
-            if Fraction(hi) < y_lo:
-                decided = False
-                break
-        if decided is None:
+        decided = _decide(above_y, A)
+        if isinstance(decided, Ordering):
             report.ties += 1
             return
         if not decided:
@@ -691,11 +627,7 @@ def run_local_search(job: SearchJob) -> SearchReport:
     target_lam = gamma * n
 
     def feasible(g: Graph) -> bool:
-        e = exact_lambda(g)
-        if e is not None:
-            return e >= target_lam
-        c = perron_enclosure(g, 1e-9)
-        return c.converged and Fraction(c.lambda_lo) >= target_lam
+        return certify_lambda_ge_frac(g, target_lam, 1e-9) is True
 
     alpha_grid = [i / (100 * s) for i in range(0, 100)]
     family_best = None

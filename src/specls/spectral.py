@@ -9,9 +9,19 @@ symmetric matrix M = A + I,
 
 Directed rounding is unavailable here, so each bound is widened outward by
 an n*ulp-scale slack (recorded on the certificate) before use; the running
-enclosure is the intersection of all widened bounds seen. Equality cases
-that no floating interval can resolve (regular graphs, complete bipartite
-graphs) are handled by exact side channels in the comparison helpers.
+enclosure is the intersection of all widened bounds seen. The iteration
+runs in numpy on a dense matrix unpacked once from the bit rows, one
+connected component at a time.
+
+Every certified decision about lambda (`compare_lambda`, the
+`certify_lambda_*` thresholds, and the probes in `search`) goes through one
+ladder, `_decide`: it tests enclosures of lambda^2 that only get tighter.
+The first rung is free: the exact value for regular (d^2) and complete
+bipartite (ab) graphs, whose equality cases no floating interval can
+resolve, and otherwise [(2m/n)^2, inf). Then the CW iteration is tightened
+through the tolerances of `_tols_down_to(tol_floor)`, each rung resuming
+where the last one stopped. An unconverged rung ends the ladder as
+Indeterminate; running out of rungs ends it as Tie.
 """
 
 from __future__ import annotations
@@ -21,16 +31,16 @@ import math
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence
+from itertools import repeat
+from typing import Callable, Iterator, Optional, Sequence, Union
 
 import numpy as np
 
-from .graph import Graph, bits, components, is_bipartite
+from .graph import Graph, adjacency_matrix, bits, components, is_complete_bipartite
 from .verdicts import TheoremVerdict
 
 _EPS = sys.float_info.epsilon
-_NUMPY_MIN_SIZE = 48
-_DEFAULT_MAX_ITER = 200_000
+_MAX_ITER = 200_000
 
 
 class Ordering(enum.Enum):
@@ -72,88 +82,91 @@ def rayleigh_lower_bound(g: Graph) -> Fraction:
 
 
 def _iterate_component(
-    rows: Sequence[int],
-    verts: list[int],
-    tol: float,
-    max_iter: int,
-    start: Optional[Sequence[float]],
-) -> tuple[float, float, list[float], bool, int, float]:
-    """CW enclosure of lambda for one connected component.
+    A: np.ndarray, tols: Sequence[float], start: Optional[Sequence[float]] = None
+) -> Iterator[tuple[float, float, np.ndarray, bool, int, float]]:
+    """CW enclosure of lambda for one connected component with dense
+    adjacency matrix A, tightened through the decreasing tolerances `tols`.
 
-    Returns (lo, hi, vector, converged, iterations, slack) with the vector
-    indexed like `verts` and scaled to max entry 1.
+    Yields (lo, hi, vector, converged, iterations, slack) once per
+    tolerance, the vector scaled to max entry 1. Each tolerance resumes the
+    iteration where the previous one stopped, which is exactly the run a
+    fresh start at that tolerance would make; nothing follows an
+    unconverged yield.
     """
-    k = len(verts)
+    k = A.shape[0]
     if k == 1:
-        return 0.0, 0.0, [1.0], True, 0, 0.0
-    pos = {v: i for i, v in enumerate(verts)}
-    local = []
-    for v in verts:
-        local.append([pos[w] for w in bits(rows[v]) if w in pos])
-    x = [1.0] * k if start is None else [float(start[v]) for v in verts]
-    if min(x) <= 0:
+        yield from repeat((0.0, 0.0, np.ones(1), True, 0, 0.0), len(tols))
+        return
+    x = np.ones(k) if start is None else np.array(start, dtype=np.float64)
+    if x.min() <= 0:
         raise ValueError("start vector must be positive")
-    mx = max(x)
-    x = [xi / mx for xi in x]
+    x = x / x.max()
     lo_best, hi_best = 0.0, float(k)
     slack_used = 0.0
-    use_numpy = k >= _NUMPY_MIN_SIZE
-    if use_numpy:
-        A = np.zeros((k, k))
-        for i, nbrs in enumerate(local):
-            A[i, nbrs] = 1.0
-        xv = np.array(x)
     it = 0
-    converged = False
     shift = 1.0
-    snapshot = float("inf")
-    while it < max_iter:
-        it += 1
-        if use_numpy:
-            yv = A @ xv + shift * xv
-            ratios = yv / xv
+    snapshot = math.inf
+    for tol in tols:
+        converged = False
+        while True:
+            if it:  # close the last step; a tighter tolerance resumes here
+                width = hi_best - lo_best
+                if width <= tol:
+                    converged = True
+                    break
+                if it >= _MAX_ITER:
+                    break
+                if it % 32 == 0:
+                    # stalled at the rounding-slack floor (or hopelessly slow):
+                    # give up instead of burning the whole budget
+                    if width >= 0.999 * snapshot:
+                        break
+                    snapshot = width
+                if it % 12 == 0 and lo_best > 1.0:
+                    # re-center the spectrum: near-bipartite graphs have an
+                    # eigenvalue close to -lambda, and the shift A + lambda*I
+                    # suppresses it
+                    shift = float(round(lo_best))
+            it += 1
+            y = A @ x + shift * x
+            ratios = y / x
             lo_t = float(ratios.min())
             hi_t = float(ratios.max())
-        else:
-            y = [sum(x[j] for j in local[i]) + shift * x[i] for i in range(k)]
-            lo_t = min(y[i] / x[i] for i in range(k))
-            hi_t = max(y[i] / x[i] for i in range(k))
-        slack = 8.0 * k * _EPS * hi_t
-        slack_used = max(slack_used, slack)
-        lo_best = max(lo_best, lo_t - shift - slack)
-        hi_best = min(hi_best, hi_t - shift + slack)
-        if use_numpy:
-            mx = float(yv.max())
+            slack = 8.0 * k * _EPS * hi_t
+            slack_used = max(slack_used, slack)
+            lo_best = max(lo_best, lo_t - shift - slack)
+            hi_best = min(hi_best, hi_t - shift + slack)
+            mx = float(y.max())
             if mx <= 0.0 or not np.isfinite(mx):
                 break
-            xv = yv / mx
-        else:
-            mx = max(y)
-            if mx <= 0.0:
-                break
-            x = [yi / mx for yi in y]
-        width = hi_best - lo_best
-        if width <= tol:
-            converged = True
-            break
-        if it % 32 == 0:
-            # stalled at the rounding-slack floor (or hopelessly slow):
-            # give up instead of burning the whole budget
-            if width >= 0.999 * snapshot:
-                break
-            snapshot = width
-        if it % 12 == 0 and lo_best > 1.0:
-            # re-center the spectrum: near-bipartite graphs have an eigenvalue
-            # close to -lambda, and the shift A + lambda*I suppresses it
-            shift = float(round(lo_best))
-    vec = list(xv) if use_numpy else x
-    return lo_best, hi_best, vec, converged, it, slack_used
+            x = y / mx
+        yield lo_best, hi_best, x, converged, it, slack_used
+        if not converged:
+            return
+
+
+def _blocks(A: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
+    """(vertices, adjacency block) of each connected component of the graph
+    with dense adjacency matrix A, ordered by lowest vertex."""
+    n = A.shape[0]
+    left = np.ones(n, dtype=bool)
+    out = []
+    while left.any():
+        comp = np.zeros(n, dtype=bool)
+        comp[left.argmax()] = True
+        frontier = comp
+        while frontier.any():
+            frontier = (frontier @ A > 0) & ~comp
+            comp |= frontier
+        left &= ~comp
+        verts = np.flatnonzero(comp)
+        out.append((verts, A if len(verts) == n else A[np.ix_(verts, verts)]))
+    return out
 
 
 def perron_enclosure(
     g: Graph,
     tol: float = 1e-9,
-    max_iter: int = _DEFAULT_MAX_ITER,
     start: Optional[Sequence[float]] = None,
 ) -> SpectralCertificate:
     """Certified two-sided enclosure of lambda(G) plus an approximate
@@ -166,20 +179,19 @@ def perron_enclosure(
     if g.m == 0:
         perron = (1.0,) * g.n
         return SpectralCertificate(0.0, 0.0, perron, 0.0, True, 0, tol, 0.0)
-    comps = components(g)
     results = []
-    for comp in comps:
-        verts = list(bits(comp))
-        results.append((verts, _iterate_component(g.rows, verts, tol, max_iter, start)))
+    for verts, block in _blocks(adjacency_matrix(g)):
+        sub_start = None if start is None else [start[v] for v in verts]
+        results.append((verts, next(_iterate_component(block, (tol,), sub_start))))
     lo = max(r[1][0] for r in results)
     hi = max(r[1][1] for r in results)
-    best = max(results, key=lambda r: r[1][1])
-    verts, (_, _, vec, _, _, slack) = best
+    verts, (_, _, vec, _, _, _) = max(results, key=lambda r: r[1][1])
     iterations = sum(r[1][4] for r in results)
     slack = max(r[1][5] for r in results)
     full = [0.0] * g.n
+    vec = vec.tolist()
     vmax = max(vec)
-    for v, xv in zip(verts, vec):
+    for v, xv in zip(verts.tolist(), vec):
         full[v] = xv / vmax
     converged = all(r[1][3] for r in results) and (hi - lo) <= tol
     residual = _residual(g, full)
@@ -217,14 +229,8 @@ def exact_lambda_sq(g: Graph) -> Optional[Fraction]:
     m=0 case); complete bipartite graphs have lambda = sqrt(m)."""
     if g.n == 0:
         return None
-    if g.m == 0:
-        return Fraction(0)
-    w = is_bipartite(g)
-    if w is None:
-        return None
-    a, b = w.S.bit_count(), w.T.bit_count()
-    if g.m == a * b and len(components(g)) == 1:
-        return Fraction(a * b)
+    if g.m == 0 or is_complete_bipartite(g):
+        return Fraction(g.m)
     return None
 
 
@@ -246,7 +252,14 @@ def sqrt_interval(s: Fraction, tol: Fraction) -> tuple[Fraction, Fraction]:
     return lo, hi
 
 
+# ---------------------------------------------------------------------------
+# The decision ladder.
+# ---------------------------------------------------------------------------
+
 _TIGHTEN_TOLS = (1e-6, 1e-7, 1e-8, 1e-9, 1e-10, 1e-11, 1e-12)
+
+# A lambda^2 enclosure (lo, hi); hi may be math.inf.
+Interval = tuple[Fraction, Union[Fraction, float]]
 
 
 def _tols_down_to(tol_floor: float) -> list[float]:
@@ -256,131 +269,108 @@ def _tols_down_to(tol_floor: float) -> list[float]:
     return tols
 
 
-def _lambda_interval(g: Graph, tol: float) -> Optional[tuple[Fraction, Fraction]]:
-    """Enclosure of lambda(G) as exact rationals; width 0 when lambda is
-    known exactly (regular), near-0 for complete bipartite graphs."""
-    e = exact_lambda(g)
-    if e is not None:
-        return e, e
-    s = exact_lambda_sq(g)
-    if s is not None:
-        return sqrt_interval(s, Fraction(tol) / 4)
-    c = perron_enclosure(g, tol)
-    if not c.converged:
-        return None
-    return Fraction(c.lambda_lo), Fraction(c.lambda_hi)
+def _lambda_sq_rungs(
+    subject: Union[Graph, np.ndarray], tols: Sequence[float]
+) -> Iterator[Optional[Interval]]:
+    """Certified enclosures of lambda^2 for a graph, or for the dense
+    adjacency matrix of one: the free rung, then one rung per tolerance.
+    None marks an unconverged rung; nothing follows it."""
+    if isinstance(subject, Graph):
+        e = exact_lambda(subject)
+        exact = e * e if e is not None else exact_lambda_sq(subject)
+        if exact is not None:
+            yield from repeat((exact, exact), len(tols) + 1)
+            return
+        low = rayleigh_lower_bound(subject)
+        subject = adjacency_matrix(subject)
+    else:
+        low = Fraction(int(subject.sum()), subject.shape[0])  # 2m/n
+    yield low * low, math.inf
+    iterations = [_iterate_component(block, tols) for _, block in _blocks(subject)]
+    for tol in tols:
+        rungs = [next(it) for it in iterations]
+        lo, hi = max(r[0] for r in rungs), max(r[1] for r in rungs)
+        if not all(r[3] for r in rungs) or hi - lo > tol:
+            yield None
+            return
+        yield Fraction(lo) ** 2, Fraction(hi) ** 2
+
+
+def _decide(
+    test: Callable[..., Optional[object]],
+    *subjects: Union[Graph, np.ndarray],
+    tol_floor: float = 1e-12,
+):
+    """The one "tighten until decided" routine.
+
+    Calls test(*enclosures) with one lambda^2 enclosure per subject (a
+    Graph, or a dense adjacency matrix), rung by rung, and returns the
+    first answer that is not None. Returns Ordering.INDETERMINATE when a
+    rung does not converge and Ordering.TIE when the rungs run out.
+    """
+    if tol_floor <= 0:
+        raise ValueError("tol_floor must be positive")
+    tols = _tols_down_to(tol_floor)
+    for rung in zip(*(_lambda_sq_rungs(s, tols) for s in subjects)):
+        if None in rung:
+            return Ordering.INDETERMINATE
+        answer = test(*rung)
+        if answer is not None:
+            return answer
+    return Ordering.TIE
+
+
+def _order(ig: Interval, ih: Interval) -> Optional[Ordering]:
+    if ig[1] < ih[0]:
+        return Ordering.LESS
+    if ig[0] > ih[1]:
+        return Ordering.GREATER
+    return None
+
+
+def _at_least(k: Fraction) -> Callable[[Interval], Optional[bool]]:
+    """Test of lambda^2 >= k."""
+    return lambda iv: True if iv[0] >= k else False if iv[1] < k else None
+
+
+def _at_most(k: Fraction) -> Callable[[Interval], Optional[bool]]:
+    """Test of lambda^2 <= k."""
+    return lambda iv: True if iv[1] <= k else False if iv[0] > k else None
+
+
+def _as_bool(answer) -> Optional[bool]:
+    return answer if isinstance(answer, bool) else None
 
 
 def compare_lambda(g: Graph, h: Graph, tol_floor: float = 1e-12) -> Ordering:
     """Certified ordering of lambda(G) vs lambda(H).
 
-    Tightens both enclosures geometrically until the intervals are disjoint
-    or both widths drop below tol_floor; Tie refuses to certify and never
-    claims equality. Exact values (regular / complete bipartite graphs)
-    enter as zero-width intervals, so true equalities of that shape still
-    compare as Tie rather than thrashing the iteration.
+    Tie refuses to certify and never claims equality: exact values that
+    agree (regular / complete bipartite graphs) compare as Tie, and so do
+    enclosures that still overlap at tol_floor. Indeterminate means an
+    enclosure stopped converging before tol_floor.
     """
-    if tol_floor <= 0:
-        raise ValueError("tol_floor must be positive")
     if g.n == h.n and g.rows == h.rows:
         return Ordering.TIE
-    for tol in _tols_down_to(tol_floor):
-        ig = _lambda_interval(g, tol)
-        ih = _lambda_interval(h, tol)
-        if ig is None or ih is None:
-            return Ordering.INDETERMINATE
-        if ig[1] < ih[0]:
-            return Ordering.LESS
-        if ig[0] > ih[1]:
-            return Ordering.GREATER
-    return Ordering.TIE
+    return _decide(_order, g, h, tol_floor=tol_floor)
 
 
 def certify_lambda_ge_frac(g: Graph, c: Fraction, tol_floor: float = 1e-12) -> Optional[bool]:
     """True: lambda >= c certified. False: lambda < c certified. None: undecided."""
-    e = exact_lambda(g)
-    if e is not None:
-        return e >= c
-    s = exact_lambda_sq(g)
-    if s is not None and c >= 0:
-        return s >= c * c
-    if rayleigh_lower_bound(g) >= c:
-        return True
-    for tol in _tols_down_to(tol_floor):
-        iv = _lambda_interval(g, tol)
-        if iv is None:
-            return None
-        lo, hi = iv
-        if lo >= c:
-            return True
-        if hi < c:
-            return False
-    return None
+    return True if c <= 0 else _as_bool(_decide(_at_least(c * c), g, tol_floor=tol_floor))
 
 
 def certify_lambda_le_frac(g: Graph, c: Fraction, tol_floor: float = 1e-12) -> Optional[bool]:
-    e = exact_lambda(g)
-    if e is not None:
-        return e <= c
-    s = exact_lambda_sq(g)
-    if s is not None and c >= 0:
-        return s <= c * c
-    if rayleigh_lower_bound(g) > c:
-        return False
-    for tol in _tols_down_to(tol_floor):
-        iv = _lambda_interval(g, tol)
-        if iv is None:
-            return None
-        lo, hi = iv
-        if hi <= c:
-            return True
-        if lo > c:
-            return False
-    return None
+    return False if c < 0 else _as_bool(_decide(_at_most(c * c), g, tol_floor=tol_floor))
 
 
-def certify_lambda_ge_sqrt(g: Graph, k: int, tol_floor: float = 1e-12) -> Optional[bool]:
-    """Certified comparison of lambda(G) against sqrt(k) for integer k >= 0."""
-    s = exact_lambda_sq(g)
-    if s is not None:
-        return s >= k
-    e = exact_lambda(g)
-    if e is not None:
-        return e >= 0 and e * e >= k
-    r = rayleigh_lower_bound(g)
-    if r * r >= k:
-        return True
-    for tol in _tols_down_to(tol_floor):
-        iv = _lambda_interval(g, tol)
-        if iv is None:
-            return None
-        lo, hi = iv
-        if lo >= 0 and lo * lo >= k:
-            return True
-        if hi * hi < k:
-            return False
-    return None
+def certify_lambda_ge_sqrt(g: Graph, k: Fraction, tol_floor: float = 1e-12) -> Optional[bool]:
+    """Certified comparison of lambda(G) against sqrt(k) for rational k >= 0."""
+    return _as_bool(_decide(_at_least(k), g, tol_floor=tol_floor))
 
 
-def certify_lambda_le_sqrt(g: Graph, k: int, tol_floor: float = 1e-12) -> Optional[bool]:
-    s = exact_lambda_sq(g)
-    if s is not None:
-        return s <= k
-    e = exact_lambda(g)
-    if e is not None:
-        return e * e <= k
-    if rayleigh_lower_bound(g) ** 2 > k:
-        return False
-    for tol in _tols_down_to(tol_floor):
-        iv = _lambda_interval(g, tol)
-        if iv is None:
-            return None
-        lo, hi = iv
-        if hi * hi <= k:
-            return True
-        if lo > 0 and lo * lo > k:
-            return False
-    return None
+def certify_lambda_le_sqrt(g: Graph, k: Fraction, tol_floor: float = 1e-12) -> Optional[bool]:
+    return _as_bool(_decide(_at_most(k), g, tol_floor=tol_floor))
 
 
 # ---------------------------------------------------------------------------

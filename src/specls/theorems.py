@@ -26,7 +26,7 @@ from .families import (
     t_n2q,
     y_n2q,
 )
-from .graph import Graph, bits, components, cut_stats, induced, is_bipartite
+from .graph import Graph, bits, components, cut_stats, induced, is_bipartite, is_complete_bipartite
 from .morphism import are_isomorphic, same_graph
 from .roots import charpoly_exact, sign_at_largest_root
 from .spectral import (
@@ -34,26 +34,16 @@ from .spectral import (
     certify_lambda_ge_frac,
     certify_lambda_ge_sqrt,
     certify_lambda_le_frac,
+    certify_lambda_le_sqrt,
     compare_lambda,
     perron_enclosure,
 )
-from .triangles import bipartite_distance, max_cut_exact, tau3, triangle_count
+from .triangles import EXACT_CUT_LIMIT, bipartite_distance, max_cut_exact, tau3, triangle_count
 from .verdicts import TheoremVerdict
-
-EXACT_CUT_LIMIT = 30
 
 
 def _floor_q(n: int) -> int:
     return n * n // 4
-
-
-def is_complete_bipartite(g: Graph) -> bool:
-    if g.n == 0:
-        return False
-    w = is_bipartite(g)
-    if w is None:
-        return False
-    return g.m == w.S.bit_count() * w.T.bit_count() and len(components(g)) == 1
 
 
 def is_turan2(g: Graph) -> bool:
@@ -392,23 +382,18 @@ def check_tri_effi(g: Graph, k: int, exact_limit: int = EXACT_CUT_LIMIT) -> Theo
     # clause (i): enough edges
     ci = Fraction(g.m) >= Fraction(n * n, 4) - 3 * k
     margins["edge_margin"] = Fraction(g.m) - (Fraction(n * n, 4) - 3 * k)
-    # clause (ii): a near-balanced partition carrying almost all edges
+    # clause (ii): a partition with |n/2 - |S|| <= 3 sqrt(k) and at least
+    # n^2/4 - 9k cross edges. A side of size a carries at most
+    # a(n - a) = n^2/4 - (n/2 - a)^2 cross edges, so any partition that
+    # reaches n^2/4 - 9k has the required sizes: the clause is max cut >= that.
     need_cross = Fraction(n * n, 4) - 9 * k
-
-    def sizes_ok(a: int) -> bool:
-        lo = Fraction(n, 2) - a  # compare n/2 - |S| <= 3*sqrt(k)
-        return lo <= 0 or lo * lo <= 9 * k
-
     cii: Optional[bool] = None
     witness_mask = None
     if n <= exact_limit:
         cut, mask = max_cut_exact(g)
-        margins["cross_margin"] = Fraction(cut) - need_cross
-        a = mask.bit_count()
-        if Fraction(cut) >= need_cross and sizes_ok(min(a, n - a)):
-            cii, witness_mask = True, mask
-        else:
-            cii = _exists_balanced_cut(g, need_cross, k)
+        margins["cross_margin"] = cut - need_cross
+        cii = cut >= need_cross
+        witness_mask = mask if cii else None
     else:
         margins["cross_margin"] = "unknown"
     # clause (iii): degree window
@@ -433,39 +418,6 @@ def check_tri_effi(g: Graph, k: int, exact_limit: int = EXACT_CUT_LIMIT) -> Theo
         reason if hyp is not None else "lambda >= n/2 undecided",
         params,
     )
-
-
-def _exists_balanced_cut(g: Graph, need_cross: Fraction, k: int) -> bool:
-    """Exhaustive fallback for the existential partition clause."""
-    n = g.n
-    rows = g.rows
-    degs = g.degrees()
-    S = 0
-    cut = 0
-    size = 0
-
-    def ok(size_s: int, cutval: int) -> bool:
-        lo = Fraction(n, 2) - min(size_s, n - size_s)
-        if lo > 0 and lo * lo > 9 * k:
-            return False
-        return Fraction(cutval) >= need_cross
-
-    if ok(0, 0):
-        return True
-    for i in range(1, 1 << max(n - 1, 0)):
-        v = (i & -i).bit_length() - 1
-        bit = 1 << v
-        same = (rows[v] & S).bit_count()
-        if S & bit:
-            cut += 2 * same - degs[v]
-            size -= 1
-        else:
-            cut += degs[v] - 2 * same
-            size += 1
-        S ^= bit
-        if ok(size, cut):
-            return True
-    return False
 
 
 # ---------------------------------------------------------------------------
@@ -507,7 +459,7 @@ def check_nikiforov_m(g: Graph, r: int) -> TheoremVerdict:
         )
     hyp = not has_clique(g, r + 1)
     bound = Fraction(2 * g.m * (r - 1), r)
-    concl = _certify_lambda_sq_le(g, bound)
+    concl = certify_lambda_le_sqrt(g, bound)
     return TheoremVerdict(
         "NIKIFOROV_M",
         hyp,
@@ -517,27 +469,6 @@ def check_nikiforov_m(g: Graph, r: int) -> TheoremVerdict:
         None if concl is not None else "lambda comparison undecided",
         params,
     )
-
-
-def _certify_lambda_sq_le(g: Graph, bound: Fraction) -> Optional[bool]:
-    from .spectral import _lambda_interval, _tols_down_to
-
-    for tol in _tols_down_to(1e-12):
-        iv = _lambda_interval(g, tol)
-        if iv is None:
-            return None
-        lo, hi = iv
-        if hi * hi <= bound:
-            return True
-        if lo > 0 and lo * lo > bound:
-            return False
-        if lo == hi:  # exact value available; decide outright
-            return lo * lo <= bound
-    return None
-
-
-def check_wilf_nikiforov(g: Graph, r: int) -> list[TheoremVerdict]:
-    return [check_wilf(g, r), check_nikiforov_m(g, r)]
 
 
 def _floor_half_sqrt_minus1(m: int) -> int:
@@ -643,7 +574,6 @@ def check_embed_order(n: int, q: int, side: str = "larger") -> TheoremVerdict:
             skipped.append((name, "duplicate of an earlier entry"))
             continue
         kept.append((name, h))
-    chain = []
     orders = {}
     ok: Optional[bool] = True
     for (name_a, ha), (name_b, hb) in zip(kept, kept[1:]):

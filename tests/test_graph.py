@@ -3,6 +3,7 @@ import random
 import pytest
 
 from specls.graph import (
+    adjacency_matrix,
     bits,
     build_graph,
     complement,
@@ -137,3 +138,14 @@ def test_bits_helper():
 def test_vertex_cap():
     with pytest.raises(ValueError):
         build_graph(5000, [])
+
+
+def test_adjacency_matrix_matches_the_bit_rows():
+    rng = random.Random(31)
+    for n in (0, 1, 7, 8, 9, 16, 17, 70):
+        g = random_graph(rng, n, 0.4)
+        A = adjacency_matrix(g)
+        assert A.shape == (n, n) and A.dtype == "float64"
+        assert [[int(A[v, w]) for w in range(n)] for v in range(n)] == [
+            [int(g.has_edge(v, w)) for w in range(n)] for v in range(n)
+        ]

@@ -1,11 +1,12 @@
 import math
 import random
+import sys
 from fractions import Fraction
 
 import pytest
 
 from specls.families import kab_plus, t_n2q, turan, y_n2q
-from specls.graph import add_edge, build_graph, complete_graph, empty_graph
+from specls.graph import add_edge, bits, build_graph, complete_graph, components, empty_graph
 from specls.roots import lambda_interval_exact
 from specls.spectral import (
     Ordering,
@@ -88,6 +89,55 @@ def test_soundness_on_constructions():
         if g.n <= 12:
             lo, hi = lambda_interval_exact(g)
             assert Fraction(c.lambda_lo) <= hi and lo <= Fraction(c.lambda_hi)
+
+
+def _plain_python_cw(g, tol, max_iter=200_000):
+    """The CW loop in plain Python floats, as the engine ran it for small
+    components before it moved to numpy: (lo, hi, converged, iterations)
+    of a connected graph."""
+    n, eps = g.n, sys.float_info.epsilon
+    nbrs = [list(bits(r)) for r in g.rows]
+    x = [1.0] * n
+    lo_best, hi_best, shift, snapshot = 0.0, float(n), 1.0, float("inf")
+    it = 0
+    while it < max_iter:
+        it += 1
+        y = [sum(x[j] for j in nbrs[i]) + shift * x[i] for i in range(n)]
+        lo_t = min(y[i] / x[i] for i in range(n))
+        hi_t = max(y[i] / x[i] for i in range(n))
+        slack = 8.0 * n * eps * hi_t
+        lo_best = max(lo_best, lo_t - shift - slack)
+        hi_best = min(hi_best, hi_t - shift + slack)
+        mx = max(y)
+        x = [yi / mx for yi in y]
+        width = hi_best - lo_best
+        if width <= tol:
+            return lo_best, hi_best, True, it
+        if it % 32 == 0:
+            if width >= 0.999 * snapshot:
+                break
+            snapshot = width
+        if it % 12 == 0 and lo_best > 1.0:
+            shift = float(round(lo_best))
+    return lo_best, hi_best, False, it
+
+
+def test_numpy_cw_matches_the_plain_python_loop():
+    # numpy sums in another order, so the bounds may move by a few ulps;
+    # the iteration count and the convergence flag must not
+    rng = random.Random(16)
+    checked = 0
+    while checked < 40:
+        g = random_graph(rng, rng.randrange(2, 30), rng.choice((0.2, 0.5, 0.8)))
+        if len(components(g)) != 1:
+            continue
+        for tol in (1e-9, 1e-11):
+            c = perron_enclosure(g, tol)
+            lo, hi, converged, iterations = _plain_python_cw(g, tol)
+            assert (c.converged, c.iterations) == (converged, iterations)
+            assert abs(c.lambda_lo - lo) <= 64 * sys.float_info.epsilon * hi
+            assert abs(c.lambda_hi - hi) <= 64 * sys.float_info.epsilon * hi
+        checked += 1
 
 
 def test_collatz_wielandt_sandwich():

@@ -199,12 +199,16 @@ def test_tri_effi():
 
 
 def test_wilf_nikiforov():
-    for n, r in [(9, 3), (8, 2), (12, 4)]:
-        g = turan(n, r).graph
+    # T_{n,2} = K_{a,b} and the star K_{1,5} meet Nikiforov's bound
+    # lambda^2 <= 2m(1 - 1/r) with equality at r = 2
+    star5 = build_graph(6, [(0, i) for i in range(1, 6)])
+    for g, r in [(turan(n, r).graph, r) for n, r in [(9, 3), (8, 2), (12, 4), (7, 2), (9, 2)]] + [
+        (star5, 2)
+    ]:
         vw = check_wilf(g, r)
         assert vw.hypothesis_met is True and vw.conclusion_met is True
         vn = check_nikiforov_m(g, r)
-        assert vn.hypothesis_met is True and vn.conclusion_met is True
+        assert vn.hypothesis_met is True and vn.conclusion_met is True, vn
     v = check_wilf(complete_graph(6), 5)
     assert v.hypothesis_met is False  # K6 contains K6
     v = check_wilf(complete_graph(7), 6)
