@@ -1,22 +1,16 @@
-"""Graph isomorphism for small graphs plus invariant fingerprints.
+"""Exact graph isomorphism for small graphs.
 
-Equality characterizations in the verifier suite only ever compare small,
-highly structured graphs, so a color-refinement partition followed by a
-backtracking mapping search is plenty. Past ISO_LIMIT vertices callers
-fall back to the invariant fingerprint and must carry a fingerprint-only
-caveat: matching fingerprints do not certify isomorphism.
+A color-refinement partition followed by a backtracking mapping search;
+the search is exponential in the worst case, so callers use it only up to
+ISO_LIMIT vertices. The equality cases of the extremal theorems are
+recognized structurally at every n (`theorems.is_t_n2q`).
 """
 
 from __future__ import annotations
 
-import numpy as np
-
-from .graph import Graph, adjacency_matrix, bits
-from .roots import charpoly_exact
-from .triangles import triangle_list
+from .graph import Graph, bits
 
 ISO_LIMIT = 12
-_EXACT_CHARPOLY_LIMIT = 16
 
 
 def refine_colors(g: Graph) -> list[int]:
@@ -72,35 +66,3 @@ def are_isomorphic(g: Graph, h: Graph) -> bool:
         return False
 
     return backtrack(0)
-
-
-def fingerprint(g: Graph) -> tuple:
-    """Invariant fingerprint: degree sequence, triangles per vertex, and the
-    exact characteristic polynomial (small n) or the rounded spectrum.
-
-    Equal fingerprints are necessary, not sufficient, for isomorphism.
-    """
-    tri_per_vertex = [0] * g.n
-    for triangle in triangle_list(g):
-        for v in triangle:
-            tri_per_vertex[v] += 1
-    if g.n <= _EXACT_CHARPOLY_LIMIT:
-        spectral: tuple = ("charpoly", tuple(charpoly_exact(g)))
-    else:
-        eig = np.linalg.eigvalsh(adjacency_matrix(g))
-        spectral = ("spectrum6", tuple(round(float(x), 6) for x in eig))
-    return (
-        g.n,
-        g.m,
-        tuple(sorted(g.degrees())),
-        tuple(sorted(tri_per_vertex)),
-        spectral,
-    )
-
-
-def same_graph(g: Graph, h: Graph) -> tuple[bool, str]:
-    """(verdict, method): exact isomorphism when small enough, else a
-    fingerprint comparison tagged 'fingerprint-only'."""
-    if g.n <= ISO_LIMIT and h.n <= ISO_LIMIT:
-        return are_isomorphic(g, h), "isomorphism"
-    return fingerprint(g) == fingerprint(h), "fingerprint-only"

@@ -179,8 +179,9 @@ def perron_enclosure(
     if g.m == 0:
         perron = (1.0,) * g.n
         return SpectralCertificate(0.0, 0.0, perron, 0.0, True, 0, tol, 0.0)
+    A = adjacency_matrix(g)
     results = []
-    for verts, block in _blocks(adjacency_matrix(g)):
+    for verts, block in _blocks(A):
         sub_start = None if start is None else [start[v] for v in verts]
         results.append((verts, next(_iterate_component(block, (tol,), sub_start))))
     lo = max(r[1][0] for r in results)
@@ -194,19 +195,22 @@ def perron_enclosure(
     for v, xv in zip(verts.tolist(), vec):
         full[v] = xv / vmax
     converged = all(r[1][3] for r in results) and (hi - lo) <= tol
-    residual = _residual(g, full)
+    residual = _residual(A, np.array(full))
     return SpectralCertificate(
         lo, hi, tuple(full), residual, converged, iterations, tol, slack
     )
 
 
-def _residual(g: Graph, x: list[float]) -> float:
-    ax = [sum(x[w] for w in bits(g.rows[v])) for v in range(g.n)]
-    xx = sum(v * v for v in x)
+def _residual(A: np.ndarray, x: np.ndarray) -> float:
+    # every sum runs left to right (accumulate, not BLAS), so the residual
+    # is the same on every machine; a row's zero terms add exactly
+    acc = np.add.accumulate
+    ax = np.array([acc(row * x)[-1] for row in A])
+    xx = acc(x * x)[-1]
     if xx == 0:
         return 0.0
-    rho = sum(a * v for a, v in zip(ax, x)) / xx
-    return max(abs(a - rho * v) for a, v in zip(ax, x))
+    rho = acc(ax * x)[-1] / xx
+    return float(np.abs(ax - rho * x).max())
 
 
 # ---------------------------------------------------------------------------
@@ -342,6 +346,12 @@ def _as_bool(answer) -> Optional[bool]:
     return answer if isinstance(answer, bool) else None
 
 
+def certified(order: Ordering, expected: Ordering) -> Optional[bool]:
+    """Whether a certified ordering is `expected`; None when the comparison
+    refused (Tie or Indeterminate)."""
+    return None if order in (Ordering.TIE, Ordering.INDETERMINATE) else order is expected
+
+
 def compare_lambda(g: Graph, h: Graph, tol_floor: float = 1e-12) -> Ordering:
     """Certified ordering of lambda(G) vs lambda(H).
 
@@ -413,13 +423,7 @@ def rotation_increases_lambda(g: Graph, u: int, v: int, W: int) -> TheoremVerdic
         rows[w] |= 1 << u
     g2 = Graph(g.n, tuple(rows), g.m)
     order = compare_lambda(g2, g)
-    concl: Optional[bool]
-    if order is Ordering.GREATER:
-        concl = True
-    elif order is Ordering.LESS:
-        concl = False
-    else:
-        concl = None
+    concl = certified(order, Ordering.GREATER)
     return TheoremVerdict(
         "ROTATION",
         hyp,

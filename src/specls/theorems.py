@@ -11,8 +11,9 @@ unless the hypothesis is certified true and the conclusion certified false.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
-from typing import Optional
+from typing import Callable, Optional
 
 from .families import (
     Construction,
@@ -27,16 +28,18 @@ from .families import (
     y_n2q,
 )
 from .graph import Graph, bits, components, cut_stats, induced, is_bipartite, is_complete_bipartite
-from .morphism import are_isomorphic, same_graph
+from .morphism import ISO_LIMIT, are_isomorphic
 from .roots import charpoly_exact, sign_at_largest_root
 from .spectral import (
     Ordering,
+    certified,
     certify_lambda_ge_frac,
     certify_lambda_ge_sqrt,
     certify_lambda_le_frac,
     certify_lambda_le_sqrt,
     compare_lambda,
     perron_enclosure,
+    sqrt_interval,
 )
 from .triangles import EXACT_CUT_LIMIT, bipartite_distance, max_cut_exact, tau3, triangle_count
 from .verdicts import TheoremVerdict
@@ -104,11 +107,7 @@ def check_er_rad(g: Graph) -> TheoremVerdict:
     t = triangle_count(g)
     bound = n // 2
     hyp = g.m >= _floor_q(n) + 1
-    witness = None
-    if hyp and t == bound:
-        ref = t_n2q(n, 1).graph
-        equal, method = same_graph(g, ref)
-        witness = {"equality_case": True, "matches_extremal": equal, "method": method}
+    witness = _equality_witness(g, 1) if hyp and t == bound else None
     return TheoremVerdict(
         "ER_RAD",
         hyp,
@@ -162,68 +161,50 @@ def check_ning_zhai(g: Graph) -> TheoremVerdict:
     )
 
 
-def _hyp_lambda_ge_construction(g: Graph, ref: Construction) -> tuple[Optional[bool], str]:
-    """Certified lambda(G) >= lambda(ref), with graph equality short-cut."""
+def _hyp_lambda_ge_construction(g: Graph, ref: Construction) -> tuple[Optional[bool], str, Ordering]:
+    """Certified lambda(G) >= lambda(ref), with graph equality short-cut, and
+    the ordering read (Tie for the identical graph, as `compare_lambda` gives)."""
     h = ref.graph
     if g.n == h.n and g.rows == h.rows:
-        return True, "identical graph"
+        return True, "identical graph", Ordering.TIE
     order = compare_lambda(g, h)
-    if order is Ordering.GREATER:
-        return True, "certified greater"
-    if order is Ordering.LESS:
-        return False, "certified less"
-    if g.n <= 12 and are_isomorphic(g, h):
-        return True, "isomorphic to reference"
-    return None, f"comparison returned {order.value}"
+    ok = certified(order, Ordering.GREATER)
+    if ok is not None:
+        return ok, f"certified {order.value}", order
+    if g.n <= ISO_LIMIT and are_isomorphic(g, h):
+        return True, "isomorphic to reference", order
+    return None, f"comparison returned {order.value}", order
+
+
+def _check_spec_ls(
+    theorem_id: str, g: Graph, q: int, reference: Callable[[int, int], Construction], unique: bool
+) -> TheoremVerdict:
+    """lambda(G) >= lambda(reference) forces t(G) >= q*floor(n/2) for n >= 300q^2;
+    a unique extremal reference also gets the equality case checked."""
+    n = g.n
+    t = triangle_count(g)
+    bound = q * (n // 2)
+    params = {"n": n, "q": q}
+    if q < 1 or n < 300 * q * q:
+        return TheoremVerdict(
+            theorem_id, False, t >= bound, {"t_margin": t - bound}, None, None, params
+        )
+    lam_ok, how, _ = _hyp_lambda_ge_construction(g, reference(n, q))
+    witness = {"lambda_route": how}
+    if unique and lam_ok and t == bound:
+        witness.update(_equality_witness(g, q))
+    return TheoremVerdict(
+        theorem_id, lam_ok, t >= bound, {"t_margin": t - bound}, witness,
+        None if lam_ok is not None else how, params,
+    )
 
 
 def check_spec_ls_y(g: Graph, q: int) -> TheoremVerdict:
-    n = g.n
-    t = triangle_count(g)
-    bound = q * (n // 2)
-    params = {"n": n, "q": q}
-    if q < 1 or n < 300 * q * q:
-        return TheoremVerdict(
-            "SPEC_LS_Y", False, t >= bound, {"t_margin": t - bound}, None, None, params
-        )
-    ref = y_n2q(n, q)
-    lam_ok, how = _hyp_lambda_ge_construction(g, ref)
-    hyp = lam_ok if lam_ok is not None else None
-    return TheoremVerdict(
-        "SPEC_LS_Y",
-        hyp,
-        t >= bound,
-        {"t_margin": t - bound},
-        {"lambda_route": how},
-        None if hyp is not None else how,
-        params,
-    )
+    return _check_spec_ls("SPEC_LS_Y", g, q, y_n2q, False)
 
 
 def check_spec_ls_t(g: Graph, q: int) -> TheoremVerdict:
-    n = g.n
-    t = triangle_count(g)
-    bound = q * (n // 2)
-    params = {"n": n, "q": q}
-    if q < 1 or n < 300 * q * q:
-        return TheoremVerdict(
-            "SPEC_LS_T", False, t >= bound, {"t_margin": t - bound}, None, None, params
-        )
-    ref = t_n2q(n, q)
-    lam_ok, how = _hyp_lambda_ge_construction(g, ref)
-    witness = {"lambda_route": how}
-    if lam_ok and t == bound:
-        equal, method = same_graph(g, ref.graph)
-        witness.update({"equality_case": True, "matches_extremal": equal, "method": method})
-    return TheoremVerdict(
-        "SPEC_LS_T",
-        lam_ok,
-        t >= bound,
-        {"t_margin": t - bound},
-        witness,
-        None if lam_ok is not None else how,
-        params,
-    )
+    return _check_spec_ls("SPEC_LS_T", g, q, t_n2q, True)
 
 
 def check_spec_bc(g: Graph, s: int) -> TheoremVerdict:
@@ -292,8 +273,6 @@ def check_bn(g: Graph, tol_eq: float = 1e-9) -> TheoremVerdict:
     rhs_lo = min(rhs(lo), rhs(hi))
     crit_sq = Fraction(m, 3)  # stationary point of x(x^2-m)/3 at sqrt(m/3)
     if lo * lo < crit_sq < hi * hi:
-        from .spectral import sqrt_interval
-
         _, crit_hi = sqrt_interval(crit_sq, Fraction(1, 10**9))
         rhs_lo = min(rhs_lo, -2 * Fraction(m, 9) * crit_hi)
     gap_lo = float(Fraction(t) - rhs_hi)
@@ -473,8 +452,6 @@ def check_nikiforov_m(g: Graph, r: int) -> TheoremVerdict:
 
 def _floor_half_sqrt_minus1(m: int) -> int:
     """floor((sqrt(m)-1)/2) exactly: the largest k with (2k+1)^2 <= m."""
-    import math
-
     if m < 1:
         return 0
     return max(0, (math.isqrt(m) - 1) // 2)
@@ -575,14 +552,15 @@ def check_embed_order(n: int, q: int, side: str = "larger") -> TheoremVerdict:
             continue
         kept.append((name, h))
     orders = {}
-    ok: Optional[bool] = True
+    decided = []
     for (name_a, ha), (name_b, hb) in zip(kept, kept[1:]):
         ga = embed_into_turan2(n, ha, side).graph
         gb = embed_into_turan2(n, hb, side).graph
         order = compare_lambda(ga, gb)
         orders[f"{name_a}>{name_b}"] = order.value
-        if order is not Ordering.GREATER:
-            ok = None if order in (Ordering.TIE, Ordering.INDETERMINATE) else False
+        decided.append(certified(order, Ordering.GREATER))
+    # a certified violation anywhere decides, whatever refused elsewhere
+    ok = False if False in decided else None if None in decided else True
     chain = [name for name, _ in kept]
     return TheoremVerdict(
         "EMBED_ORDER",
@@ -637,6 +615,18 @@ def _detect_turan2_star(g: Graph) -> Optional[tuple[int, int, int]]:
             center = members[sd.index(max(sd))]
             return S, center, q_guess
     return None
+
+
+def is_t_n2q(g: Graph, q: int) -> bool:
+    """Exact recognition of T_{n,2,q} at any n: G is T_{n,2} plus a q-edge
+    star in a part of ceil(n/2) vertices."""
+    det = _detect_turan2_star(g)
+    return det is not None and det[2] == q and det[0].bit_count() == (g.n + 1) // 2
+
+
+def _equality_witness(g: Graph, q: int) -> dict:
+    """Witness of an equality case t = q*floor(n/2): is G the extremal T_{n,2,q}?"""
+    return {"equality_case": True, "matches_extremal": is_t_n2q(g, q), "method": "isomorphism"}
 
 
 def check_x_mass(g: Graph) -> TheoremVerdict:
@@ -707,10 +697,9 @@ def check_structural_lemmas(
     gate_n = n >= 300 * q * q and q >= 1
     gate_t = t < q * (n // 2)
     try:
-        ref = y_n2q(n, q)
-        lam_ok, lam_how = _hyp_lambda_ge_construction(g, ref)
+        lam_ok, lam_how, order = _hyp_lambda_ge_construction(g, y_n2q(n, q))
     except ValueError as exc:
-        ref = None
+        order = None
         lam_ok, lam_how = False, str(exc)
     if lam_ok is None:
         gate: Optional[bool] = None
@@ -828,18 +817,11 @@ def check_structural_lemmas(
     )
     # lambda < lambda(Y) under the additional edge-deficit hypothesis
     edge_hyp = g.m <= _floor_q(n) + q - 1
-    if ref is None:
+    if order is None:
         below: Optional[bool] = None
         reason = lam_how
     else:
-        order = compare_lambda(g, ref.graph)
-        below = (
-            True
-            if order is Ordering.LESS
-            else False
-            if order is Ordering.GREATER
-            else None
-        )
+        below = certified(order, Ordering.LESS)
         reason = None if below is not None else f"comparison returned {order.value}"
     hyp47 = None if gate is None else (gate and edge_hyp)
     out.append(
@@ -910,7 +892,7 @@ def verify_by_id(theorem_id: str, g: Graph, params: dict) -> list[TheoremVerdict
     if theorem_id == "FAR_BIP_SUPERSAT":
         return [check_far_supersat(g, params.get("exact_limit", EXACT_CUT_LIMIT))]
     if theorem_id == "TRI_EFFI":
-        return [check_tri_effi(g, params.get("k", 1))]
+        return [check_tri_effi(g, params.get("k", 1), params.get("exact_limit", EXACT_CUT_LIMIT))]
     if theorem_id == "WILF":
         return [check_wilf(g, params.get("r", 2))]
     if theorem_id == "NIKIFOROV_M":
@@ -922,5 +904,5 @@ def verify_by_id(theorem_id: str, g: Graph, params: dict) -> list[TheoremVerdict
     if theorem_id == "X_MASS":
         return [check_x_mass(g)]
     if theorem_id == "STRUCTURAL":
-        return check_structural_lemmas(g, q)
+        return check_structural_lemmas(g, q, params.get("exact_limit", EXACT_CUT_LIMIT))
     raise ValueError(f"no graph-level verifier for theorem id {theorem_id!r}")

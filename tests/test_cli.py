@@ -61,6 +61,15 @@ def test_verify_indeterminate_exit(capsys):
     assert code == 3
 
 
+def test_verify_tri_effi_honours_exact_limit(capsys):
+    code, out, _ = run(
+        capsys, "verify", "TRI_EFFI", "--spec", "T:n=8,q=1", "--exact-limit", "4", "--json",
+    )
+    verdict = json.loads(out)["items"][0]
+    assert verdict["margins"]["cross_margin"] == "unknown"
+    assert code == 3
+
+
 def test_verify_exhaustive(capsys):
     code, out, _ = run(capsys, "verify", "LS", "--n", "5", "--exhaustive", "--json")
     assert code == 0

@@ -1,5 +1,6 @@
-"""Property tests of the certified lambda decisions and of the Gray-code cut
-sweep against exact or exhaustive oracles on small graphs."""
+"""Property tests of the certified lambda decisions, of the Gray-code cut
+sweep and of the T_{n,2,q} recognizer against exact or exhaustive oracles
+on small graphs."""
 
 from fractions import Fraction
 from math import ceil, floor
@@ -7,7 +8,9 @@ from math import ceil, floor
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from specls.families import embed_into_turan2, small_path, small_star, t_n2q, y_n2q
 from specls.graph import build_graph, complete_graph, cut_stats
+from specls.morphism import ISO_LIMIT, are_isomorphic
 from specls.roots import lambda_interval_exact
 from specls.spectral import (
     Ordering,
@@ -17,7 +20,7 @@ from specls.spectral import (
     certify_lambda_le_sqrt,
     compare_lambda,
 )
-from specls.theorems import check_tri_effi
+from specls.theorems import check_tri_effi, is_t_n2q
 from specls.triangles import max_cut_exact
 
 
@@ -127,3 +130,31 @@ def test_cut_sweep_and_tri_effi_clause_ii_match_brute_force(g, k):
     assert v.conclusion_met == (ci and cii and ciii)
     assert v.margins["cross_margin"] == cut - need
     assert v.witness == ({"partition_S": mask} if cii else None)
+
+
+@st.composite
+def near_t_n2q(draw):
+    """(G, q): a relabelled T_{n,2,q}, Y_{n,2,q}, T_{n,2} plus a q-edge star
+    in the smaller part or plus a q-edge path, optionally with one edge
+    toggled, for n <= ISO_LIMIT and 1 <= q < ceil(n/2)."""
+    n = draw(st.integers(3, ISO_LIMIT))
+    a = (n + 1) // 2
+    q = draw(st.integers(1, a - 1))
+    builders = [lambda: t_n2q(n, q), lambda: embed_into_turan2(n, small_path(q))]
+    if 2 * q <= a:
+        builders.append(lambda: y_n2q(n, q))
+    if q + 1 <= n // 2:
+        builders.append(lambda: embed_into_turan2(n, small_star(q), "smaller"))
+    edges = set(draw(st.sampled_from(builders))().graph.edges())
+    if draw(st.booleans()):
+        i, j = draw(st.lists(st.integers(0, n - 1), min_size=2, max_size=2, unique=True))
+        edges ^= {(min(i, j), max(i, j))}
+    perm = draw(st.permutations(range(n)))
+    return build_graph(n, [(perm[u], perm[v]) for u, v in edges]), q
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=near_t_n2q())
+def test_t_n2q_recognizer_matches_exact_isomorphism(case):
+    g, q = case
+    assert is_t_n2q(g, q) == are_isomorphic(g, t_n2q(g.n, q).graph)

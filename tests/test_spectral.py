@@ -10,6 +10,7 @@ from specls.graph import add_edge, bits, build_graph, complete_graph, components
 from specls.roots import lambda_interval_exact
 from specls.spectral import (
     Ordering,
+    certified,
     certify_lambda_ge_frac,
     certify_lambda_ge_sqrt,
     certify_lambda_le_frac,
@@ -138,6 +139,36 @@ def test_numpy_cw_matches_the_plain_python_loop():
             assert abs(c.lambda_lo - lo) <= 64 * sys.float_info.epsilon * hi
             assert abs(c.lambda_hi - hi) <= 64 * sys.float_info.epsilon * hi
         checked += 1
+
+
+def _plain_python_residual(g, x):
+    ax = [sum(x[w] for w in bits(g.rows[v])) for v in range(g.n)]
+    xx = sum(v * v for v in x)
+    if xx == 0:
+        return 0.0
+    rho = sum(a * v for a, v in zip(ax, x)) / xx
+    return max(abs(a - rho * v) for a, v in zip(ax, x))
+
+
+def test_residual_matches_the_plain_python_sums_exactly():
+    # every sum runs left to right in both, so the residual is bit-identical
+    rng = random.Random(17)
+    graphs = [random_graph(rng, rng.randrange(1, 60), rng.choice((0.1, 0.5, 0.9)))
+              for _ in range(60)]
+    graphs += [build_graph(5, [(0, 1), (2, 3), (3, 4)])]  # disconnected
+    graphs += [f(300, q).graph for f in (y_n2q, t_n2q) for q in (1, 2)]
+    for g in graphs:
+        c = perron_enclosure(g, 1e-9)
+        assert c.residual == _plain_python_residual(g, list(c.perron))
+
+
+def test_certified_reads_an_ordering():
+    for expected in (Ordering.GREATER, Ordering.LESS):
+        assert certified(expected, expected) is True
+        assert certified(Ordering.LESS if expected is Ordering.GREATER else Ordering.GREATER,
+                         expected) is False
+        assert certified(Ordering.TIE, expected) is None
+        assert certified(Ordering.INDETERMINATE, expected) is None
 
 
 def test_collatz_wielandt_sandwich():

@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from specls import theorems
 from specls.families import (
     balogh_clemen_g2,
     book_join,
@@ -17,6 +18,7 @@ from specls.families import (
 )
 from specls.graph import add_edge, build_graph, complete_graph, empty_graph
 from specls.roots import lambda_interval_exact
+from specls.spectral import Ordering
 from specls.theorems import (
     bn_relation_exact,
     check_bn,
@@ -39,6 +41,7 @@ from specls.theorems import (
     check_x_mass,
     has_clique,
     is_complete_bipartite,
+    is_t_n2q,
     is_turan2,
     verify_by_id,
 )
@@ -49,6 +52,12 @@ def random_graph(rng, n, p=0.5):
     return build_graph(
         n, [(i, j) for i in range(n) for j in range(i + 1, n) if rng.random() < p]
     )
+
+
+def relabelled(g, seed):
+    perm = list(range(g.n))
+    random.Random(seed).shuffle(perm)
+    return build_graph(g.n, [(perm[u], perm[v]) for u, v in g.edges()])
 
 
 def test_structure_predicates():
@@ -82,10 +91,12 @@ def test_mantel_and_ls():
 
 
 def test_er_rad_equality_characterization():
-    for n in (8, 9, 12):
-        v = check_er_rad(t_n2q(n, 1).graph)
+    # the extremal graph is recognized exactly, relabelled and at every n
+    for n in (8, 9, 12, 13, 31, 301):
+        v = check_er_rad(relabelled(t_n2q(n, 1).graph, n))
         assert v.hypothesis_met and v.conclusion_met
-        assert v.witness["matches_extremal"]
+        assert v.witness == {"equality_case": True, "matches_extremal": True,
+                             "method": "isomorphism"}
     # equality graph must be the unique one: a different margin-0 graph?
     # Add the extra edge in the smaller part instead (odd n): fewer triangles
     g = turan(9, 2).graph
@@ -93,6 +104,25 @@ def test_er_rad_equality_characterization():
     v = check_er_rad(g)
     assert v.hypothesis_met is True
     assert triangle_count(g) == 5 and v.conclusion_met  # 5 >= 4 strict
+
+
+def test_is_t_n2q_small_cases():
+    # every relabelling of T_{n,2,q} is recognized, and only with its own q
+    for n in range(3, 13):
+        for q in range(1, (n + 1) // 2):
+            g = relabelled(t_n2q(n, q).graph, 100 * n + q)
+            assert is_t_n2q(g, q), (n, q)
+            assert not is_t_n2q(g, q + 1) and not is_t_n2q(g, q - 1)
+    assert not is_t_n2q(y_n2q(10, 2).graph, 2)  # same n, m and t as T_{10,2,2}
+    # the star in the smaller part is another graph when n is odd
+    assert not is_t_n2q(embed_into_turan2(9, small_star(2), "smaller").graph, 2)
+    assert not is_t_n2q(turan(8, 2).graph, 1) and not is_t_n2q(complete_graph(5), 1)
+
+
+def test_is_t_n2q_at_scale():
+    assert is_t_n2q(relabelled(t_n2q(301, 1).graph, 1), 1)
+    assert is_t_n2q(relabelled(t_n2q(1200, 2).graph, 2), 2)
+    assert not is_t_n2q(relabelled(y_n2q(1200, 2).graph, 3), 2)
 
 
 def test_ning_zhai_branches():
@@ -117,6 +147,10 @@ def test_spec_ls_equality_at_scale():
     assert v.hypothesis_met is True
     assert v.conclusion_met is True and v.margins["t_margin"] == 0
     assert v.witness.get("equality_case") and v.witness.get("matches_extremal")
+    assert v.witness["method"] == "isomorphism"
+    v = check_spec_ls_t(t_n2q(301, q).graph, q)
+    assert v.witness == {"lambda_route": "identical graph", "equality_case": True,
+                         "matches_extremal": True, "method": "isomorphism"}
     v = check_spec_ls_y(y_n2q(n, q).graph, q)
     assert v.hypothesis_met is True and v.conclusion_met is True
 
@@ -189,6 +223,16 @@ def test_far_supersat():
     assert v.hypothesis_met is None  # epsilon only heuristic at this size
 
 
+def test_verify_by_id_passes_exact_limit_to_structural():
+    # (TRI_EFFI: tests/test_cli.py::test_verify_tri_effi_honours_exact_limit)
+    # K_8 has no partition with at most q intra edges: certified only by
+    # the exact cut, left open by the local-search one
+    g = complete_graph(8)
+    limited = [v.to_jsonable() for v in verify_by_id("STRUCTURAL", g, {"q": 1, "exact_limit": 4})]
+    assert limited == [v.to_jsonable() for v in check_structural_lemmas(g, 1, exact_limit=4)]
+    assert limited != [v.to_jsonable() for v in check_structural_lemmas(g, 1)]
+
+
 def test_tri_effi():
     v = check_tri_effi(turan(10, 2).graph, 0)
     assert v.hypothesis_met and v.conclusion_met
@@ -246,6 +290,18 @@ def test_embed_order_q4():
     assert "cycle" in skipped  # C4 collapses into the complete bipartite entry
 
 
+@pytest.mark.parametrize("orders", [
+    (Ordering.LESS, Ordering.TIE, Ordering.GREATER),
+    (Ordering.TIE, Ordering.LESS, Ordering.GREATER),
+])
+def test_embed_order_violation_is_not_hidden_by_a_refusal(monkeypatch, orders):
+    # a certified violation decides the chain wherever it sits
+    answers = iter(orders)
+    monkeypatch.setattr(theorems, "compare_lambda", lambda g, h: next(answers))
+    v = check_embed_order(30, 4)
+    assert v.conclusion_met is False and v.indeterminate_reason is None
+
+
 def test_embed_order_q3_documents_the_violation():
     # the star/clique pair genuinely reverses at q=3; the checker must
     # certify the violation rather than report a tie
@@ -288,13 +344,17 @@ def test_structural_lemmas_gate_vacuity():
     assert by_id["PART_BALANCED"].hypothesis_met is False
 
 
-def test_structural_lemmas_perturbed_turan():
+def test_structural_lemmas_perturbed_turan(monkeypatch):
     # T + (q-1) intra edges: the lambda gate fails (the perturbation stays
     # below the matching construction), and the edge-deficit lemma's
     # conclusion lambda < lambda(Y) is certified
     n, q = 1200, 2
     g = add_edge(turan(n, 2).graph, 0, 1)
+    calls = []
+    compare = theorems.compare_lambda
+    monkeypatch.setattr(theorems, "compare_lambda", lambda *a: calls.append(a) or compare(*a))
     verdicts = check_structural_lemmas(g, q)
+    assert len(calls) == 1  # LAMBDA_BELOW_Y reads the gate's comparison
     by_id = {v.theorem_id: v for v in verdicts}
     assert by_id["PART_INTRA_LE_Q"].hypothesis_met is False
     v47 = by_id["LAMBDA_BELOW_Y"]
