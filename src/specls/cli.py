@@ -13,7 +13,7 @@ import sys
 from fractions import Fraction
 
 from .families import build_from_spec
-from .graph import Graph
+from .graph import Graph, build_graph
 from .graph6 import Graph6Error, emit_graph6, parse_graph6
 from .reporting import ReportDocument, verdicts_to_csv
 from .roots import FamilyPolynomial, family_lambda
@@ -27,7 +27,7 @@ from .search import (
     run_random,
 )
 from .spectral import perron_enclosure
-from .theorems import verify_by_id
+from .theorems import check_embed_order, verify_by_id
 from .triangles import EXACT_CUT_LIMIT, bipartite_distance, tau3, triangle_count
 from .verdicts import TheoremVerdict
 
@@ -65,8 +65,6 @@ def _load_graphs(args) -> list[tuple[str, Graph]]:
         for item in args.edges.split(","):
             u, _, v = item.partition("-")
             pairs.append((int(u), int(v)))
-        from .graph import build_graph
-
         out.append((args.edges, build_graph(args.n, pairs)))
     if getattr(args, "input", None):
         with open(args.input) as fh:
@@ -242,8 +240,6 @@ def _dispatch(args, argv: list[str]) -> int:
         if args.theorem_id == "EMBED_ORDER":
             if args.n is None:
                 raise ValueError("EMBED_ORDER needs --n and --q")
-            from .theorems import check_embed_order
-
             v = check_embed_order(args.n, args.q)
             doc.add("verdict", v.to_jsonable())
             _emit(doc, args, [v])
@@ -275,12 +271,7 @@ def _dispatch(args, argv: list[str]) -> int:
         return _exit_code(verdicts)
 
     if args.cmd == "enumerate":
-        counts: dict[int, int] = {}
-
-        def visitor(m: int, t: int, comp) -> None:
-            counts[m] = counts.get(m, 0) + 1
-
-        visited = enumerate_dense(args.n, args.min_edges, visitor)
+        visited = sum(enumerate_dense(args.n, args.min_edges, workers=args.workers))
         expected = dense_enumeration_size(args.n, args.min_edges)
         doc.add(
             "enumeration",

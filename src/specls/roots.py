@@ -228,16 +228,21 @@ def charpoly_exact(g: Graph) -> list[int]:
     return coeffs
 
 
+def _charpoly_bracket(g: Graph) -> tuple[Poly, Fraction, Fraction]:
+    """(charpoly, lo, hi) with lambda(G) the largest root in (lo, hi], for a
+    graph with an edge: lambda >= 1 then, lambda <= n - 1, and half-integers
+    are never roots of a monic integer polynomial."""
+    p = [Fraction(c) for c in charpoly_exact(g)]
+    return p, Fraction(1, 2), Fraction(2 * g.n + 1, 2)
+
+
 def lambda_interval_exact(g: Graph, tol: Fraction = Fraction(1, 10**12)) -> tuple[Fraction, Fraction]:
     """Certified enclosure of the spectral radius from the exact charpoly."""
     if g.n == 0:
         raise ValueError("spectral radius undefined for the empty vertex set")
     if g.m == 0:
         return Fraction(0), Fraction(0)
-    p = [Fraction(c) for c in charpoly_exact(g)]
-    # any graph with an edge has lambda >= 1, and half-integers are never
-    # roots of a monic integer polynomial
-    return largest_root_interval(p, Fraction(1, 2), Fraction(2 * g.n + 1, 2), tol)
+    return largest_root_interval(*_charpoly_bracket(g), tol)
 
 
 def poly_gcd(a: Poly, b: Poly) -> Poly:
@@ -279,3 +284,13 @@ def sign_at_largest_root(p: Poly, q: Poly, lo: Fraction, hi: Fraction) -> int:
             lo = mid
         else:
             hi = mid
+
+
+def sign_at_lambda(g: Graph, q: Poly) -> int:
+    """Exact sign (-1, 0 or +1) of q(lambda(G)), from the integer charpoly and
+    Sturm chains; q may have integer or Fraction coefficients."""
+    q = [Fraction(c) for c in q]
+    if g.m == 0:  # lambda = 0
+        return (q[0] > 0) - (q[0] < 0)
+    p, lo, hi = _charpoly_bracket(g)
+    return sign_at_largest_root(p, q, lo, hi)

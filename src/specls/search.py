@@ -1,20 +1,23 @@
 """Exhaustive small-n verification and randomized search against the
 theorems and conjectures.
 
-Exhaustive dense enumeration works on complements: graphs with at least
+One sharded complement DFS (`_dense_dfs` over `_ls_shard`) serves both the
+LS exhaustive check and the `enumerate` count: graphs with at least
 min_edges edges correspond to subsets of the edge-slot lattice of bounded
-size, walked in colex order with incremental maintenance of the complement
-statistics (edge count f, cherries, triangles), so each visited graph costs
-a handful of integer operations:
+size, walked in colex order in 32 shards (the patterns of the first five
+slots) with incremental maintenance of the complement statistics (edge
+count f, cherries, triangles), so each visited graph costs a handful of
+integer operations:
 
     t(G) = C(n,3) - f*(n-2) + cherries(F) - t(F)   for G = K_n - F.
 
 Full 2^C(n,2) scans (needed by the inequality and conjecture targets) run
 as fixed-size numpy chunks with batched eigensolves; anything within a
-float band of a bound is re-decided exactly through the integer
-characteristic polynomial, so reported counterexamples and equality sets
-are certified, not floating-point guesses. Chunk boundaries and shard
-counts are constants, so reports are byte-identical for any worker count.
+float band of a bound is re-decided exactly by `roots.sign_at_lambda`
+(integer characteristic polynomial and Sturm chains), so reported
+counterexamples and equality sets are certified, not floating-point
+guesses. Chunk boundaries and shard counts are constants, so reports are
+byte-identical for any worker count.
 """
 
 from __future__ import annotations
@@ -30,12 +33,13 @@ from typing import Callable, Optional
 import numpy as np
 
 from .families import build_from_spec, book_join, l_nsalpha, y_n2q
-from .graph import Graph, build_graph, complete_graph, induced, mask_of, remove_edge, toggle_edge
+from .graph import Graph, build_graph, complete_graph, induced, is_complete_bipartite, mask_of
+from .graph import remove_edge, toggle_edge
 from .graph6 import emit_graph6
 from .morphism import are_isomorphic
-from .roots import FamilyPolynomial, charpoly_exact, family_lambda, sign_at_largest_root
+from .roots import FamilyPolynomial, family_lambda, sign_at_lambda
 from .spectral import Ordering, _decide, certify_lambda_ge_frac, exact_lambda, perron_enclosure
-from .theorems import is_complete_bipartite, verify_by_id
+from .theorems import bn_relation_exact, verify_by_id
 from .triangles import triangle_count
 from .verdicts import jsonable_value
 
@@ -128,61 +132,8 @@ def dense_enumeration_size(n: int, min_edges: int) -> int:
     return sum(comb(slots, k) for k in range(kmax + 1))
 
 
-def enumerate_dense(
-    n: int,
-    min_edges: int,
-    visitor: Callable[[int, int, tuple[int, ...]], None],
-    ceiling: int = DEFAULT_CEILING,
-) -> int:
-    """Visit every labeled n-vertex graph with >= min_edges edges once, in
-    deterministic colex complement order. The visitor receives
-    (m, triangle_count, complement_slot_stack); the stack is shared and
-    must not be retained across calls."""
-    est = dense_enumeration_size(n, min_edges)
-    if est > ceiling:
-        raise ValueError(f"enumeration would visit {est} graphs > ceiling {ceiling}")
-    slots = edge_slots(n)
-    ns = len(slots)
-    kmax = ns - min_edges
-    if kmax < 0:
-        return 0
-    su = [e[0] for e in slots]
-    sv = [e[1] for e in slots]
-    c3 = comb(n, 3)
-    nm2 = n - 2
-    rows = [0] * n
-    deg = [0] * n
-    stack: list[int] = []
-    visited = 0
-
-    def rec(start: int, f: int, ch: int, tf: int) -> None:
-        nonlocal visited
-        visited += 1
-        visitor(ns - f, c3 - f * nm2 + ch - tf, tuple(stack))
-        if f == kmax:
-            return
-        for s in range(start, ns):
-            u, v = su[s], sv[s]
-            common = (rows[u] & rows[v]).bit_count()
-            rows[u] |= 1 << v
-            rows[v] |= 1 << u
-            deg_u, deg_v = deg[u], deg[v]
-            deg[u] = deg_u + 1
-            deg[v] = deg_v + 1
-            stack.append(s)
-            rec(s + 1, f + 1, ch + deg_u + deg_v, tf + common)
-            stack.pop()
-            rows[u] &= ~(1 << v)
-            rows[v] &= ~(1 << u)
-            deg[u] = deg_u
-            deg[v] = deg_v
-
-    rec(0, 0, 0, 0)
-    return visited
-
-
 # ---------------------------------------------------------------------------
-# LS-style dense exhaustive runs (sharded DFS over complement patterns).
+# The dense DFS over complement patterns: LS exhaustive runs and enumerate.
 # ---------------------------------------------------------------------------
 
 _SHARD_PREFIX_BITS = 5  # shard by membership pattern of the first 5 slots
@@ -265,32 +216,49 @@ def _pool_map(fn: Callable, items: list, workers: int) -> list:
         return pool.map(fn, items)
 
 
+def _dense_dfs(n: int, min_edges: int, qmax: int, workers: int, ceiling: int) -> tuple:
+    """`_ls_shard` over every prefix pattern of the graphs with >= min_edges
+    edges, merged: visits per complement size f, the complements below the
+    LS bound for q <= qmax, and the least (margin, complement)."""
+    est = dense_enumeration_size(n, min_edges)
+    if est > ceiling:
+        raise ValueError(f"n={n}: enumeration would visit {est} graphs > ceiling {ceiling}")
+    ns = n * (n - 1) // 2
+    kmax = ns - min_edges
+    if kmax < 0:
+        return [], [], None
+    prefix = min(_SHARD_PREFIX_BITS, ns)
+    shards = [(n, kmax, qmax, p) for p in range(1 << prefix)]
+    counts = [0] * (kmax + 1)
+    bad: list[tuple[int, ...]] = []
+    best = (1 << 60, ())
+    for cnts, b, bst in _pool_map(_ls_shard, shards, workers):
+        for i, c in enumerate(cnts):
+            counts[i] += c
+        bad.extend(b)
+        best = min(best, bst)
+    return counts, bad, best
+
+
+def enumerate_dense(
+    n: int, min_edges: int, ceiling: int = DEFAULT_CEILING, workers: int = 1
+) -> list[int]:
+    """Visit every labeled n-vertex graph with >= min_edges edges once;
+    return the number visited per complement size f = C(n,2) - m."""
+    # qmax = 0 makes every required count <= 0, so no complement is collected
+    return _dense_dfs(n, min_edges, 0, workers, ceiling)[0]
+
+
 def _run_ls_exhaustive(job: SearchJob, workers: int) -> SearchReport:
     report = SearchReport(job)
     q_values = sorted(job.grid.get("q", [1]))
     per_n = {}
     for n in sorted(job.grid.get("n", [])):
         qmax = max(q for q in q_values if q <= (n + 1) // 2 - 1)
-        ns = n * (n - 1) // 2
-        min_edges = n * n // 4 + min(q_values)
-        kmax = ns - min_edges
-        if kmax < 0:
+        counts, bad, best = _dense_dfs(n, n * n // 4 + min(q_values), qmax, workers, job.ceiling)
+        if not counts:
             per_n[n] = {"counts": [], "visited": 0}
             continue
-        est = dense_enumeration_size(n, min_edges)
-        if est > job.ceiling:
-            raise ValueError(f"n={n}: {est} graphs exceeds ceiling {job.ceiling}")
-        prefix = min(_SHARD_PREFIX_BITS, ns)
-        shards = [(n, kmax, qmax, p) for p in range(1 << prefix)]
-        results = _pool_map(_ls_shard, shards, workers)
-        counts = [0] * (kmax + 1)
-        bad: list[tuple[int, ...]] = []
-        best = (1 << 60, ())
-        for cnts, b, bst in results:
-            for i, c in enumerate(cnts):
-                counts[i] += c
-            bad.extend(b)
-            best = min(best, bst)
         for comp in sorted(bad):
             g = graph_from_complement(n, comp)
             verdict = verify_by_id("LS", g, {"q": min(g.m - n * n // 4, qmax)})[0]
@@ -397,19 +365,6 @@ def _full_scan_shard(args: tuple) -> dict:
     }
 
 
-def _confirm_bn(n: int, mask: int) -> tuple[int, bool]:
-    """(exact sign of t - rhs, complete bipartite?) for one suspect."""
-    from .theorems import bn_relation_exact
-
-    g = _graph_from_mask(n, mask)
-    return bn_relation_exact(g), is_complete_bipartite(g)
-
-
-def _lambda_sign_vs_poly(g: Graph, qpoly: list[Fraction]) -> int:
-    p = [Fraction(c) for c in charpoly_exact(g)]
-    return sign_at_largest_root(p, qpoly, Fraction(1, 2), Fraction(2 * g.n + 1, 2))
-
-
 def _run_full_scan(job: SearchJob, workers: int) -> SearchReport:
     report = SearchReport(job)
     target = job.target
@@ -440,23 +395,23 @@ def _run_full_scan(job: SearchJob, workers: int) -> SearchReport:
                 best = cand if best is None else min(best, cand)
         if target == "BN":
             for mask in suspects:
-                sign, cb = _confirm_bn(n, mask)
-                g6 = emit_graph6(_graph_from_mask(n, mask))
+                g = _graph_from_mask(n, mask)
+                sign = bn_relation_exact(g)
                 if sign < 0:
-                    v = verify_by_id("BN_INEQ", _graph_from_mask(n, mask), {})[0]
+                    v = verify_by_id("BN_INEQ", g, {})[0]
                     report.counterexamples.append(
-                        {"graph6": g6, "verdict": v.to_jsonable()}
+                        {"graph6": emit_graph6(g), "verdict": v.to_jsonable()}
                     )
                 elif sign == 0:
                     eq_all.append(
-                        {"n": n, "graph6": g6, "complete_bipartite": cb}
+                        {"n": n, "graph6": emit_graph6(g),
+                         "complete_bipartite": is_complete_bipartite(g)}
                     )
         elif target == "BOOK":
-            theta_q = None
+            # lambda >= (1 + sqrt(4m - 3))/2  <=>  lambda^2 - lambda - (m - 1) >= 0
             for mask in suspects:
                 g = _graph_from_mask(n, mask)
-                qpoly = [Fraction(-(g.m - 1)), Fraction(-1), Fraction(1)]
-                if _lambda_sign_vs_poly(g, qpoly) >= 0:
+                if sign_at_lambda(g, [-(g.m - 1), -1, 1]) >= 0:
                     t = triangle_count(g)
                     report.counterexamples.append(
                         {"graph6": emit_graph6(g),
@@ -466,8 +421,7 @@ def _run_full_scan(job: SearchJob, workers: int) -> SearchReport:
                     )
             for mask in equalities:
                 g = _graph_from_mask(n, mask)
-                qpoly = [Fraction(-(g.m - 1)), Fraction(-1), Fraction(1)]
-                if _lambda_sign_vs_poly(g, qpoly) == 0:
+                if sign_at_lambda(g, [-(g.m - 1), -1, 1]) == 0:
                     core_vs = [v for v in range(g.n) if g.degree(v) > 0]
                     core = induced(g, mask_of(core_vs)) if core_vs else g
                     k = (g.m - 1) // 2
@@ -479,8 +433,7 @@ def _run_full_scan(job: SearchJob, workers: int) -> SearchReport:
         elif target == "NOSAL":
             for mask in suspects:
                 g = _graph_from_mask(n, mask)
-                qpoly = [Fraction(-g.m), Fraction(0), Fraction(1)]
-                if _lambda_sign_vs_poly(g, qpoly) > 0:
+                if sign_at_lambda(g, [-g.m, 0, 1]) > 0:
                     v = verify_by_id("NOSAL_NZ", g, {})[0]
                     report.counterexamples.append(
                         {"graph6": emit_graph6(g), "verdict": v.to_jsonable(),
@@ -620,7 +573,9 @@ def run_local_search(job: SearchJob) -> SearchReport:
     rng = random.Random(job.seed)
     n = job.grid["n"][0]
     gamma = Fraction(job.grid["gamma"][0])
-    s = next(s for s in range(2, 64) if Fraction(s - 1, s) < gamma <= Fraction(s, s + 1))
+    s = next((s for s in range(2, 64) if Fraction(s - 1, s) < gamma <= Fraction(s, s + 1)), None)
+    if s is None:
+        raise ValueError(f"gamma must lie in (1/2, 63/64], got {gamma}")
     steps = job.budget or 200
     restarts = job.grid.get("restarts", [3])[0]
     plateau_budget = job.grid.get("plateau", [30])[0]
@@ -700,46 +655,6 @@ def run_local_search(job: SearchJob) -> SearchReport:
 # ---------------------------------------------------------------------------
 # Triangle-per-spectral-excess ratio curves.
 # ---------------------------------------------------------------------------
-
-
-def tau_eps_observation(n_max: int = 9, samples: int = 300, seed: int = 0) -> SearchReport:
-    """Log the observed range of epsilon / tau3 on random graphs.
-
-    The relation between the triangle covering number and the distance to
-    bipartiteness is an open empirical question here: the report records
-    the observed ratio range and extremes, asserting nothing.
-    """
-    job = SearchJob(target="TAU_EPS", mode="random", grid={"n_max": [n_max]},
-                    budget=samples, seed=seed)
-    report = SearchReport(job)
-    rng = random.Random(seed)
-    from .triangles import bipartite_distance, tau3 as tau3_exact
-
-    lo = None
-    hi = None
-    for _ in range(samples):
-        n = rng.randrange(3, n_max + 1)
-        edges = [
-            (i, j) for i in range(n) for j in range(i + 1, n) if rng.random() < 0.5
-        ]
-        g = build_graph(n, edges)
-        size, _ = tau3_exact(g)
-        if size == 0:
-            continue
-        eps = bipartite_distance(g).epsilon
-        ratio = eps / size
-        report.graphs_examined += 1
-        entry = (ratio, emit_graph6(g))
-        lo = entry if lo is None or entry < lo else lo
-        hi = entry if hi is None or entry > hi else hi
-    report.detail["observed"] = {
-        "ratio_min": lo[0] if lo else None,
-        "ratio_min_graph6": lo[1] if lo else None,
-        "ratio_max": hi[0] if hi else None,
-        "ratio_max_graph6": hi[1] if hi else None,
-        "note": "tau3 <= epsilon observed throughout; no bound is asserted",
-    }
-    return report
 
 
 def ratio_scan(families: list[str], n_grid: list[int], tol: float = 1e-12) -> SearchReport:

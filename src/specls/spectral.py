@@ -36,7 +36,7 @@ from typing import Callable, Iterator, Optional, Sequence, Union
 
 import numpy as np
 
-from .graph import Graph, adjacency_matrix, bits, components, is_complete_bipartite
+from .graph import Graph, adjacency_matrix, bits, is_complete_bipartite, is_connected
 from .verdicts import TheoremVerdict
 
 _EPS = sys.float_info.epsilon
@@ -397,7 +397,7 @@ def rotation_increases_lambda(g: Graph, u: int, v: int, W: int) -> TheoremVerdic
     if W & ~allowed:
         raise ValueError("W must lie in N(v) \\ N(u), excluding u and v")
     params = {"u": u, "v": v, "W": W}
-    if len(components(g)) != 1:
+    if not is_connected(g):
         return TheoremVerdict(
             "ROTATION", False, None, {}, None, "graph is disconnected", params
         )

@@ -29,9 +29,10 @@ from .families import (
 )
 from .graph import Graph, bits, components, cut_stats, induced, is_bipartite, is_complete_bipartite
 from .morphism import ISO_LIMIT, are_isomorphic
-from .roots import charpoly_exact, sign_at_largest_root
+from .roots import sign_at_lambda
 from .spectral import (
     Ordering,
+    SpectralCertificate,
     certified,
     certify_lambda_ge_frac,
     certify_lambda_ge_sqrt,
@@ -242,14 +243,8 @@ _BN_EXACT_LIMIT = 16
 def bn_relation_exact(g: Graph) -> int:
     """Exact sign of t - lambda(lambda^2 - m)/3: +1 strict, 0 equality,
     -1 violation. Uses the integer charpoly, so only sensible for small n."""
-    t = triangle_count(g)
-    if g.m == 0:
-        return 0 if t == 0 else 1
-    p = [Fraction(c) for c in charpoly_exact(g)]
-    # sign of q(lambda) with q(x) = x^3 - m x - 3t; q(lambda) < 0 <=> t > rhs
-    q = [Fraction(-3 * t), Fraction(-g.m), Fraction(0), Fraction(1)]
-    s = sign_at_largest_root(p, q, Fraction(1, 2), Fraction(2 * g.n + 1, 2))
-    return -s
+    # q(x) = x^3 - m x - 3t, and q(lambda) < 0 <=> t > rhs
+    return -sign_at_lambda(g, [-3 * triangle_count(g), -g.m, 0, 1])
 
 
 def check_bn(g: Graph, tol_eq: float = 1e-9) -> TheoremVerdict:
@@ -629,8 +624,9 @@ def _equality_witness(g: Graph, q: int) -> dict:
     return {"equality_case": True, "matches_extremal": is_t_n2q(g, q), "method": "isomorphism"}
 
 
-def check_x_mass(g: Graph) -> TheoremVerdict:
-    """Perron-mass bracket for the star-free part of T_{n,2} plus a star."""
+def check_x_mass(g: Graph, cert: Optional[SpectralCertificate] = None) -> TheoremVerdict:
+    """Perron-mass bracket for the star-free part of T_{n,2} plus a star;
+    `cert`, if given, is G's enclosure at tol 1e-11."""
     n = g.n
     det = _detect_turan2_star(g)
     params = {"n": n}
@@ -641,7 +637,8 @@ def check_x_mass(g: Graph) -> TheoremVerdict:
         )
     S, center, q = det
     params["q"] = q
-    cert = perron_enclosure(g, 1e-11)
+    if cert is None:
+        cert = perron_enclosure(g, 1e-11)
     y = cert.perron
     y_V = sum(y)
     y_T = sum(y[v] for v in range(n) if not S >> v & 1)
@@ -761,7 +758,7 @@ def check_structural_lemmas(
             params,
         )
     )
-    cert = perron_enclosure(g, 1e-10)
+    cert = perron_enclosure(g, 1e-11)
     slack = 4.0 * cert.residual + cert.width
     floor_bound = 1 - 30 * q / n if n else 0.0
     xmin = min(cert.perron) if cert.perron else 0.0
@@ -854,7 +851,7 @@ def check_structural_lemmas(
             params,
         )
     )
-    out.append(check_x_mass(g))
+    out.append(check_x_mass(g, cert))
     return out
 
 

@@ -99,6 +99,19 @@ def test_enumerate(capsys):
     assert row["visited"] == row["closed_form"] == 176
 
 
+def test_enumerate_workers_give_identical_bytes(capsys):
+    outs = [run(capsys, "enumerate", "--n", "6", "--min-edges", "10", "--workers", w)
+            for w in ("1", "2")]
+    assert outs[0] == outs[1]
+    assert json.loads(outs[0][1])["visited"] == 1 + 15 + 105 + 455 + 1365 + 3003
+
+
+def test_search_local_gamma_out_of_range_is_a_usage_error(capsys):
+    code, _, err = run(capsys, "search", "--target", "MIN_T", "--mode", "local",
+                       "--n", "10", "--gamma", "0.5")
+    assert code == 2 and "gamma must lie in (1/2, 63/64]" in err
+
+
 def test_search_random(capsys):
     code, out, _ = run(
         capsys, "search", "--target", "SPEC_LS_Y", "--mode", "random",

@@ -13,6 +13,7 @@ from specls.roots import (
     lambda_interval_exact,
     largest_root_interval,
     poly_eval,
+    sign_at_lambda,
     sign_at_largest_root,
     sturm_chain,
 )
@@ -136,6 +137,26 @@ def test_sign_at_largest_root():
     assert sign_at_largest_root(p, q, Fraction(1, 2), Fraction(7, 2)) == 0
     q = [Fraction(-5), Fraction(0), Fraction(1)]  # x^2 - 5 < 0 at 2
     assert sign_at_largest_root(p, q, Fraction(1, 2), Fraction(7, 2)) == -1
+
+
+def test_sign_at_lambda():
+    k3 = build_graph(3, [(0, 1), (0, 2), (1, 2)])  # lambda = 2
+    assert sign_at_lambda(k3, [-2, 0, 1]) == 1
+    assert sign_at_lambda(k3, [-4, 0, 1]) == 0
+    assert sign_at_lambda(k3, [Fraction(-5), Fraction(0), Fraction(1)]) == -1
+    empty = build_graph(4, [])  # lambda = 0
+    assert [sign_at_lambda(empty, q) for q in ([-1, 1], [0, 1], [1, 1])] == [-1, 0, 1]
+    rng = random.Random(4)
+    for _ in range(20):
+        n = rng.randrange(2, 8)
+        g = build_graph(n, [(i, j) for i in range(n) for j in range(i + 1, n) if rng.random() < 0.5])
+        lo, hi = lambda_interval_exact(g)
+        for k in (Fraction(1), Fraction(3, 2), Fraction(2), Fraction(3)):
+            s = sign_at_lambda(g, [-k, 1])  # sign of lambda - k
+            if lo > k:
+                assert s == 1
+            elif hi < k:
+                assert s == -1
 
 
 def test_poly_eval():

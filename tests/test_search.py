@@ -7,6 +7,7 @@ import pytest
 from specls.graph6 import parse_graph6
 from specls.search import (
     SearchJob,
+    _dense_dfs,
     dense_enumeration_size,
     enumerate_dense,
     floyd_sample,
@@ -16,34 +17,49 @@ from specls.search import (
     run_local_search,
     run_random,
 )
-from specls.theorems import is_complete_bipartite
+from specls.graph import is_complete_bipartite
 from specls.triangles import triangle_count
 
 
 def test_enumerate_counts_tiny():
-    assert enumerate_dense(4, 5, lambda m, t, c: None) == 7
-    n, min_edges = 5, 7
-    seen = []
-    cnt = enumerate_dense(n, min_edges, lambda m, t, c: seen.append((m, t, tuple(c))))
-    assert cnt == dense_enumeration_size(n, min_edges) == 176
-    # visitor stats must match a rebuilt graph
-    for m, t, comp in seen[:50]:
-        g = graph_from_complement(n, comp)
-        assert g.m == m and triangle_count(g) == t
-    # deterministic order: first visit is the complete graph
-    assert seen[0][0] == 10
-
-
-def test_enumerate_q1_small_no_counterexamples():
-    # every 5-vertex graph with >= floor(25/4)+1 = 7 edges has >= 2 triangles
-    bad = []
-    enumerate_dense(5, 7, lambda m, t, c: bad.append(c) if t < 2 else None)
-    assert not bad
+    assert enumerate_dense(4, 5) == [1, 6]
+    counts = enumerate_dense(5, 7)
+    assert counts == [comb(10, f) for f in range(4)]
+    assert sum(counts) == dense_enumeration_size(5, 7) == 176
+    assert enumerate_dense(4, 7) == []
 
 
 def test_enumerate_ceiling():
     with pytest.raises(ValueError):
-        enumerate_dense(8, 17, lambda m, t, c: None, ceiling=1000)
+        enumerate_dense(8, 17, ceiling=1000)
+
+
+@pytest.mark.parametrize("n, qmax", [(5, 1), (6, 2), (6, 3)])
+def test_dense_dfs_matches_brute_force(n, qmax):
+    # every complement F with |F| <= kmax, rebuilt and counted from scratch
+    ns = n * (n - 1) // 2
+    min_edges = n * n // 4 + 1
+    kmax = ns - min_edges
+    counts = [0] * (kmax + 1)
+    bad = []
+    best = None
+    for mask in range(1 << ns):
+        f = mask.bit_count()
+        if f > kmax:
+            continue
+        comp = tuple(s for s in range(ns) if mask >> s & 1)
+        t = triangle_count(graph_from_complement(n, comp))
+        margin = t - min(ns - f - n * n // 4, qmax) * (n // 2)
+        counts[f] += 1
+        if margin < 0:
+            bad.append(comp)
+        best = (margin, comp) if best is None else min(best, (margin, comp))
+    got_counts, got_bad, got_best = _dense_dfs(n, min_edges, qmax, 1, 10**6)
+    assert got_counts == counts
+    assert sorted(got_bad) == sorted(bad)
+    assert got_best == best
+    # q = 3 at n = 6 is outside the theorem's q < n/2: the bound fails there
+    assert bool(bad) == (qmax >= n / 2)
 
 
 def test_ls_exhaustive_counts_and_determinism():
@@ -130,6 +146,13 @@ def test_run_random_probe_and_replay():
     assert rep.to_json() != rep3.to_json()
 
 
+@pytest.mark.parametrize("gamma", ["1/2", "64/65", "1"])
+def test_run_local_search_rejects_gamma_out_of_range(gamma):
+    job = SearchJob("MIN_T", "local", {"n": [10], "gamma": [gamma]})
+    with pytest.raises(ValueError, match=r"\(1/2, 63/64\]"):
+        run_local_search(job)
+
+
 def test_run_local_search_feasible_record():
     job = SearchJob(
         "MIN_T", "local", {"n": [18], "gamma": ["2/3"], "restarts": [2]},
@@ -179,13 +202,3 @@ def test_unknown_targets():
         run_random(SearchJob("XX", "random", {"n": [4]}))
     with pytest.raises(ValueError):
         run_local_search(SearchJob("XX", "local", {"n": [4]}))
-
-
-def test_tau_eps_observation_logs_without_asserting():
-    from specls.search import tau_eps_observation
-
-    rep = tau_eps_observation(n_max=8, samples=120, seed=5)
-    obs = rep.detail["observed"]
-    assert rep.graphs_examined > 0
-    assert obs["ratio_min"] >= 1.0  # tau3 <= epsilon held on everything seen
-    assert parse_graph6(obs["ratio_max_graph6"]).n <= 8

@@ -361,6 +361,18 @@ def test_structural_lemmas_perturbed_turan(monkeypatch):
     assert v47.hypothesis_met is False and v47.conclusion_met is True
 
 
+def test_structural_lemmas_enclose_the_graph_once(monkeypatch):
+    # PERRON_ENTRY_FLOOR and X_MASS read one enclosure at tol 1e-11
+    g = add_edge(turan(40, 2).graph, 0, 1)
+    tols = []
+    enclose = theorems.perron_enclosure
+    monkeypatch.setattr(theorems, "perron_enclosure", lambda g, tol: tols.append(tol) or enclose(g, tol))
+    by_id = {v.theorem_id: v for v in check_structural_lemmas(g, 1)}
+    assert tols == [1e-11]
+    assert by_id["X_MASS"].hypothesis_met is True
+    assert by_id["PERRON_ENTRY_FLOOR"].margins["slack"] > 0
+
+
 def test_verify_by_id_dispatch():
     g = t_n2q(10, 2).graph
     assert verify_by_id("LS", g, {"q": 2})[0].theorem_id == "LS"
