@@ -33,8 +33,8 @@ from typing import Callable, Optional
 import numpy as np
 
 from .families import build_from_spec, book_join, l_nsalpha, y_n2q
-from .graph import Graph, build_graph, complete_graph, induced, is_complete_bipartite, mask_of
-from .graph import remove_edge, toggle_edge
+from .graph import Graph, adjacency_matrix, build_graph, complete_graph, induced, mask_of
+from .graph import is_complete_bipartite, remove_edge, toggle_edge
 from .graph6 import emit_graph6
 from .morphism import are_isomorphic
 from .roots import FamilyPolynomial, family_lambda, sign_at_lambda
@@ -110,6 +110,12 @@ class SearchReport:
 
 def edge_slots(n: int) -> list[tuple[int, int]]:
     return [(i, j) for j in range(n) for i in range(j)]
+
+
+def graph_slots(g: Graph) -> np.ndarray:
+    """The edges of g as sorted slot indices in the order of `edge_slots`."""
+    jv, iu = np.tril_indices(g.n, -1)
+    return np.flatnonzero(adjacency_matrix(g)[iu, jv])
 
 
 def graph_from_complement(n: int, comp_slots: tuple[int, ...]) -> Graph:
@@ -254,7 +260,10 @@ def _run_ls_exhaustive(job: SearchJob, workers: int) -> SearchReport:
     q_values = sorted(job.grid.get("q", [1]))
     per_n = {}
     for n in sorted(job.grid.get("n", [])):
-        qmax = max(q for q in q_values if q <= (n + 1) // 2 - 1)
+        below = [q for q in q_values if q <= (n + 1) // 2 - 1]
+        if not below:
+            raise ValueError(f"n={n}: the q grid {q_values} has no q < n/2")
+        qmax = max(below)
         counts, bad, best = _dense_dfs(n, n * n // 4 + min(q_values), qmax, workers, job.ceiling)
         if not counts:
             per_n[n] = {"counts": [], "visited": 0}
@@ -463,17 +472,32 @@ def run_exhaustive(job: SearchJob, workers: int = 1) -> SearchReport:
 # ---------------------------------------------------------------------------
 
 
-def floyd_sample(rng: random.Random, universe: int, k: int) -> list[int]:
-    """Uniform k-subset of range(universe) by Floyd's algorithm."""
-    chosen: set[int] = set()
-    for j in range(universe - k, universe):
-        t = rng.randrange(j + 1)
-        chosen.add(t if t not in chosen else j)
-    return sorted(chosen)
+def floyd_sample(rng: random.Random, universe: int, k: int) -> np.ndarray:
+    """Uniform k-subset of range(universe) as a sorted int64 array.
+
+    One `rng.getrandbits(64 * universe)` call gives every element an
+    independent 64-bit key, and the subset is the k smallest keys. The keys
+    are exchangeable, so when they are distinct their ranking is a uniform
+    permutation and the k smallest form exactly a uniform k-subset, fixed by
+    the draw alone rather than by numpy's selection algorithm. A tie has
+    probability below C(universe, 2) / 2^64 (about 5.5e-11 at universe =
+    44 850, the slot count at n = 300). Python's `getrandbits` stream, unlike
+    `numpy.random`, does not change between numpy versions. The name is kept
+    from the Floyd (1987) loop this replaces.
+    """
+    keys = np.frombuffer(
+        rng.getrandbits(64 * universe).to_bytes(8 * universe, "little"), dtype="<u8"
+    )
+    if k == 0:
+        return np.empty(0, dtype=np.int64)
+    return np.sort(np.argpartition(keys, k - 1)[:k])
 
 
 def _triangles_dense(A: np.ndarray) -> int:
-    return int(round(float(((A @ A) * A).sum()))) // 6
+    # float32 is exact here: every entry of B @ B is an integer <= n - 2 < 2^24,
+    # and the float64 total 6t <= n^3 stays below 2^53
+    B = A.astype(np.float32)
+    return int(((B @ B) * B).sum(dtype=np.float64)) // 6
 
 
 def run_random(job: SearchJob) -> SearchReport:
@@ -482,6 +506,7 @@ def run_random(job: SearchJob) -> SearchReport:
     Samples uniform G(n, m) at m = floor(n^2/4)+q plus edge-swap
     perturbations of the matching construction; every sample with certified
     lambda >= lambda(Y_{n,2,q}) must have at least q*floor(n/2) triangles.
+    Samples are arrays of slot indices in the order of `edge_slots(n)`.
     """
     if job.target != "SPEC_LS_Y":
         raise ValueError(f"no random runner for target {job.target!r}")
@@ -500,10 +525,10 @@ def run_random(job: SearchJob) -> SearchReport:
     else:
         ycert = perron_enclosure(yc.graph, 1e-10)
         y_lo, y_hi = Fraction(ycert.lambda_lo), Fraction(ycert.lambda_hi)
-    slots = edge_slots(n)
-    iu = np.fromiter((e[0] for e in slots), dtype=np.int64)
-    jv = np.fromiter((e[1] for e in slots), dtype=np.int64)
-    y_edges = [s for s, (u, v) in enumerate(slots) if yc.graph.has_edge(u, v)]
+    jv, iu = np.tril_indices(n, -1)  # slot s joins iu[s] < jv[s], as in edge_slots(n)
+    ns = len(iu)
+    y_slots = graph_slots(yc.graph)
+    y_set = set(y_slots.tolist())
     y_lo2, y_hi2 = y_lo * y_lo, y_hi * y_hi
 
     def above_y(iv) -> Optional[bool]:  # is lambda(G) > lambda(Y)?
@@ -513,10 +538,9 @@ def run_random(job: SearchJob) -> SearchReport:
     min_t = None
     examined = 0
 
-    def eval_sample(chosen: list[int]) -> None:
+    def eval_sample(idx: np.ndarray) -> None:
         nonlocal hyp_true, min_t, examined
         examined += 1
-        idx = np.asarray(chosen, dtype=np.int64)
         A = np.zeros((n, n))
         A[iu[idx], jv[idx]] = 1.0
         A[jv[idx], iu[idx]] = 1.0
@@ -530,23 +554,22 @@ def run_random(job: SearchJob) -> SearchReport:
         t = _triangles_dense(A)
         min_t = t if min_t is None else min(min_t, t)
         if t < bound:
-            g = build_graph(n, [slots[s] for s in chosen])
+            g = build_graph(n, zip(iu[idx].tolist(), jv[idx].tolist()))
             v = verify_by_id("SPEC_LS_Y", g, {"q": q})[0]
             report.counterexamples.append(
                 {"graph6": emit_graph6(g), "verdict": v.to_jsonable()}
             )
 
     for _ in range(n_uniform):
-        eval_sample(floyd_sample(rng, len(slots), m))
+        eval_sample(floyd_sample(rng, ns, m))
     for _ in range(n_perturb):
-        edges = set(y_edges)
-        edges.discard(y_edges[rng.randrange(len(y_edges))])
-        while True:
-            cand = rng.randrange(len(slots))
-            if cand not in edges:
-                edges.add(cand)
+        drop = rng.randrange(len(y_slots))
+        dropped = int(y_slots[drop])
+        while True:  # any slot outside Y minus the dropped one, which may come back
+            cand = rng.randrange(ns)
+            if cand not in y_set or cand == dropped:
                 break
-        eval_sample(sorted(edges))
+        eval_sample(np.append(np.delete(y_slots, drop), cand))
     report.graphs_examined = examined
     report.counterexamples.sort(key=lambda c: c["graph6"])
     report.extremal_tracker = {

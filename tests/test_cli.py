@@ -156,6 +156,14 @@ def test_usage_errors(capsys):
     assert code == 2
 
 
+def test_ls_exhaustive_without_a_small_q_is_a_usage_error(capsys):
+    code, _, err = run(capsys, "verify", "LS", "--n", "2", "--exhaustive")
+    assert code == 2 and "error: n=2: the q grid [1] has no q < n/2" in err
+    code, _, err = run(capsys, "search", "--target", "LS", "--mode", "exhaustive",
+                       "--n", "6", "--q", "3")
+    assert code == 2 and "error: n=6: the q grid [3] has no q < n/2" in err
+
+
 def test_workers_env_default(capsys, monkeypatch):
     monkeypatch.setenv("SPECLS_WORKERS", "2")
     code, out, _ = run(capsys, "verify", "LS", "--n", "4", "--exhaustive", "--json")

@@ -1,22 +1,33 @@
 import json
+import random
 from fractions import Fraction
+from itertools import combinations
 from math import comb
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from specls.graph6 import parse_graph6
+from specls import search
+from specls.families import y_n2q
+from specls.graph6 import emit_graph6, parse_graph6
 from specls.search import (
     SearchJob,
     _dense_dfs,
+    _triangles_dense,
     dense_enumeration_size,
+    edge_slots,
     enumerate_dense,
     floyd_sample,
     graph_from_complement,
+    graph_slots,
     ratio_scan,
     run_exhaustive,
     run_local_search,
     run_random,
 )
+from specls.graph import adjacency_matrix, build_graph, complete_graph, empty_graph
 from specls.graph import is_complete_bipartite
 from specls.triangles import triangle_count
 
@@ -74,6 +85,13 @@ def test_ls_exhaustive_counts_and_determinism():
     assert len(set(outs)) == 1
 
 
+@pytest.mark.parametrize("n, q", [(2, [1]), (6, [3]), (7, [4, 5])])
+def test_ls_exhaustive_needs_a_q_below_half_n(n, q):
+    job = SearchJob("LS", "exhaustive", {"n": [n], "q": q})
+    with pytest.raises(ValueError, match=rf"n={n}: the q grid \[.*\] has no q < n/2"):
+        run_exhaustive(job)
+
+
 def test_bn_exhaustive_small():
     job = SearchJob("BN", "exhaustive", {"n": [4, 5]})
     rep = run_exhaustive(job, workers=2)
@@ -121,6 +139,138 @@ def test_floyd_sample_uniform_shape():
         s = floyd_sample(rng, 30, 7)
         assert len(s) == len(set(s)) == 7
         assert all(0 <= x < 30 for x in s)
+
+
+def test_floyd_sample_edge_cases():
+    rng = random.Random(1)
+    empty = floyd_sample(rng, 10, 0)
+    assert empty.dtype == np.int64 and empty.shape == (0,)
+    full = floyd_sample(rng, 10, 10)
+    assert full.dtype == np.int64 and full.tolist() == list(range(10))
+    assert floyd_sample(rng, 1, 1).tolist() == [0]
+
+
+def test_floyd_sample_is_sorted_distinct_int64():
+    rng = random.Random(2)
+    for universe, k in [(30, 7), (45, 26), (1000, 999), (44_850, 22_501)]:
+        s = floyd_sample(rng, universe, k)
+        assert s.dtype == np.int64 and s.shape == (k,)
+        assert (np.diff(s) > 0).all()
+        assert 0 <= s[0] and s[-1] < universe
+
+
+@pytest.mark.parametrize("universe, k", [(30, 7), (30, 0), (1, 1), (0, 0)])
+def test_floyd_sample_makes_one_draw(universe, k):
+    rng = random.Random(5)
+    twin = random.Random()
+    twin.setstate(rng.getstate())
+    floyd_sample(rng, universe, k)
+    twin.getrandbits(64 * universe)
+    assert rng.getstate() == twin.getstate()
+
+
+def test_floyd_sample_is_uniform():
+    # 40 000 draws of a 3-subset of range(6): each of the 20 subsets is
+    # expected 2000 times. The bound is the 0.999 quantile of chi-square
+    # with 19 degrees of freedom.
+    rng = random.Random(11)
+    counts = dict.fromkeys(combinations(range(6), 3), 0)
+    draws = 40_000
+    for _ in range(draws):
+        counts[tuple(floyd_sample(rng, 6, 3).tolist())] += 1
+    assert len(counts) == 20 and min(counts.values()) > 0
+    expected = draws / 20
+    chi2 = sum((c - expected) ** 2 / expected for c in counts.values())
+    assert chi2 < 43.82, chi2
+
+
+@settings(max_examples=150, deadline=None)
+@given(seed=st.integers(0, 2**32), universe=st.integers(1, 300), data=st.data())
+def test_floyd_sample_takes_the_k_smallest_keys(seed, universe, data):
+    k = data.draw(st.integers(0, universe))
+    keys = np.frombuffer(
+        random.Random(seed).getrandbits(64 * universe).to_bytes(8 * universe, "little"),
+        dtype="<u8",
+    )
+    expected = np.sort(np.argsort(keys, kind="stable")[:k])
+    assert floyd_sample(random.Random(seed), universe, k).tolist() == expected.tolist()
+
+
+def test_tril_indices_follow_the_edge_slots():
+    for n in range(13):
+        jv, iu = np.tril_indices(n, -1)
+        assert list(zip(iu.tolist(), jv.tolist())) == edge_slots(n)
+
+
+@pytest.mark.parametrize("n", [10, 11, 300])
+@pytest.mark.parametrize("q", [1, 2])
+def test_graph_slots_of_y(n, q):
+    g = y_n2q(n, q).graph
+    expected = [s for s, (u, v) in enumerate(edge_slots(n)) if g.has_edge(u, v)]
+    slots = graph_slots(g)
+    assert slots.tolist() == expected
+    assert len(expected) == g.m
+
+
+def test_perturbations_swap_at_most_one_edge_of_y(monkeypatch):
+    n, q = 10, 1
+    y = adjacency_matrix(y_n2q(n, q).graph)
+    seen = []
+
+    def spy(test, A, **kw):
+        seen.append(A.copy())
+        return real(test, A, **kw)
+
+    real = search._decide
+    monkeypatch.setattr(search, "_decide", spy)
+    job = SearchJob("SPEC_LS_Y", "random",
+                    {"n": [n], "q": [q], "samples": [0], "perturbations": [200]}, seed=4)
+    assert run_random(job).graphs_examined == 200
+    assert len(seen) == 200
+    iu, jv = np.triu_indices(n, 1)
+    moved = []
+    for A in seen:
+        assert (A == A.T).all() and set(np.unique(A).tolist()) <= {0.0, 1.0}
+        assert not A.diagonal().any()
+        assert int(A[iu, jv].sum()) == n * n // 4 + q
+        moved.append(int((A != y)[iu, jv].sum()))
+    assert set(moved) == {0, 2}  # the dropped slot may be drawn back
+
+
+def test_counterexample_graph_is_the_sample(monkeypatch):
+    # count 0 triangles in every hypothesis-true sample, so each is reported
+    # and its graph6 must encode exactly the matrix that was decided
+    n = 10
+    counted = []
+
+    def no_triangles(A):
+        counted.append(A.copy())
+        return 0
+
+    monkeypatch.setattr(search, "_triangles_dense", no_triangles)
+    job = SearchJob("SPEC_LS_Y", "random",
+                    {"n": [n], "q": [1], "samples": [20], "perturbations": [5]}, seed=3)
+    rep = run_random(job)
+    assert counted and len(rep.counterexamples) == len(counted)
+    expected = sorted(
+        emit_graph6(build_graph(n, np.argwhere(np.triu(A)).tolist())) for A in counted
+    )
+    assert [c["graph6"] for c in rep.counterexamples] == expected
+
+
+def test_triangles_dense_is_exact():
+    rng = random.Random(9)
+    graphs = [empty_graph(0), empty_graph(7), complete_graph(300), complete_graph(327)]
+    for _ in range(40):
+        n = rng.randrange(1, 41)
+        slots = edge_slots(n)
+        graphs.append(build_graph(n, rng.sample(slots, rng.randrange(len(slots) + 1))))
+    for g in graphs:
+        assert _triangles_dense(adjacency_matrix(g)) == triangle_count(g), g.n
+    # K_300: 6t = 26 730 600 > 2^24. K_327: 6t = 34 645 650 > 2^25 is no float32
+    # number, and a float32 sum of the products rounds it to 6t - 2
+    assert _triangles_dense(adjacency_matrix(complete_graph(300))) == comb(300, 3)
+    assert _triangles_dense(adjacency_matrix(complete_graph(327))) == comb(327, 3)
 
 
 def test_run_random_probe_and_replay():
