@@ -37,17 +37,19 @@ EXIT_USAGE = 2
 EXIT_INDETERMINATE = 3
 
 
-def _add_common(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--tol", type=float, default=1e-9)
-    p.add_argument("--tol-floor", type=float, default=1e-12)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument(
-        "--workers", type=int,
-        default=int(os.environ.get("SPECLS_WORKERS", "1")),
-    )
-    p.add_argument("--exact-limit", type=int, default=EXACT_CUT_LIMIT)
+def _add_flags(p: argparse.ArgumentParser, *flags: str) -> None:
+    """--json, plus those of the shared flags that the subcommand reads."""
+    shared = {
+        "--tol": {"type": float, "default": 1e-9},
+        "--tol-floor": {"type": float, "default": 1e-12},
+        "--seed": {"type": int, "default": 0},
+        "--workers": {"type": int, "default": int(os.environ.get("SPECLS_WORKERS", "1"))},
+        "--exact-limit": {"type": int, "default": EXACT_CUT_LIMIT},
+        "--csv": {"action": "store_true", "help": "emit verdicts as CSV"},
+    }
+    for flag in flags:
+        p.add_argument(flag, **shared[flag])
     p.add_argument("--json", action="store_true", help="emit a JSON report document")
-    p.add_argument("--csv", action="store_true", help="emit verdicts as CSV")
 
 
 def _load_graphs(args) -> list[tuple[str, Graph]]:
@@ -88,13 +90,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("construct", help="build a named family member")
     p.add_argument("spec", help='construction string, e.g. "Y:n=10,q=2"')
-    _add_common(p)
+    _add_flags(p)
 
     p = sub.add_parser("spectral", help="certified spectral radius enclosure")
     p.add_argument("--g6")
     p.add_argument("--spec")
     p.add_argument("--input")
-    _add_common(p)
+    _add_flags(p, "--tol")
 
     p = sub.add_parser("count", help="triangle count, tau3, bipartite distance")
     p.add_argument("--g6")
@@ -104,7 +106,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--input")
     p.add_argument("--tau3", action="store_true")
     p.add_argument("--epsilon", action="store_true")
-    _add_common(p)
+    _add_flags(p, "--exact-limit")
 
     p = sub.add_parser("verify", help="run one theorem verifier")
     p.add_argument("theorem_id")
@@ -119,12 +121,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k", type=int, default=1)
     p.add_argument("--exhaustive", action="store_true",
                    help="exhaustive run over all labeled graphs (LS/BN/BOOK/NOSAL)")
-    _add_common(p)
+    _add_flags(p, "--workers", "--exact-limit", "--csv")
 
     p = sub.add_parser("enumerate", help="dense labeled enumeration with count check")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--min-edges", type=int, required=True)
-    _add_common(p)
+    _add_flags(p, "--workers")
 
     p = sub.add_parser("search", help="run a search job (random/local/exhaustive)")
     p.add_argument("--job", help="JSON job file")
@@ -132,30 +134,29 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mode", choices=["exhaustive", "random", "local"])
     p.add_argument("--n", type=int)
     p.add_argument("--q", type=int)
-    p.add_argument("--s", type=int)
     p.add_argument("--gamma")
     p.add_argument("--samples", type=int)
     p.add_argument("--perturbations", type=int)
     p.add_argument("--budget", type=int, default=0)
-    _add_common(p)
+    _add_flags(p, "--seed", "--workers")
 
     p = sub.add_parser("ratio-scan", help="triangle / spectral-excess ratio curves")
     p.add_argument("--families", required=True,
                    help='comma list of family specs without n, e.g. "Turan:r=3,T:q=1"')
     p.add_argument("--n-grid", required=True, help="start:stop:step (stop inclusive)")
-    _add_common(p)
+    _add_flags(p, "--tol-floor")
 
     p = sub.add_parser("family-root", help="exact largest root of a family polynomial")
     p.add_argument("tag", choices=["Y_even", "Y_odd", "T_star4", "C4_embed"])
     p.add_argument("--n", type=int, required=True)
-    _add_common(p)
+    _add_flags(p, "--tol")
     return ap
 
 
 def _emit(doc: ReportDocument, args, verdicts: list[TheoremVerdict] | None = None) -> None:
     if getattr(args, "csv", False) and verdicts is not None:
         sys.stdout.write(verdicts_to_csv(verdicts))
-    elif getattr(args, "json", False):
+    elif args.json:
         print(doc.to_json())
     else:
         for item in doc.items:
@@ -186,11 +187,7 @@ def main(argv=None) -> int:
 
 def _dispatch(args, argv: list[str]) -> int:
     doc = ReportDocument(command=argv)
-    doc.provenance = {
-        "tol": getattr(args, "tol", None),
-        "tol_floor": getattr(args, "tol_floor", None),
-        "seed": getattr(args, "seed", None),
-    }
+    doc.provenance = {k: getattr(args, k) for k in ("tol", "tol_floor", "seed") if hasattr(args, k)}
 
     if args.cmd == "construct":
         c = build_from_spec(args.spec)
@@ -298,8 +295,6 @@ def _dispatch(args, argv: list[str]) -> int:
                 grid["n"] = [args.n]
             if args.q is not None:
                 grid["q"] = [args.q]
-            if args.s is not None:
-                grid["s"] = [args.s]
             if args.gamma is not None:
                 grid["gamma"] = [args.gamma]
             if args.samples is not None:

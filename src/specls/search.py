@@ -22,6 +22,7 @@ byte-identical for any worker count.
 
 from __future__ import annotations
 
+import functools
 import json
 import multiprocessing
 import random
@@ -500,6 +501,23 @@ def _triangles_dense(A: np.ndarray) -> int:
     return int(((B @ B) * B).sum(dtype=np.float64)) // 6
 
 
+@functools.lru_cache(maxsize=8)
+def _y_reference(n: int, q: int) -> tuple[np.ndarray, frozenset, Fraction, Fraction]:
+    """Y_{n,2,q} for the random probe, built once per (n, q): its edges as a
+    read-only sorted slot array and as a set, and a certified bracket of its
+    lambda^2 (the exact family polynomial at q = 1, CW otherwise)."""
+    yc = y_n2q(n, q)
+    if q == 1:
+        tag = "Y_even" if n % 2 == 0 else "Y_odd"
+        y_lo, y_hi = family_lambda(FamilyPolynomial(tag, n), Fraction(1, 10**14))
+    else:
+        ycert = perron_enclosure(yc.graph, 1e-10)
+        y_lo, y_hi = Fraction(ycert.lambda_lo), Fraction(ycert.lambda_hi)
+    y_slots = graph_slots(yc.graph)
+    y_slots.flags.writeable = False
+    return y_slots, frozenset(y_slots.tolist()), y_lo * y_lo, y_hi * y_hi
+
+
 def run_random(job: SearchJob) -> SearchReport:
     """Probe the matching-embedding spectral threshold on random graphs.
 
@@ -518,18 +536,9 @@ def run_random(job: SearchJob) -> SearchReport:
     n_perturb = job.grid.get("perturbations", [0])[0]
     m = n * n // 4 + q
     bound = q * (n // 2)
-    yc = y_n2q(n, q)
-    if q == 1:
-        tag = "Y_even" if n % 2 == 0 else "Y_odd"
-        y_lo, y_hi = family_lambda(FamilyPolynomial(tag, n), Fraction(1, 10**14))
-    else:
-        ycert = perron_enclosure(yc.graph, 1e-10)
-        y_lo, y_hi = Fraction(ycert.lambda_lo), Fraction(ycert.lambda_hi)
+    y_slots, y_set, y_lo2, y_hi2 = _y_reference(n, q)
     jv, iu = np.tril_indices(n, -1)  # slot s joins iu[s] < jv[s], as in edge_slots(n)
     ns = len(iu)
-    y_slots = graph_slots(yc.graph)
-    y_set = set(y_slots.tolist())
-    y_lo2, y_hi2 = y_lo * y_lo, y_hi * y_hi
 
     def above_y(iv) -> Optional[bool]:  # is lambda(G) > lambda(Y)?
         return True if iv[0] > y_hi2 else False if iv[1] < y_lo2 else None
@@ -709,10 +718,10 @@ def ratio_scan(families: list[str], n_grid: list[int], tol: float = 1e-12) -> Se
                     c.predicted.lambda_poly, Fraction(1, 10**13)
                 )
             else:
+                # a run toward tol passes width 1e-9 on its way, so one run
+                # serves both; the point is kept at width max(tol, 1e-9)
                 cert = perron_enclosure(g, tol)
-                if not cert.converged and tol < 1e-9:
-                    cert = perron_enclosure(g, 1e-9)
-                if not cert.converged:
+                if cert.width > max(tol, 1e-9):
                     rows.append({"family": fam, "n": n, "skipped": "unconverged"})
                     continue
                 lam_lo, lam_hi = Fraction(cert.lambda_lo), Fraction(cert.lambda_hi)

@@ -14,8 +14,9 @@ runs in numpy on a dense matrix unpacked once from the bit rows, one
 connected component at a time.
 
 Every certified decision about lambda (`compare_lambda`, the
-`certify_lambda_*` thresholds, and the probes in `search`) goes through one
-ladder, `_decide`: it tests enclosures of lambda^2 that only get tighter.
+`certify_lambda_*` thresholds, the cubic triangle bound of
+`theorems.check_bn`, and the probes in `search`) goes through one ladder,
+`_decide`: it tests enclosures of lambda^2 that only get tighter.
 The first rung is free: the exact value for regular (d^2) and complete
 bipartite (ab) graphs, whose equality cases no floating interval can
 resolve, and otherwise [(2m/n)^2, inf). Then the CW iteration is tightened
@@ -236,24 +237,6 @@ def exact_lambda_sq(g: Graph) -> Optional[Fraction]:
     if g.m == 0 or is_complete_bipartite(g):
         return Fraction(g.m)
     return None
-
-
-def sqrt_interval(s: Fraction, tol: Fraction) -> tuple[Fraction, Fraction]:
-    """Exact rational enclosure of sqrt(s) of width <= tol, s >= 0."""
-    if s < 0:
-        raise ValueError("needs s >= 0")
-    if s == 0:
-        return Fraction(0), Fraction(0)
-    p, q = s.numerator, s.denominator
-    shift = 0
-    denom = q
-    while Fraction(1, denom) > tol:
-        shift += 2
-        denom = q << (shift // 2)
-    r = math.isqrt(p * q << shift)
-    lo = Fraction(r, denom)
-    hi = Fraction(r + 1, denom)
-    return lo, hi
 
 
 # ---------------------------------------------------------------------------

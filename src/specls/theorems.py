@@ -1,12 +1,17 @@
 """One verifier per theorem/lemma: hypothesis + conclusion on a concrete graph.
 
 Every verifier returns a TheoremVerdict. Combinatorial quantities (edge and
-triangle counts, degrees) enter margins as exact integers or rationals;
-spectral quantities enter as certified outward-rounded intervals, with
-equality cases resolved through the exact side channels (regular graphs,
-complete bipartite graphs) or, for small graphs, through the exact
-characteristic-polynomial oracle. A verifier never claims a counterexample
-unless the hypothesis is certified true and the conclusion certified false.
+triangle counts, degrees) enter margins as exact integers or rationals.
+Every relation involving lambda is decided on the one ladder of
+`spectral._decide` (directly, or through `compare_lambda` and the
+`certify_lambda_*` thresholds): exact lambda^2 for regular and complete
+bipartite graphs, which settles their equality cases, then certified
+enclosures of tightening width. Where the ladder ties, only the exact
+characteristic-polynomial oracle may still decide, for small graphs; no
+isomorphism test or float tolerance stands in for a proof. The Perron-vector
+lemmas (X_MASS and the structural audit) read one enclosure's vector. A
+verifier never claims a counterexample unless the hypothesis is certified
+true and the conclusion certified false.
 """
 
 from __future__ import annotations
@@ -28,11 +33,13 @@ from .families import (
     y_n2q,
 )
 from .graph import Graph, bits, components, cut_stats, induced, is_bipartite, is_complete_bipartite
-from .morphism import ISO_LIMIT, are_isomorphic
+from .morphism import are_isomorphic
 from .roots import sign_at_lambda
 from .spectral import (
+    Interval,
     Ordering,
     SpectralCertificate,
+    _decide,
     certified,
     certify_lambda_ge_frac,
     certify_lambda_ge_sqrt,
@@ -40,7 +47,6 @@ from .spectral import (
     certify_lambda_le_sqrt,
     compare_lambda,
     perron_enclosure,
-    sqrt_interval,
 )
 from .triangles import EXACT_CUT_LIMIT, bipartite_distance, max_cut_exact, tau3, triangle_count
 from .verdicts import TheoremVerdict
@@ -170,11 +176,8 @@ def _hyp_lambda_ge_construction(g: Graph, ref: Construction) -> tuple[Optional[b
         return True, "identical graph", Ordering.TIE
     order = compare_lambda(g, h)
     ok = certified(order, Ordering.GREATER)
-    if ok is not None:
-        return ok, f"certified {order.value}", order
-    if g.n <= ISO_LIMIT and are_isomorphic(g, h):
-        return True, "isomorphic to reference", order
-    return None, f"comparison returned {order.value}", order
+    how = "certified" if ok is not None else "comparison returned"
+    return ok, f"{how} {order.value}", order
 
 
 def _check_spec_ls(
@@ -247,7 +250,23 @@ def bn_relation_exact(g: Graph) -> int:
     return -sign_at_lambda(g, [-3 * triangle_count(g), -g.m, 0, 1])
 
 
-def check_bn(g: Graph, tol_eq: float = 1e-9) -> TheoremVerdict:
+def _bn_holds(m: int, t: int, iv: Interval) -> Optional[bool]:
+    """Test of t >= lambda(lambda^2 - m)/3 on an enclosure iv of s = lambda^2.
+
+    sqrt(s)(s - m)/3 is <= 0 for s <= m and increasing for s > m, so the
+    bound holds on the whole enclosure when its top does, and fails on the
+    whole enclosure when its bottom exceeds m and fails; squared, that is
+    s(s - m)^2 against 9t^2, in exact rationals.
+    """
+    lo, hi = iv
+    if hi <= m or hi * (hi - m) ** 2 <= 9 * t * t:
+        return True
+    if lo > m and lo * (lo - m) ** 2 > 9 * t * t:
+        return False
+    return None
+
+
+def check_bn(g: Graph) -> TheoremVerdict:
     n, m = g.n, g.m
     t = triangle_count(g)
     params = {"n": n, "m": m}
@@ -257,52 +276,35 @@ def check_bn(g: Graph, tol_eq: float = 1e-9) -> TheoremVerdict:
             {"equality_case": t == 0, "complete_bipartite": is_complete_bipartite(g)},
             None, params,
         )
-    cert = perron_enclosure(g, 1e-11)
-    lo, hi = Fraction(cert.lambda_lo), Fraction(cert.lambda_hi)
-    lo = max(lo, Fraction(0))
+    tested: list[Interval] = []
 
-    def rhs(x: Fraction) -> Fraction:
-        return x * (x * x - m) / 3
+    def test(iv: Interval) -> Optional[bool]:
+        tested.append(iv)
+        return _bn_holds(m, t, iv)
 
-    rhs_hi = max(rhs(lo), rhs(hi))
-    rhs_lo = min(rhs(lo), rhs(hi))
-    crit_sq = Fraction(m, 3)  # stationary point of x(x^2-m)/3 at sqrt(m/3)
-    if lo * lo < crit_sq < hi * hi:
-        _, crit_hi = sqrt_interval(crit_sq, Fraction(1, 10**9))
-        rhs_lo = min(rhs_lo, -2 * Fraction(m, 9) * crit_hi)
-    gap_lo = float(Fraction(t) - rhs_hi)
-    gap_hi = float(Fraction(t) - rhs_lo)
-    margins = {"gap": (gap_lo, gap_hi)}
-    witness: Optional[dict] = None
-    if Fraction(t) >= rhs_hi:
-        concl: Optional[bool] = True
-        if gap_hi - gap_lo < tol_eq and gap_lo <= 0 <= gap_hi:
-            witness = {
-                "equality_case": True,
-                "complete_bipartite": is_complete_bipartite(g),
-            }
-    elif Fraction(t) < rhs_lo:
-        concl = False
+    answer = _decide(test, g)
+    lo, hi = tested[-1]
+    # for display: lambda(lambda^2 - m) = sqrt(s)(s - m), bracketed by
+    # interval multiplication over the last rung tested
+    ends = [r * (s - m) / 3 for r in (math.sqrt(lo), math.sqrt(hi)) for s in (lo, hi)]
+    margins = {"gap": (t - max(ends), t - min(ends))}
+    method = reason = None
+    if isinstance(answer, bool):
+        concl: Optional[bool] = answer
+        if lo == hi and lo >= m and lo * (lo - m) ** 2 == 9 * t * t:
+            method = "exact lambda^2"
     elif n <= _BN_EXACT_LIMIT:
         sign = bn_relation_exact(g)
         concl = sign >= 0
         if sign == 0:
-            witness = {
-                "equality_case": True,
-                "complete_bipartite": is_complete_bipartite(g),
-                "method": "exact charpoly",
-            }
+            method = "exact charpoly"
     else:
         concl = None
-    return TheoremVerdict(
-        "BN_INEQ",
-        True,
-        concl,
-        margins,
-        witness,
-        None if concl is not None else "enclosure straddles the bound",
-        params,
-    )
+        reason = f"lambda ladder returned {answer.value} and n > {_BN_EXACT_LIMIT}"
+    witness = None if method is None else {
+        "equality_case": True, "complete_bipartite": is_complete_bipartite(g), "method": method,
+    }
+    return TheoremVerdict("BN_INEQ", True, concl, margins, witness, reason, params)
 
 
 def check_moon_moser(g: Graph) -> TheoremVerdict:
@@ -698,10 +700,8 @@ def check_structural_lemmas(
     except ValueError as exc:
         order = None
         lam_ok, lam_how = False, str(exc)
-    if lam_ok is None:
-        gate: Optional[bool] = None
-    else:
-        gate = gate_n and gate_t and lam_ok
+    # three-valued AND: a failed size or count gate decides, whatever lambda gives
+    gate: Optional[bool] = gate_n and gate_t and lam_ok
     gate_reason = None if gate is not None else lam_how
 
     dist = bipartite_distance(g, exact_limit)

@@ -1,9 +1,10 @@
+import argparse
 import json
 import os
 
 import pytest
 
-from specls.cli import main
+from specls.cli import build_parser, main
 from specls.graph6 import emit_graph6
 from specls.families import t_n2q
 from specls.reporting import ReportDocument, verdicts_to_csv
@@ -168,6 +169,45 @@ def test_workers_env_default(capsys, monkeypatch):
     monkeypatch.setenv("SPECLS_WORKERS", "2")
     code, out, _ = run(capsys, "verify", "LS", "--n", "4", "--exhaustive", "--json")
     assert code == 0
+
+
+SHARED_FLAGS = {"--tol", "--tol-floor", "--seed", "--workers", "--exact-limit", "--csv", "--json"}
+FLAGS_READ = {
+    "construct": {"--json"},
+    "spectral": {"--tol", "--json"},
+    "count": {"--exact-limit", "--json"},
+    "verify": {"--workers", "--exact-limit", "--csv", "--json"},
+    "enumerate": {"--workers", "--json"},
+    "search": {"--seed", "--workers", "--json"},
+    "ratio-scan": {"--tol-floor", "--json"},
+    "family-root": {"--tol", "--json"},
+}
+
+
+def test_each_subcommand_takes_only_the_shared_flags_it_reads():
+    subparsers = next(a for a in build_parser()._actions
+                      if isinstance(a, argparse._SubParsersAction)).choices
+    assert set(subparsers) == set(FLAGS_READ)
+    options = {name: {o for a in p._actions for o in a.option_strings}
+               for name, p in subparsers.items()}
+    assert {name: opts & SHARED_FLAGS for name, opts in options.items()} == FLAGS_READ
+    assert sum(map(len, FLAGS_READ.values())) == 18
+    assert "--s" not in options["search"]
+
+
+def test_an_unread_flag_is_a_usage_error(capsys):
+    code, _, err = run(capsys, "verify", "LS", "--spec", "T:n=10,q=3", "--seed", "3")
+    assert code == 2 and "unrecognized arguments: --seed 3" in err
+    code, _, _ = run(capsys, "verify", "LS", "--spec", "T:n=10,q=3", "--tol-floor", "1e-6")
+    assert code == 2
+
+
+def test_provenance_records_only_the_flags_the_command_has(capsys):
+    _, out, _ = run(capsys, "ratio-scan", "--families", "Turan:r=3", "--n-grid", "30:30:1",
+                    "--json")
+    assert json.loads(out)["provenance"] == {"tol_floor": 1e-12}
+    _, out, _ = run(capsys, "construct", "Y:n=10,q=2", "--json")
+    assert json.loads(out)["provenance"] == {}
 
 
 def test_report_document_round_trip():

@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from specls import search
-from specls.families import y_n2q
+from specls.families import build_from_spec, y_n2q
 from specls.graph6 import emit_graph6, parse_graph6
 from specls.search import (
     SearchJob,
@@ -296,6 +296,22 @@ def test_run_random_probe_and_replay():
     assert rep.to_json() != rep3.to_json()
 
 
+def test_y_reference_is_built_once_per_n_q_and_read_only(monkeypatch):
+    search._y_reference.cache_clear()
+    built = []
+    real = search.y_n2q
+    monkeypatch.setattr(search, "y_n2q", lambda n, q: built.append((n, q)) or real(n, q))
+    job = SearchJob("SPEC_LS_Y", "random",
+                    {"n": [20], "q": [2], "samples": [3], "perturbations": [2]}, seed=1)
+    assert run_random(job).to_json() == run_random(job).to_json()
+    assert built == [(20, 2)]
+    y_slots, y_set, _, _ = search._y_reference(20, 2)
+    assert y_slots.tolist() == graph_slots(real(20, 2).graph).tolist() == sorted(y_set)
+    with pytest.raises(ValueError):
+        y_slots[0] = 0
+    search._y_reference.cache_clear()
+
+
 @pytest.mark.parametrize("gamma", ["1/2", "64/65", "1"])
 def test_run_local_search_rejects_gamma_out_of_range(gamma):
     job = SearchJob("MIN_T", "local", {"n": [10], "gamma": [gamma]})
@@ -337,6 +353,37 @@ def test_ratio_scan_t_n21():
     row = rep.ratio_curve[0]
     assert row["C_lo"] <= row["C_mid"] <= row["C_hi"]
     assert abs(row["C_mid"] - 0.25) < 0.05
+
+
+def test_ratio_scan_encloses_each_point_once(monkeypatch):
+    # the rule ratio_scan kept before one run served both widths: enclose at
+    # tol, retry at 1e-9 when unconverged, keep the point if either converged
+    tol = 1e-12
+    families, n_grid = ["T:q=2", "Y:q=2", "Turan:r=3"], [31, 100, 301]
+    reference = {}
+    for fam in families:
+        head, _, rest = fam.partition(":")
+        for n in n_grid:
+            g = build_from_spec(f"{head}:n={n},{rest}").graph
+            cert = search.perron_enclosure(g, tol)
+            if not cert.converged:
+                cert = search.perron_enclosure(g, 1e-9)
+            reference[fam, n] = cert if cert.converged else None
+    calls = []
+    real = search.perron_enclosure
+    monkeypatch.setattr(search, "perron_enclosure", lambda g, t: calls.append(t) or real(g, t))
+    rows = ratio_scan(families, n_grid, tol).ratio_curve
+    assert calls == [tol] * len(reference)
+    assert {(r["family"], r["n"]) for r in rows if "skipped" not in r} == {
+        k for k, c in reference.items() if c is not None}
+    for r in rows:
+        cert = reference[r["family"], r["n"]]
+        if cert is None:
+            continue
+        half = Fraction(r["n"], 2)
+        scale = r["t"] / Fraction(r["n"] * r["n"])
+        assert float(scale / (Fraction(cert.lambda_hi) - half)) <= r["C_lo"]
+        assert r["C_hi"] <= float(scale / (Fraction(cert.lambda_lo) - half))
 
 
 def test_job_round_trip():

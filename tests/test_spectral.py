@@ -21,7 +21,6 @@ from specls.spectral import (
     perron_enclosure,
     rayleigh_lower_bound,
     rotation_increases_lambda,
-    sqrt_interval,
 )
 
 
@@ -243,12 +242,6 @@ def test_exact_lambda_routes():
     assert exact_lambda(t_n2q(10, 1).graph) is None
     assert exact_lambda_sq(turan(7, 2).graph) == 12
     assert exact_lambda_sq(complete_graph(4)) is None
-
-
-def test_sqrt_interval():
-    lo, hi = sqrt_interval(Fraction(12), Fraction(1, 10**12))
-    assert lo * lo <= 12 <= hi * hi and hi - lo <= Fraction(1, 10**12)
-    assert sqrt_interval(Fraction(0), Fraction(1)) == (0, 0)
 
 
 def test_certified_comparisons():

@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 from fractions import Fraction
 
@@ -11,6 +12,8 @@ from specls.families import (
     embed_into_turan2,
     kab_plus,
     small_clique,
+    small_complete_bipartite,
+    small_cycle,
     small_star,
     t_n2q,
     turan,
@@ -174,8 +177,12 @@ def test_spec_bc():
 def test_bn_inequality_and_equality():
     v = check_bn(turan(7, 2).graph)
     assert v.conclusion_met and v.witness["equality_case"] and v.witness["complete_bipartite"]
-    v = check_bn(complete_graph(4))
-    assert v.conclusion_met and v.witness is None
+    for g, gap in ((complete_graph(4), 1), (complete_graph(20), 57),
+                   (small_cycle(20), Fraction(32, 3))):
+        v = check_bn(g)
+        assert v.conclusion_met is True and v.witness is None
+        lo, hi = v.margins["gap"]  # floats, for display
+        assert lo == pytest.approx(gap) and hi == pytest.approx(gap)
     v = check_bn(empty_graph(5))
     assert v.conclusion_met
     assert bn_relation_exact(complete_graph(4)) == 1
@@ -197,6 +204,47 @@ def test_bn_exhaustive_tiny():
             sign = bn_relation_exact(g)
             assert sign >= 0
             assert (sign == 0) == is_complete_bipartite(g)
+
+
+@pytest.mark.parametrize("g", [
+    small_complete_bipartite(10, 10), small_complete_bipartite(9, 12),
+    turan(30, 2).graph, turan(301, 2).graph,
+], ids=["K10,10", "K9,12", "T30,2", "T301,2"])
+def test_bn_equality_class_is_decided_on_the_exact_rung(g):
+    # lambda^2 = ab exactly, so t = 0 = lambda(lambda^2 - m)/3 is proved
+    v = check_bn(g)
+    assert v.conclusion_met is True
+    assert v.witness == {"equality_case": True, "complete_bipartite": True,
+                         "method": "exact lambda^2"}
+    assert v.margins["gap"] == (0.0, 0.0)
+
+
+def test_bn_matches_the_exact_oracle_on_random_graphs():
+    rng = random.Random(8)
+    for n in range(2, 13):
+        for p in (0.2, 0.5, 0.8):
+            for _ in range(4):
+                g = random_graph(rng, n, p)
+                sign = bn_relation_exact(g)
+                v = check_bn(g)
+                assert v.conclusion_met is (sign >= 0)
+                assert (v.witness is not None) == (sign == 0)
+
+
+@pytest.mark.parametrize("m, t, iv, expected", [
+    (12, 0, (Fraction(10), Fraction(12)), True),  # lambda^2 <= m: bound <= 0
+    (12, 0, (Fraction(10), Fraction(13)), None),
+    (12, 0, (Fraction(10), math.inf), None),
+    (12, 0, (Fraction(13), Fraction(14)), False),
+    (12, 0, (Fraction(13), math.inf), False),
+    (6, 4, (Fraction(9), Fraction(9)), True),  # K_4: 9 * 3^2 = 81 <= 144
+    (6, 4, (Fraction(9), Fraction(10)), None),  # 10 * 4^2 = 160 > 144
+    (6, 4, (Fraction(10), Fraction(11)), False),
+    (1, 2, (Fraction(4), Fraction(4)), True),  # 4 * 3^2 = 36 = 9t^2: equality holds
+    (1, 2, (Fraction(4), Fraction(5)), None),  # s = 4 would meet the bound exactly
+])
+def test_bn_interval_test(m, t, iv, expected):
+    assert theorems._bn_holds(m, t, iv) is expected
 
 
 def test_moon_moser():
@@ -342,6 +390,21 @@ def test_structural_lemmas_gate_vacuity():
     by_id = {v.theorem_id: v for v in verdicts}
     assert by_id["PART_INTRA_LE_Q"].hypothesis_met is False
     assert by_id["PART_BALANCED"].hypothesis_met is False
+
+
+def test_structural_gate_fails_below_300q2_whatever_lambda_gives():
+    # a relabelled Y has lambda(Y) exactly, which the ladder cannot order;
+    # the size gate alone decides the eight gated hypotheses
+    g = relabelled(y_n2q(40, 1).graph, 5)
+    gated = [v for v in check_structural_lemmas(g, 1) if v.theorem_id != "X_MASS"]
+    assert len(gated) == 8
+    assert all(v.hypothesis_met is False for v in gated)
+    # and no isomorphism test stands in for the refused comparison
+    y = y_n2q(10, 1)
+    h = relabelled(y.graph, 3)
+    assert h.rows != y.graph.rows
+    ok, how, order = theorems._hyp_lambda_ge_construction(h, y)
+    assert ok is None and how == f"comparison returned {order.value}"
 
 
 def test_structural_lemmas_perturbed_turan(monkeypatch):
