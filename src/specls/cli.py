@@ -302,6 +302,7 @@ def _dispatch(args, argv: list[str]) -> int:
             if args.perturbations is not None:
                 grid["perturbations"] = [args.perturbations]
             job = SearchJob(args.target, args.mode, grid, args.budget, args.seed)
+        doc.provenance["seed"] = job.seed  # a job file's seed overrides --seed
         if job.mode == "exhaustive":
             rep = run_exhaustive(job, args.workers)
         elif job.mode == "random":

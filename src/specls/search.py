@@ -1,18 +1,21 @@
 """Exhaustive small-n verification and randomized search against the
 theorems and conjectures.
 
-One sharded complement DFS (`_dense_dfs` over `_ls_shard`) serves both the
+One sharded complement walk (`_dense_dfs` over `_ls_shard`) serves both the
 LS exhaustive check and the `enumerate` count: graphs with at least
-min_edges edges correspond to subsets of the edge-slot lattice of bounded
+min_edges edges correspond to subsets F of the edge-slot lattice of bounded
 size, walked in colex order in 32 shards (the patterns of the first five
-slots) with incremental maintenance of the complement statistics (edge
-count f, cherries, triangles), so each visited graph costs a handful of
-integer operations:
+slots). Each shard expands its lattice one complement size at a time as
+numpy arrays, in bounded chunks, maintaining the complement statistics
+(edge count f, cherries, triangles) incrementally, so each visited graph
+costs a few array operations:
 
     t(G) = C(n,3) - f*(n-2) + cherries(F) - t(F)   for G = K_n - F.
 
 Full 2^C(n,2) scans (needed by the inequality and conjecture targets) run
-as fixed-size numpy chunks with batched eigensolves; anything within a
+as fixed-size numpy chunks. Edge and triangle counts come exactly from bit
+operations on the masks; BOOK and NOSAL eigensolve only the masks that a
+Collatz-Wielandt bound cannot rule out, BN every mask. Anything within a
 float band of a bound is re-decided exactly by `roots.sign_at_lambda`
 (integer characteristic polynomial and Sturm chains), so reported
 counterexamples and equality sets are certified, not floating-point
@@ -28,6 +31,7 @@ import multiprocessing
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import combinations
 from math import comb
 from typing import Callable, Optional
 
@@ -140,78 +144,154 @@ def dense_enumeration_size(n: int, min_edges: int) -> int:
 
 
 # ---------------------------------------------------------------------------
-# The dense DFS over complement patterns: LS exhaustive runs and enumerate.
+# The dense complement walk: LS exhaustive runs and enumerate.
 # ---------------------------------------------------------------------------
 
 _SHARD_PREFIX_BITS = 5  # shard by membership pattern of the first 5 slots
+_WALK_CHUNK = 1 << 13  # children materialised per step of the complement walk
+_ROW_BITS = 63  # vertex bits per int64 word of a neighbourhood row
+
+# set bits of each byte and of each 16-bit value, 256 hi + lo having those of
+# hi plus those of lo (numpy's bitwise_count needs numpy >= 2.0)
+_POP8 = np.array([bin(x).count("1") for x in range(256)], dtype=np.int64)
+_POP16 = np.add.outer(_POP8, _POP8).ravel()
+
+
+def _popcount(x: np.ndarray, bits: int = 63) -> np.ndarray:
+    """Set bits of each entry of a non-negative int64 array below 2**bits."""
+    total = _POP16[x & 0xFFFF]
+    for shift in range(16, bits, 16):
+        total = total + _POP16[(x >> shift) & 0xFFFF]
+    return total
+
+
+class _Frontier:
+    """Complements of one size f, as rows in lexicographic order of their
+    slot tuples. A row's children add one slot >= start, so a row that is
+    itself a child added slot start - 1 to row up_idx of the frontier `up`;
+    the top row is the shard's prefix pattern `base`. d = cherries(F) -
+    t(F); deg (B, n) holds F's degrees and rows (B, n * words) its
+    neighbourhood bit rows, vertex w being bit w % _ROW_BITS of word
+    w // _ROW_BITS of the vertex's `words` columns."""
+
+    def __init__(self, f: int, start: np.ndarray, d: np.ndarray, deg: np.ndarray,
+                 rows: np.ndarray, up: Optional["_Frontier"] = None,
+                 up_idx: Optional[np.ndarray] = None, base: tuple = ()):
+        self.f, self.start, self.d, self.deg, self.rows = f, start, d, deg, rows
+        self.up, self.up_idx, self.base = up, up_idx, base
+
+    def __getitem__(self, sl: slice) -> "_Frontier":
+        return _Frontier(self.f, self.start[sl], self.d[sl], self.deg[sl], self.rows[sl],
+                         self.up, None if self.up_idx is None else self.up_idx[sl], self.base)
+
+    def slots(self, i: int) -> tuple[int, ...]:
+        tail = []
+        fr = self
+        while fr.up is not None:
+            tail.append(int(fr.start[i]) - 1)
+            i, fr = int(fr.up_idx[i]), fr.up
+        return fr.base + tuple(reversed(tail))
 
 
 def _ls_shard(args: tuple) -> tuple:
-    """One complement-pattern shard of the dense triangle-count check."""
+    """One complement-pattern shard of the dense triangle-count check.
+
+    The colex complement lattice under the shard's prefix pattern is walked
+    one size f at a time, in chunks of at most _WALK_CHUNK children: a child
+    that adds slot s = (u, v) to F has cherries + d_u + d_v and t(F) +
+    |N_F(u) & N_F(v)|. Each chunk is in lexicographic order of its slot
+    tuples, so its first least margin is its lexicographically smallest
+    one, and `best` compares those candidates as tuples. Complements of the
+    largest size kmax get margins only."""
     n, kmax, qmax, pattern = args
     slots = edge_slots(n)
     ns = len(slots)
     prefix = min(_SHARD_PREFIX_BITS, ns)
-    su = [e[0] for e in slots]
-    sv = [e[1] for e in slots]
-    c3 = comb(n, 3)
-    nm2 = n - 2
-    half = n // 2
+    su = np.array([e[0] for e in slots], dtype=np.int64)
+    sv = np.array([e[1] for e in slots], dtype=np.int64)
+    words = max(1, -(-n // _ROW_BITS))
+    word_of = np.arange(words)
+    # a complement of size f has margin const[f] + d:
+    # t(G) = C(n,3) - f(n-2) + cherries(F) - t(F), less the LS requirement
     floor_q = n * n // 4
-    req = [0] * (kmax + 1)
-    for f in range(kmax + 1):
-        excess = (ns - f) - floor_q
-        req[f] = min(excess, qmax) * half
-    rows = [0] * n
-    deg = [0] * n
-    base: list[int] = []
-    f0 = ch0 = tf0 = 0
-    for s in range(prefix):
-        if pattern >> s & 1:
-            u, v = su[s], sv[s]
-            tf0 += (rows[u] & rows[v]).bit_count()
-            ch0 += deg[u] + deg[v]
-            rows[u] |= 1 << v
-            rows[v] |= 1 << u
-            deg[u] += 1
-            deg[v] += 1
-            base.append(s)
-            f0 += 1
+    const = [comb(n, 3) - f * (n - 2) - min(ns - f - floor_q, qmax) * (n // 2)
+             for f in range(kmax + 1)]
     counts = [0] * (kmax + 1)
     bad: list[tuple[int, ...]] = []
     best = (1 << 60, ())
+    base = tuple(s for s in range(prefix) if pattern >> s & 1)
+    f0 = len(base)
     if f0 > kmax:
         return counts, bad, best
-    stack = list(base)
 
-    def rec(start: int, f: int, ch: int, tf: int) -> None:
+    def add_slots(deg: np.ndarray, rows: np.ndarray, u: np.ndarray, v: np.ndarray) -> None:
+        # add edge (u[i], v[i]) to row i of deg and rows, in place; both are
+        # fresh C-contiguous arrays, so ravel() gives views
+        at = np.arange(len(u)) * n
+        deg.ravel()[at + u] += 1
+        deg.ravel()[at + v] += 1
+        rows.ravel()[(at + u) * words + v // _ROW_BITS] |= np.left_shift(1, v % _ROW_BITS)
+        rows.ravel()[(at + v) * words + u // _ROW_BITS] |= np.left_shift(1, u % _ROW_BITS)
+
+    def pair_gain(fr: _Frontier, pidx: np.ndarray, u: np.ndarray, v: np.ndarray) -> np.ndarray:
+        # d_u + d_v - |N_F(u) & N_F(v)| for each child (row pidx[i], slot (u[i], v[i]))
+        at = pidx * n
+        deg, rows = fr.deg.ravel(), fr.rows.ravel()
+        ru = np.take(rows, (at + u)[:, None] * words + word_of)
+        rv = np.take(rows, (at + v)[:, None] * words + word_of)
+        common = _popcount(ru & rv, min(n, _ROW_BITS)).sum(1)
+        return np.take(deg, at + u) + np.take(deg, at + v) - common
+
+    def visit(f: int, margin: np.ndarray, fr: _Frontier, pidx: np.ndarray,
+              s: np.ndarray) -> None:
+        # the complements fr.slots(pidx[i]) + (s[i],), of size f, in lex order
         nonlocal best
-        counts[f] += 1
-        t = c3 - f * nm2 + ch - tf
-        margin = t - req[f]
-        if margin < 0:
-            bad.append(tuple(stack))
-        if margin < best[0]:
-            best = (margin, tuple(stack))
-        if f == kmax:
-            return
-        for s in range(start, ns):
-            u, v = su[s], sv[s]
-            common = (rows[u] & rows[v]).bit_count()
-            rows[u] |= 1 << v
-            rows[v] |= 1 << u
-            du, dv = deg[u], deg[v]
-            deg[u] = du + 1
-            deg[v] = dv + 1
-            stack.append(s)
-            rec(s + 1, f + 1, ch + du + dv, tf + common)
-            stack.pop()
-            rows[u] &= ~(1 << v)
-            rows[v] &= ~(1 << u)
-            deg[u] = du
-            deg[v] = dv
+        counts[f] += len(margin)
+        for i in np.flatnonzero(margin < 0).tolist():
+            bad.append(fr.slots(int(pidx[i])) + (int(s[i]),))
+        i = int(np.argmin(margin))
+        if margin[i] <= best[0]:
+            best = min(best, (int(margin[i]), fr.slots(int(pidx[i])) + (int(s[i]),)))
 
-    rec(prefix, f0, ch0, tf0)
+    def expand(fr: _Frontier) -> None:
+        nchild = ns - fr.start
+        cum = np.cumsum(nchild)
+        lo = 0
+        while lo < len(cum):
+            done = int(cum[lo - 1]) if lo else 0
+            hi = max(lo + 1, int(np.searchsorted(cum, done + _WALK_CHUNK, side="right")))
+            piece, cnt = fr[lo:hi], nchild[lo:hi]
+            total = int(cum[hi - 1]) - done
+            lo = hi
+            if total == 0:
+                continue
+            pidx = np.repeat(np.arange(len(cnt)), cnt)
+            s = np.take(piece.start, pidx) + np.arange(total) - np.repeat(np.cumsum(cnt) - cnt, cnt)
+            u, v = np.take(su, s), np.take(sv, s)
+            d = np.take(piece.d, pidx) + pair_gain(piece, pidx, u, v)
+            f = fr.f + 1
+            visit(f, const[f] + d, piece, pidx, s)
+            if f < kmax:
+                deg = np.take(piece.deg, pidx, axis=0)
+                rows = np.take(piece.rows, pidx, axis=0)
+                add_slots(deg, rows, u, v)
+                expand(_Frontier(f, s + 1, d, deg, rows, piece, pidx))
+
+    top = _Frontier(f0, np.array([prefix]), np.zeros(1, dtype=np.int64),
+                    np.zeros((1, n), dtype=np.int32), np.zeros((1, n * words), dtype=np.int64),
+                    base=base)
+    for s in base:
+        # the prefix edges, one at a time, by the same update as the walk
+        u, v, at = su[s : s + 1], sv[s : s + 1], np.zeros(1, dtype=np.int64)
+        top.d += pair_gain(top, at, u, v)
+        add_slots(top.deg, top.rows, u, v)
+    counts[f0] = 1
+    margin0 = const[f0] + int(top.d[0])
+    if margin0 < 0:
+        bad.append(base)
+    best = (margin0, base)
+    if f0 < kmax:
+        expand(top)
     return counts, bad, best
 
 
@@ -244,7 +324,7 @@ def _dense_dfs(n: int, min_edges: int, qmax: int, workers: int, ceiling: int) ->
             counts[i] += c
         bad.extend(b)
         best = min(best, bst)
-    return counts, bad, best
+    return counts, sorted(bad), best
 
 
 def enumerate_dense(
@@ -269,7 +349,7 @@ def _run_ls_exhaustive(job: SearchJob, workers: int) -> SearchReport:
         if not counts:
             per_n[n] = {"counts": [], "visited": 0}
             continue
-        for comp in sorted(bad):
+        for comp in bad:
             g = graph_from_complement(n, comp)
             verdict = verify_by_id("LS", g, {"q": min(g.m - n * n // 4, qmax)})[0]
             report.counterexamples.append(
@@ -300,25 +380,47 @@ def _run_ls_exhaustive(job: SearchJob, workers: int) -> SearchReport:
 # ---------------------------------------------------------------------------
 
 
-def _scan_chunk_stats(n: int, base: int, count: int):
-    """Vectorized (m, t, lambda, min_degree) for masks base..base+count-1."""
+_CW_STEPS = 2  # (A + I) power steps before the Collatz-Wielandt prefilter
+
+
+def _scan_chunk_stats(n: int, masks: np.ndarray):
+    """Exact edge counts, triangle counts and degrees (m, t, deg) of the
+    graphs whose edge sets are these slot masks, by bit operations."""
+    ns = n * (n - 1) // 2
+    bit = {}
+    for s, (i, j) in enumerate(edge_slots(n)):
+        bit[i, j] = bit[j, i] = 1 << s
+    m = _popcount(masks, ns)
+    deg = np.zeros((len(masks), n), dtype=np.int64)
+    for v in range(n):
+        deg[:, v] = _popcount(masks & sum(bit[v, w] for w in range(n) if w != v), ns)
+    t = np.zeros(len(masks), dtype=np.int64)
+    for a, b, c in combinations(range(n), 3):
+        tri = bit[a, b] | bit[a, c] | bit[b, c]
+        t += (masks & tri) == tri
+    return m, t, deg
+
+
+def _adjacency_batch(n: int, masks: np.ndarray) -> np.ndarray:
+    """Float adjacency matrices of the graphs with these slot masks."""
     slots = edge_slots(n)
     ns = len(slots)
-    I = np.fromiter((e[0] for e in slots), dtype=np.int64, count=ns)
-    J = np.fromiter((e[1] for e in slots), dtype=np.int64, count=ns)
-    masks = np.arange(base, base + count, dtype=np.int64)
-    bitcols = (masks[:, None] >> np.arange(ns, dtype=np.int64)[None, :]) & 1
-    bits = bitcols.astype(np.float64)
-    B = masks.shape[0]
-    A = np.zeros((B, n, n))
-    A[:, I, J] = bits
-    A[:, J, I] = bits
-    m = bitcols.sum(1)
-    deg = A.sum(2)
-    mindeg = deg.min(1).astype(np.int64) if n else np.zeros(B, dtype=np.int64)
-    t = np.einsum("bij,bjk,bki->b", A, A, A) / 6.0
-    lam = np.linalg.eigvalsh(A)[:, -1]
-    return masks, m, np.rint(t).astype(np.int64), lam, mindeg
+    entry = np.full(n * n, ns)  # the slot of each matrix entry; ns is a zero column
+    for s, (i, j) in enumerate(slots):
+        entry[i * n + j] = entry[j * n + i] = s
+    shifts = np.append(np.arange(ns), 62)  # masks stay below 2^62
+    bits = ((masks[:, None] >> shifts) & 1).astype(np.float64)
+    # a gather, not a matmul: BLAS would add its buffers to each worker's memory
+    return np.take(bits, entry, axis=1).reshape(len(masks), n, n)
+
+
+def _cw_upper(A: np.ndarray, deg: np.ndarray) -> np.ndarray:
+    """Collatz-Wielandt bounds u = max_i (Ax)_i / x_i >= lambda, one per
+    matrix, at the positive vector x = (A + I)^_CW_STEPS (deg + 1)."""
+    x = deg + 1.0
+    for _ in range(_CW_STEPS):
+        x = np.einsum("bij,bj->bi", A, x) + x
+    return (np.einsum("bij,bj->bi", A, x) / x).max(1)
 
 
 def _graph_from_mask(n: int, mask: int) -> Graph:
@@ -328,6 +430,8 @@ def _graph_from_mask(n: int, mask: int) -> Graph:
 
 def _full_scan_shard(args: tuple) -> dict:
     n, chunk_lo, chunk_hi, target = args
+    if target not in ("BN", "BOOK", "NOSAL"):
+        raise ValueError(f"unknown scan target {target!r}")
     chunk = 1 << _SCAN_CHUNK_BITS
     total = 1 << (n * (n - 1) // 2)
     examined = 0
@@ -339,10 +443,13 @@ def _full_scan_shard(args: tuple) -> dict:
         if base >= total:
             break
         count = min(chunk, total - base)
-        masks, m, t, lam, mindeg = _scan_chunk_stats(n, base, count)
+        masks = np.arange(base, base + count, dtype=np.int64)
+        m, t, deg = _scan_chunk_stats(n, masks)
         if target == "BN":
-            keep = mindeg > 0
+            # min_strict_margin reads lambda of every graph
+            keep = deg.min(1) > 0 if n else np.zeros(count, dtype=bool)
             examined += int(keep.sum())
+            lam = np.linalg.eigvalsh(_adjacency_batch(n, masks))[:, -1]
             rhs = lam * (lam * lam - m) / 3.0
             margin = t - rhs
             flag = keep & (margin <= _FLOAT_BAND)
@@ -352,21 +459,38 @@ def _full_scan_shard(args: tuple) -> dict:
                 i = int(np.argmin(np.where(ok, margin, np.inf)))
                 cand = (float(margin[i]), int(masks[i]))
                 best = cand if best is None else min(best, cand)
-        elif target == "BOOK":
+            continue
+        # BOOK and NOSAL flag a graph only when its float gap lies within
+        # _FLOAT_BAND of the bound, after exact tests on m and t. A mask whose
+        # Collatz-Wielandt bound u >= lambda puts the gap below -1/2 is dropped
+        # before the eigensolve: BOOK's gap lambda^2 - lambda - (m - 1)
+        # increases for lambda >= 1, which holds once m >= 1, and NOSAL's
+        # lambda^2 - m for lambda >= 0, so the true gap is below -1/2 as well.
+        # eigvalsh is accurate to about 1e-13 at these sizes, so it could not
+        # have read such a gap inside the band, and the rounding in u is far
+        # below the margin of 1/2. The suspect and equality sets are those an
+        # eigensolve of every mask gives.
+        if target == "BOOK":
             keep = m >= 1
-            examined += int(keep.sum())
-            hyp_gap = lam * lam - lam - (m - 1)
-            cex = keep & (hyp_gap >= -_FLOAT_BAND) & (2 * t < m - 1)
-            suspects.extend(int(x) for x in masks[cex])
-            eq = keep & (np.abs(hyp_gap) <= _FLOAT_BAND) & (2 * t == m - 1)
-            equalities.extend(int(x) for x in masks[eq])
-        elif target == "NOSAL":
-            keep = t == 0
-            examined += int(keep.sum())
-            flag = keep & (lam * lam >= m - _FLOAT_BAND) & (m > 0)
-            suspects.extend(int(x) for x in masks[flag])
+            live = np.flatnonzero(keep & (2 * t <= m - 1))
         else:
-            raise ValueError(f"unknown scan target {target!r}")
+            keep = t == 0
+            live = np.flatnonzero(keep & (m > 0))
+        examined += int(keep.sum())
+        A = _adjacency_batch(n, masks[live])
+        u = _cw_upper(A, deg[live])
+        near = u * u - u >= m[live] - 1.5 if target == "BOOK" else u * u >= m[live] - 0.5
+        live, A = live[near], A[near]
+        lam = np.linalg.eigvalsh(A)[:, -1]
+        ml, tl = m[live], t[live]
+        if target == "BOOK":
+            hyp_gap = lam * lam - lam - (ml - 1)
+            cex = (hyp_gap >= -_FLOAT_BAND) & (2 * tl < ml - 1)
+            suspects.extend(int(x) for x in masks[live[cex]])
+            eq = (np.abs(hyp_gap) <= _FLOAT_BAND) & (2 * tl == ml - 1)
+            equalities.extend(int(x) for x in masks[live[eq]])
+        else:
+            suspects.extend(int(x) for x in masks[live[lam * lam >= ml - _FLOAT_BAND]])
     return {
         "examined": examined,
         "suspects": suspects,

@@ -133,6 +133,18 @@ def test_search_job_file(capsys, tmp_path):
     assert code == 0
 
 
+@pytest.mark.parametrize("flags", [[], ["--seed", "7"]])
+def test_search_job_file_seed_is_the_provenance_seed(capsys, tmp_path, flags):
+    p = tmp_path / "job.json"
+    p.write_text(json.dumps({
+        "target": "SPEC_LS_Y", "mode": "random", "grid": {"n": [10], "samples": [2]},
+        "seed": 5,
+    }))
+    _, out, _ = run(capsys, "search", "--job", str(p), *flags, "--json")
+    prov = json.loads(out)["provenance"]
+    assert prov["job"]["seed"] == prov["seed"] == 5
+
+
 def test_ratio_scan_cli(capsys):
     code, out, _ = run(capsys, "ratio-scan", "--families", "Turan:r=3",
                        "--n-grid", "30:60:30", "--json")

@@ -1,8 +1,10 @@
+import hashlib
 import json
 import random
 from fractions import Fraction
 from itertools import combinations
 from math import comb
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -73,6 +75,105 @@ def test_dense_dfs_matches_brute_force(n, qmax):
     assert bool(bad) == (qmax >= n / 2)
 
 
+@pytest.mark.parametrize(
+    "n, kmax, qmax", [(6, 5, 3), (7, 5, 2), (7, 5, 6), (12, 3, 3), (20, 2, 1)]
+)
+def test_complement_walk_matches_combinations(n, kmax, qmax):
+    # the complements of each size as itertools.combinations, which lists
+    # them in lexicographic order; n = 12 has 66 slots, n = 20 has 190
+    ns = n * (n - 1) // 2
+    counts, bad, margins = [], [], {}
+    for f in range(kmax + 1):
+        counts.append(0)
+        for comp in combinations(range(ns), f):
+            counts[f] += 1
+            t = triangle_count(graph_from_complement(n, comp))
+            margins[comp] = t - min(ns - f - n * n // 4, qmax) * (n // 2)
+            if margins[comp] < 0:
+                bad.append(comp)
+    best = min((margin, comp) for comp, margin in margins.items())
+    got = _dense_dfs(n, ns - kmax, qmax, 2, 10**6)
+    assert got == (counts, sorted(bad), best)
+    assert type(got[2][0]) is int and all(type(s) is int for s in got[2][1])
+    if qmax == 6:  # the least margin is reached more than once
+        assert sum(margin == best[0] for margin in margins.values()) > 1
+    if qmax == 3 and n == 6:  # q >= n/2 lies outside the theorem
+        assert bad
+
+
+def test_complement_walk_across_row_words(monkeypatch):
+    # 2 vertex bits per word splits n = 7 rows over 4 words, the layout
+    # that n >= 64 takes at 63 bits per word
+    expected = _dense_dfs(7, 14, 6, 1, 10**6)
+    monkeypatch.setattr(search, "_ROW_BITS", 2)
+    assert _dense_dfs(7, 14, 6, 1, 10**6) == expected
+
+
+def test_enumerate_dense_beyond_one_word_of_slots():
+    assert enumerate_dense(12, 64) == [comb(66, f) for f in range(3)]
+
+
+def test_popcount_table():
+    rng = random.Random(9)
+    values = [rng.getrandbits(63) for _ in range(2000)] + [0, 1, 2**63 - 1, 0xFFFF, 1 << 16]
+    got = search._popcount(np.array(values, dtype=np.int64))
+    assert got.tolist() == [v.bit_count() for v in values]
+    small = [v & 0xFFFFF for v in values]
+    got = search._popcount(np.array(small, dtype=np.int64), 20)
+    assert got.tolist() == [v.bit_count() for v in small]
+
+
+def _unpruned_scan(n: int, target: str) -> tuple[list, list]:
+    """The BOOK/NOSAL float tests with an eigensolve of every mask."""
+    slots = edge_slots(n)
+    masks = np.arange(1 << len(slots))
+    A = np.zeros((len(masks), n, n))
+    for s, (i, j) in enumerate(slots):
+        A[:, i, j] = A[:, j, i] = masks >> s & 1
+    m = A.sum((1, 2)) / 2
+    t = np.rint(np.einsum("bij,bjk,bki->b", A, A, A) / 6)
+    lam = np.linalg.eigvalsh(A)[:, -1]
+    if target == "BOOK":
+        gap = lam * lam - lam - (m - 1)
+        suspects = (m >= 1) & (gap >= -1e-6) & (2 * t < m - 1)
+        equalities = (m >= 1) & (np.abs(gap) <= 1e-6) & (2 * t == m - 1)
+    else:
+        suspects = (t == 0) & (lam * lam >= m - 1e-6) & (m > 0)
+        equalities = np.zeros(len(masks), dtype=bool)
+    return masks[suspects].tolist(), masks[equalities].tolist()
+
+
+def _scan_all_chunks(n: int, target: str) -> dict:
+    nchunks = max(1, (1 << n * (n - 1) // 2) >> search._SCAN_CHUNK_BITS)
+    return search._full_scan_shard((n, 0, nchunks, target))
+
+
+@pytest.mark.parametrize("target", ["BOOK", "NOSAL"])
+@pytest.mark.parametrize("n", range(1, 7))
+def test_cw_prefilter_keeps_every_flagged_mask(n, target):
+    got = _scan_all_chunks(n, target)
+    suspects, equalities = _unpruned_scan(n, target)
+    assert (got["suspects"], got["equalities"]) == (suspects, equalities)
+    if target == "NOSAL" and n >= 2:  # complete bipartite graphs have lambda^2 = m
+        assert suspects
+
+
+@pytest.mark.parametrize("k", range(1, 6))
+def test_cw_prefilter_never_drops_a_book(k):
+    # B_k = K_2 joined to k independent vertices: 2t = m - 1 and
+    # lambda^2 - lambda = m - 1 exactly, so every placement is an equality
+    rng = random.Random(k)
+    for n in range(k + 2, 8):
+        index = {e: s for s, e in enumerate(edge_slots(n))}
+        for _ in range(3):
+            a, b, *pages = rng.sample(range(n), k + 2)
+            edges = [(a, b)] + [(a, p) for p in pages] + [(b, p) for p in pages]
+            mask = sum(1 << index[min(e), max(e)] for e in edges)
+            chunk = mask >> search._SCAN_CHUNK_BITS
+            got = search._full_scan_shard((n, chunk, chunk + 1, "BOOK"))
+            assert mask in got["equalities"]
+
+
 def test_ls_exhaustive_counts_and_determinism():
     job = SearchJob("LS", "exhaustive", {"n": [4, 5, 6], "q": [1, 2]})
     rep = run_exhaustive(job, workers=1)
@@ -83,6 +184,19 @@ def test_ls_exhaustive_counts_and_determinism():
             assert c == comb(n * (n - 1) // 2, f)
     outs = [run_exhaustive(job, workers=w).to_json() for w in (1, 2, 4, 8)]
     assert len(set(outs)) == 1
+
+
+def test_scan_report_bytes_golden():
+    # SHA-256 of the report bytes of the benchmark's scan jobs as a recursive
+    # complement DFS and an eigensolve of every BOOK mask gave them
+    golden = json.loads((Path(__file__).parent / "golden" / "scan_digests.json").read_text())
+    jobs = {
+        "LS n=8 q=[3]": SearchJob("LS", "exhaustive", {"n": [8], "q": [3]}),
+        "BOOK n=7": SearchJob("BOOK", "exhaustive", {"n": [7]}),
+    }
+    for name, job in jobs.items():
+        digest = hashlib.sha256(run_exhaustive(job, workers=2).to_json().encode()).hexdigest()
+        assert digest == golden[name], name
 
 
 @pytest.mark.parametrize("n, q", [(2, [1]), (6, [3]), (7, [4, 5])])
