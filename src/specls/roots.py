@@ -10,10 +10,13 @@ eigenvalues from disconnected graphs defeat naive sign bisection).
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .graph import Graph
+import numpy as np
+
+from .graph import Graph, adjacency_matrix
 
 Poly = list[Fraction]
 
@@ -203,37 +206,45 @@ def family_lambda(spec: FamilyPolynomial, tol: Fraction | float) -> tuple[Fracti
 # ---------------------------------------------------------------------------
 
 
-def charpoly_exact(g: Graph) -> list[int]:
-    """Integer characteristic polynomial of the adjacency matrix, low degree
-    first, monic, via the Leverrier-Faddeev recurrence in exact arithmetic."""
-    n = g.n
-    A = [[g.rows[i] >> j & 1 for j in range(n)] for i in range(n)]
-    M = [row[:] for row in A]
-    cs = []
+def charpoly_exact(a: Graph | np.ndarray) -> list[int] | list[list[int]]:
+    """Integer characteristic polynomials, low degree first, monic, by the
+    Faddeev-LeVerrier recurrence in exact arithmetic.
+
+    `a` is a Graph (its adjacency matrix; returns one coefficient list) or an
+    integer array of shape (b, n, n) (returns one list per matrix). The
+    recurrence runs on object-dtype arrays, whose entries are Python ints, so
+    no entry can overflow whatever the size of the matrix entries.
+    """
+    if isinstance(a, Graph):
+        return charpoly_exact(adjacency_matrix(a).astype(np.int64)[None])[0]
+    a = np.asarray(a)
+    if a.ndim != 3 or a.shape[1] != a.shape[2]:
+        raise ValueError(f"expected a stack of square matrices, got shape {a.shape}")
+    if not (np.issubdtype(a.dtype, np.integer) or a.dtype == object):
+        raise TypeError(f"expected integer matrices, got dtype {a.dtype}")
+    A = a.astype(object)
+    b, n, _ = A.shape
+    diag = np.arange(n)
+    M = A.copy()
+    cs = []  # p(x) = x^n - c1 x^(n-1) - c2 x^(n-2) - ... - cn
     for k in range(1, n + 1):
-        c = sum(M[i][i] for i in range(n))
-        assert c % k == 0
-        c //= k
+        tr = M[:, diag, diag].sum(axis=1)
+        c = tr // k
+        if (c * k != tr).any():
+            raise ArithmeticError(f"trace of M_{k} is not divisible by {k}")
         cs.append(c)
         if k == n:
             break
-        for i in range(n):
-            M[i][i] -= c
-        M = [
-            [sum(A[i][t] * M[t][j] for t in range(n)) for j in range(n)]
-            for i in range(n)
-        ]
-    # p(x) = x^n - c1 x^(n-1) - c2 x^(n-2) - ... - cn
-    coeffs = [-cs[n - 1 - i] for i in range(n)] + [1]
-    return coeffs
+        M[:, diag, diag] -= c[:, None]
+        M = A @ M
+    return [[-int(cs[n - 1 - i][j]) for i in range(n)] + [1] for j in range(b)]
 
 
-def _charpoly_bracket(g: Graph) -> tuple[Poly, Fraction, Fraction]:
-    """(charpoly, lo, hi) with lambda(G) the largest root in (lo, hi], for a
-    graph with an edge: lambda >= 1 then, lambda <= n - 1, and half-integers
-    are never roots of a monic integer polynomial."""
-    p = [Fraction(c) for c in charpoly_exact(g)]
-    return p, Fraction(1, 2), Fraction(2 * g.n + 1, 2)
+def _bracket(n: int) -> tuple[Fraction, Fraction]:
+    """(lo, hi) with lambda(G) the largest charpoly root in (lo, hi], for a
+    graph on n vertices with an edge: lambda >= 1 then, lambda <= n - 1, and
+    half-integers are never roots of a monic integer polynomial."""
+    return Fraction(1, 2), Fraction(2 * n + 1, 2)
 
 
 def lambda_interval_exact(g: Graph, tol: Fraction = Fraction(1, 10**12)) -> tuple[Fraction, Fraction]:
@@ -242,7 +253,8 @@ def lambda_interval_exact(g: Graph, tol: Fraction = Fraction(1, 10**12)) -> tupl
         raise ValueError("spectral radius undefined for the empty vertex set")
     if g.m == 0:
         return Fraction(0), Fraction(0)
-    return largest_root_interval(*_charpoly_bracket(g), tol)
+    p = [Fraction(c) for c in charpoly_exact(g)]
+    return largest_root_interval(p, *_bracket(g.n), tol)
 
 
 def poly_gcd(a: Poly, b: Poly) -> Poly:
@@ -286,11 +298,38 @@ def sign_at_largest_root(p: Poly, q: Poly, lo: Fraction, hi: Fraction) -> int:
             hi = mid
 
 
+def signs_at_lambda(graphs: Sequence[Graph], qs: Sequence[Poly]) -> list[int]:
+    """Exact signs (-1, 0 or +1) of q(lambda(G)) for each pair of graphs[i]
+    and qs[i], from integer charpolys and Sturm chains; each q may have
+    integer or Fraction coefficients.
+
+    The charpolys of the graphs with an edge come from one batched
+    `charpoly_exact` call per vertex count, and the Sturm search runs once
+    per distinct (charpoly, q): every graph's answer is still proved from its
+    own characteristic polynomial. The memo lives for this call only.
+    """
+    if len(graphs) != len(qs):
+        raise ValueError("one polynomial per graph is needed")
+    qs = [[Fraction(c) for c in q] for q in qs]
+    signs = [0] * len(graphs)
+    by_n: dict[int, list[int]] = {}
+    for i, g in enumerate(graphs):
+        if g.m == 0:  # lambda = 0
+            signs[i] = (qs[i][0] > 0) - (qs[i][0] < 0)
+        else:
+            by_n.setdefault(g.n, []).append(i)
+    proved: dict[tuple, int] = {}
+    for n, idx in by_n.items():
+        stack = np.stack([adjacency_matrix(graphs[i]) for i in idx]).astype(np.int64)
+        lo, hi = _bracket(n)
+        for i, p in zip(idx, charpoly_exact(stack)):
+            key = (tuple(p), tuple(qs[i]))
+            if key not in proved:
+                proved[key] = sign_at_largest_root([Fraction(c) for c in p], qs[i], lo, hi)
+            signs[i] = proved[key]
+    return signs
+
+
 def sign_at_lambda(g: Graph, q: Poly) -> int:
-    """Exact sign (-1, 0 or +1) of q(lambda(G)), from the integer charpoly and
-    Sturm chains; q may have integer or Fraction coefficients."""
-    q = [Fraction(c) for c in q]
-    if g.m == 0:  # lambda = 0
-        return (q[0] > 0) - (q[0] < 0)
-    p, lo, hi = _charpoly_bracket(g)
-    return sign_at_largest_root(p, q, lo, hi)
+    """Exact sign (-1, 0 or +1) of q(lambda(G)); see `signs_at_lambda`."""
+    return signs_at_lambda([g], [q])[0]

@@ -16,11 +16,12 @@ Full 2^C(n,2) scans (needed by the inequality and conjecture targets) run
 as fixed-size numpy chunks. Edge and triangle counts come exactly from bit
 operations on the masks; BOOK and NOSAL eigensolve only the masks that a
 Collatz-Wielandt bound cannot rule out, BN every mask. Anything within a
-float band of a bound is re-decided exactly by `roots.sign_at_lambda`
-(integer characteristic polynomial and Sturm chains), so reported
-counterexamples and equality sets are certified, not floating-point
-guesses. Chunk boundaries and shard counts are constants, so reports are
-byte-identical for any worker count.
+float band of a bound is re-decided exactly by `roots.signs_at_lambda`:
+its own integer characteristic polynomial (one batched Faddeev-LeVerrier
+run per n) and a Sturm sign, searched once per distinct characteristic
+polynomial, so reported counterexamples and equality sets are certified,
+not floating-point guesses. Chunk boundaries and shard counts are
+constants, so reports are byte-identical for any worker count.
 """
 
 from __future__ import annotations
@@ -42,9 +43,9 @@ from .graph import Graph, adjacency_matrix, build_graph, complete_graph, induced
 from .graph import is_complete_bipartite, remove_edge, toggle_edge
 from .graph6 import emit_graph6
 from .morphism import are_isomorphic
-from .roots import FamilyPolynomial, family_lambda, sign_at_lambda
+from .roots import FamilyPolynomial, family_lambda, signs_at_lambda
 from .spectral import Ordering, _decide, certify_lambda_ge_frac, exact_lambda, perron_enclosure
-from .theorems import bn_relation_exact, verify_by_id
+from .theorems import bn_relation_poly, verify_by_id
 from .triangles import triangle_count
 from .verdicts import jsonable_value
 
@@ -503,6 +504,7 @@ def _run_full_scan(job: SearchJob, workers: int) -> SearchReport:
     report = SearchReport(job)
     target = job.target
     eq_all: list[dict] = []
+    books: dict[int, Graph] = {}  # book_join(k).graph, built once per k
     best = None
     for n in sorted(job.grid.get("n", [])):
         ns = n * (n - 1) // 2
@@ -527,25 +529,27 @@ def _run_full_scan(job: SearchJob, workers: int) -> SearchReport:
             if r["best"] is not None:
                 cand = (r["best"][0], n, r["best"][1])
                 best = cand if best is None else min(best, cand)
+        # every flagged graph is re-decided exactly, in one batched call per n
+        flagged = [_graph_from_mask(n, mask) for mask in suspects + equalities]
         if target == "BN":
-            for mask in suspects:
-                g = _graph_from_mask(n, mask)
-                sign = bn_relation_exact(g)
-                if sign < 0:
+            signs = signs_at_lambda(flagged, [bn_relation_poly(g) for g in flagged])
+            for g, s in zip(flagged, signs):
+                if s > 0:  # t < lambda(lambda^2 - m)/3
                     v = verify_by_id("BN_INEQ", g, {})[0]
                     report.counterexamples.append(
                         {"graph6": emit_graph6(g), "verdict": v.to_jsonable()}
                     )
-                elif sign == 0:
+                elif s == 0:
                     eq_all.append(
                         {"n": n, "graph6": emit_graph6(g),
                          "complete_bipartite": is_complete_bipartite(g)}
                     )
         elif target == "BOOK":
             # lambda >= (1 + sqrt(4m - 3))/2  <=>  lambda^2 - lambda - (m - 1) >= 0
-            for mask in suspects:
-                g = _graph_from_mask(n, mask)
-                if sign_at_lambda(g, [-(g.m - 1), -1, 1]) >= 0:
+            signs = signs_at_lambda(flagged, [[-(g.m - 1), -1, 1] for g in flagged])
+            cut = len(suspects)
+            for g, s in zip(flagged[:cut], signs[:cut]):
+                if s >= 0:
                     t = triangle_count(g)
                     report.counterexamples.append(
                         {"graph6": emit_graph6(g),
@@ -553,21 +557,21 @@ def _run_full_scan(job: SearchJob, workers: int) -> SearchReport:
                                      "claim": "lambda >= (1+sqrt(4m-3))/2 certified exactly",
                                      "needed_t": f"{g.m - 1}/2"}}
                     )
-            for mask in equalities:
-                g = _graph_from_mask(n, mask)
-                if sign_at_lambda(g, [-(g.m - 1), -1, 1]) == 0:
+            for g, s in zip(flagged[cut:], signs[cut:]):
+                if s == 0:
                     core_vs = [v for v in range(g.n) if g.degree(v) > 0]
                     core = induced(g, mask_of(core_vs)) if core_vs else g
                     k = (g.m - 1) // 2
-                    is_book = are_isomorphic(core, book_join(k).graph)
+                    if k not in books:
+                        books[k] = book_join(k).graph
                     eq_all.append(
                         {"n": n, "graph6": emit_graph6(g), "m": g.m,
-                         "core_is_book": is_book}
+                         "core_is_book": are_isomorphic(core, books[k])}
                     )
         elif target == "NOSAL":
-            for mask in suspects:
-                g = _graph_from_mask(n, mask)
-                if sign_at_lambda(g, [-g.m, 0, 1]) > 0:
+            signs = signs_at_lambda(flagged, [[-g.m, 0, 1] for g in flagged])
+            for g, s in zip(flagged, signs):
+                if s > 0:
                     v = verify_by_id("NOSAL_NZ", g, {})[0]
                     report.counterexamples.append(
                         {"graph6": emit_graph6(g), "verdict": v.to_jsonable(),

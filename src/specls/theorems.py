@@ -243,11 +243,15 @@ def check_spec_bc(g: Graph, s: int) -> TheoremVerdict:
 _BN_EXACT_LIMIT = 16
 
 
+def bn_relation_poly(g: Graph) -> list[int]:
+    """q(x) = x^3 - m x - 3t, with q(lambda) < 0 <=> t > lambda(lambda^2 - m)/3."""
+    return [-3 * triangle_count(g), -g.m, 0, 1]
+
+
 def bn_relation_exact(g: Graph) -> int:
     """Exact sign of t - lambda(lambda^2 - m)/3: +1 strict, 0 equality,
     -1 violation. Uses the integer charpoly, so only sensible for small n."""
-    # q(x) = x^3 - m x - 3t, and q(lambda) < 0 <=> t > rhs
-    return -sign_at_lambda(g, [-3 * triangle_count(g), -g.m, 0, 1])
+    return -sign_at_lambda(g, bn_relation_poly(g))
 
 
 def _bn_holds(m: int, t: int, iv: Interval) -> Optional[bool]:

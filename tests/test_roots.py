@@ -3,8 +3,10 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from specls.graph import build_graph
+from specls.graph import adjacency_matrix, build_graph
 from specls.roots import (
     FamilyPolynomial,
     charpoly_exact,
@@ -15,6 +17,7 @@ from specls.roots import (
     poly_eval,
     sign_at_lambda,
     sign_at_largest_root,
+    signs_at_lambda,
     sturm_chain,
 )
 
@@ -96,6 +99,96 @@ def test_charpoly_matches_numpy():
         for lam in eig:
             val = sum(c * lam**i for i, c in enumerate(coeffs))
             assert abs(val) < 1e-6 * max(1.0, abs(lam)) ** g.n
+
+
+def _leverrier_reference(A: list[list[int]]) -> list[int]:
+    """The pure-Python Leverrier-Faddeev loop over nested lists."""
+    n = len(A)
+    M = [row[:] for row in A]
+    cs = []
+    for k in range(1, n + 1):
+        c = sum(M[i][i] for i in range(n))
+        assert c % k == 0
+        c //= k
+        cs.append(c)
+        if k == n:
+            break
+        for i in range(n):
+            M[i][i] -= c
+        M = [[sum(A[i][t] * M[t][j] for t in range(n)) for j in range(n)] for i in range(n)]
+    return [-cs[n - 1 - i] for i in range(n)] + [1]
+
+
+@st.composite
+def _symmetric_matrices(draw, min_n: int, max_n: int, max_entry: int):
+    n = draw(st.integers(min_n, max_n))
+    entries = st.integers(0, max_entry)
+    A = [[0] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i, n):
+            A[i][j] = A[j][i] = draw(entries)
+    return A
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(_symmetric_matrices(0, 14, 1), min_size=1, max_size=4))
+def test_charpoly_of_graphs_matches_reference(mats):
+    for A in mats:
+        n = len(A)
+        g = build_graph(n, [(i, j) for i in range(n) for j in range(i + 1, n) if A[i][j]])
+        want = _leverrier_reference([[int(i != j and A[i][j]) for j in range(n)] for i in range(n)])
+        assert charpoly_exact(g) == want
+    # one batch of same-size graphs gives the same lists as one call each
+    A, n = mats[0], len(mats[0])
+    adj = [[int(i != j and A[i][j]) for j in range(n)] for i in range(n)]
+    stack = np.array([adj] * 3, dtype=np.int64).reshape(3, n, n)
+    assert charpoly_exact(stack) == [_leverrier_reference(adj)] * 3
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 10).flatmap(
+    lambda n: st.lists(_symmetric_matrices(n, n, 50), min_size=1, max_size=5)))
+def test_charpoly_of_integer_matrices_matches_reference(mats):
+    n = len(mats[0])
+    assert charpoly_exact(np.array(mats, dtype=np.int64).reshape(len(mats), n, n)) == [
+        _leverrier_reference(A) for A in mats]
+
+
+def test_charpoly_small_and_edgeless():
+    for n in range(4):
+        assert charpoly_exact(build_graph(n, [])) == [0] * n + [1]
+    assert charpoly_exact(np.zeros((0, 3, 3), dtype=np.int64)) == []
+    # entries beyond int64: the recurrence runs on Python ints
+    big = np.array([[[2**40, 1], [1, 2**40]]], dtype=object)
+    assert charpoly_exact(big) == [[2**80 - 1, -(2**41), 1]]
+    with pytest.raises(TypeError):
+        charpoly_exact(np.eye(3)[None])
+    with pytest.raises(ValueError):
+        charpoly_exact(np.eye(3, dtype=np.int64))
+
+
+def test_signs_at_lambda_matches_one_graph_at_a_time():
+    rng = random.Random(11)
+    graphs, qs = [], []
+    for _ in range(30):
+        n = rng.randrange(1, 8)
+        g = random_graph(rng, n, rng.choice((0.0, 0.3, 0.6)))
+        for q in ([-g.m, 0, 1], [-(g.m - 1), -1, 1], [Fraction(-3, 2), 1]):
+            graphs.append(g)
+            qs.append(q)
+        # a relabelled copy repeats the charpoly with new rows
+        perm = list(range(n))
+        rng.shuffle(perm)
+        h = build_graph(n, [(perm[u], perm[v]) for u, v in g.edges()])
+        graphs.append(h)
+        qs.append([-g.m, 0, 1])
+    graphs.append(build_graph(5, []))
+    qs.append([0, 1])
+    assert any(g.m == 0 for g in graphs) and len({g.n for g in graphs}) > 3
+    assert signs_at_lambda(graphs, qs) == [sign_at_lambda(g, q) for g, q in zip(graphs, qs)]
+    assert signs_at_lambda([], []) == []
+    with pytest.raises(ValueError):
+        signs_at_lambda(graphs, qs[:-1])
 
 
 def test_lambda_interval_exact_contains_eigenvalue():

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from specls import search
+from specls import roots, search
 from specls.families import build_from_spec, y_n2q
 from specls.graph6 import emit_graph6, parse_graph6
 from specls.search import (
@@ -188,15 +188,47 @@ def test_ls_exhaustive_counts_and_determinism():
 
 def test_scan_report_bytes_golden():
     # SHA-256 of the report bytes of the benchmark's scan jobs as a recursive
-    # complement DFS and an eigensolve of every BOOK mask gave them
+    # complement DFS and an eigensolve of every BOOK mask gave them, and of
+    # NOSAL and BN scans as a one-graph-at-a-time exact re-decision gave them
     golden = json.loads((Path(__file__).parent / "golden" / "scan_digests.json").read_text())
     jobs = {
         "LS n=8 q=[3]": SearchJob("LS", "exhaustive", {"n": [8], "q": [3]}),
         "BOOK n=7": SearchJob("BOOK", "exhaustive", {"n": [7]}),
+        "NOSAL n=6": SearchJob("NOSAL", "exhaustive", {"n": [6]}),
+        "BN n=6": SearchJob("BN", "exhaustive", {"n": [6]}),
     }
     for name, job in jobs.items():
         digest = hashlib.sha256(run_exhaustive(job, workers=2).to_json().encode()).hexdigest()
         assert digest == golden[name], name
+
+
+def test_full_scan_runs_one_sturm_search_per_distinct_charpoly(monkeypatch):
+    batches, searches = [], []
+    charpoly_exact, sign_at_largest_root = roots.charpoly_exact, roots.sign_at_largest_root
+
+    def recording_charpoly(a):
+        batches.append(charpoly_exact(a))
+        return batches[-1]
+
+    def counting_sign(p, q, lo, hi):
+        searches.append((tuple(p), tuple(q)))
+        return sign_at_largest_root(p, q, lo, hi)
+
+    monkeypatch.setattr(roots, "charpoly_exact", recording_charpoly)
+    monkeypatch.setattr(roots, "sign_at_largest_root", counting_sign)
+    job = SearchJob("BOOK", "exhaustive", {"n": [6]})
+    first = run_exhaustive(job, workers=1).to_json()
+    # one batch holds every flagged graph's own charpoly; BOOK's q is
+    # x^2 - x - (m - 1), and m is read off the charpoly, so the distinct
+    # (charpoly, q) keys are the distinct charpolys
+    assert len(batches) == 1
+    distinct = {tuple(p) for p in batches[0]}
+    assert len(batches[0]) > len(distinct) > 1
+    assert len(searches) == len(set(searches)) == len(distinct)
+    assert {p for p, _ in searches} == {tuple(map(Fraction, p)) for p in distinct}
+    # no cache outlives the call: a second scan proves every sign again
+    assert run_exhaustive(job, workers=1).to_json() == first
+    assert len(batches) == 2 and searches[len(distinct):] == searches[:len(distinct)]
 
 
 @pytest.mark.parametrize("n, q", [(2, [1]), (6, [3]), (7, [4, 5])])
