@@ -55,14 +55,12 @@ def turan(n: int, r: int) -> Construction:
         for j in range(i + 1, len(parts)):
             edges.extend((u, v) for u in parts[i] for v in parts[j])
     g = build_graph(n, edges)
-    e1 = sum(sizes)
     e2 = sum(a * b for i, a in enumerate(sizes) for b in sizes[i + 1 :])
     e3 = 0
     for i in range(len(sizes)):
         for j in range(i + 1, len(sizes)):
             for k in range(j + 1, len(sizes)):
                 e3 += sizes[i] * sizes[j] * sizes[k]
-    assert e1 == n
     return Construction(g, PredictedStats(e2, e3), f"Turan:n={n},r={r}")
 
 

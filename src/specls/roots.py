@@ -1,11 +1,14 @@
 """Exact-rational polynomial root isolation and family spectral polynomials.
 
 Polynomials are dense coefficient lists, low degree first, over Fraction.
-Two isolation routines are provided: plain sign bisection inside a bracket
-known to hold a single simple root (the named family polynomials), and a
-Sturm-chain search for the largest real root of an arbitrary polynomial
-(used as the independent oracle for spectral enclosures, where repeated
-eigenvalues from disconnected graphs defeat naive sign bisection).
+One engine finds every exact root in two steps. `_isolate` takes the
+square-free part s = p / gcd(p, p') and runs Sturm bisection on s's chain
+until a bracket holds a single distinct root; the chain of a square-free
+polynomial counts distinct roots correctly at any endpoint, so repeated
+eigenvalues (disconnected graphs) and bisection points that hit a root need
+no care. `bisect_root`, plain sign bisection, then refines that root of s.
+The named family polynomials have a known single-root bracket and use
+`bisect_root` alone.
 """
 
 from __future__ import annotations
@@ -38,26 +41,35 @@ def _poly_trim(p: Poly) -> Poly:
     return p
 
 
-def _poly_rem(a: Poly, b: Poly) -> Poly:
-    """Remainder of a / b over the rationals."""
-    a = list(a)
-    db, lb = len(b) - 1, b[-1]
-    while len(a) - 1 >= db and _poly_trim(a):
-        da, la = len(a) - 1, a[-1]
-        if la == 0:
-            a.pop()
-            continue
-        q = la / lb
-        for i in range(db + 1):
-            a[da - db + i] -= q * b[i]
-        a.pop()
-    return _poly_trim(a)
+def _poly_divmod(a: Poly, b: Poly) -> tuple[Poly, Poly]:
+    """Quotient and remainder of a / b over the rationals (b nonzero)."""
+    a, b = _poly_trim(list(a)), _poly_trim(list(b))
+    db = len(b) - 1
+    quot = [Fraction(0)] * max(len(a) - db, 0)
+    for i in reversed(range(len(quot))):
+        c = quot[i] = a[i + db] / b[-1]
+        for j in range(db + 1):
+            a[i + j] -= c * b[j]
+    return _poly_trim(quot), _poly_trim(a[:db])
+
+
+def poly_gcd(a: Poly, b: Poly) -> Poly:
+    """Monic greatest common divisor ([] when both are zero)."""
+    a, b = _poly_trim(list(a)), _poly_trim(list(b))
+    while b:
+        a, b = b, _poly_divmod(a, b)[1]
+    return [c / a[-1] for c in a]
+
+
+def _square_free(p: Poly) -> Poly:
+    """p / gcd(p, p'): the same distinct roots, each simple (p nonzero)."""
+    return _poly_divmod(p, poly_gcd(p, poly_derivative(p)))[0]
 
 
 def sturm_chain(p: Poly) -> list[Poly]:
     chain = [_poly_trim(list(p)), _poly_trim(poly_derivative(p))]
     while chain[-1]:
-        r = _poly_rem(chain[-2], chain[-1])
+        r = _poly_divmod(chain[-2], chain[-1])[1]
         if not r:
             break
         chain.append([-c for c in r])
@@ -74,45 +86,33 @@ def _sign_variations(chain: list[Poly], x: Fraction) -> int:
 
 
 def count_roots(chain: list[Poly], a: Fraction, b: Fraction) -> int:
-    """Number of distinct real roots in (a, b]."""
+    """Number of distinct real roots in (a, b]; exact at any a < b, roots
+    included, when the chain is that of a square-free polynomial."""
     return _sign_variations(chain, a) - _sign_variations(chain, b)
 
 
-def _safe_mid(lo: Fraction, hi: Fraction) -> Fraction:
-    """Bisection point that cannot be a root of a monic integer polynomial
-    (whose rational roots are integers): nudge integer midpoints."""
-    mid = (lo + hi) / 2
-    if mid.denominator == 1:
-        mid += (hi - lo) / 4
-        if mid.denominator == 1:  # width was a multiple of 4
-            mid += Fraction(1, 8)
-    return mid
-
-
-def largest_root_interval(
-    p: Poly, lo: Fraction, hi: Fraction, tol: Fraction
-) -> tuple[Fraction, Fraction]:
-    """Isolate the largest real root of p in (lo, hi] to width <= tol.
-
-    Requires that p has at least one real root in (lo, hi] and none above
-    hi, and that lo/hi are not roots; verified via the Sturm chain, so
-    repeated roots are handled. Intended for monic integer polynomials
-    (endpoints and midpoints are kept away from integers).
-    """
-    chain = sturm_chain(p)
-    if count_roots(chain, lo, hi) < 1:
+def _isolate(p: Poly, lo: Fraction, hi: Fraction) -> tuple[Poly, Fraction, Fraction]:
+    """The square-free part s of p and a bracket (lo, hi] around the largest
+    root of p in (lo, hi] that holds no other root of s and has s(lo) != 0,
+    by Sturm bisection on s's chain; each step evaluates the chain once."""
+    s = _square_free(p)
+    chain = sturm_chain(s)
+    vlo, vhi = _sign_variations(chain, lo), _sign_variations(chain, hi)
+    if vlo - vhi < 1:
         raise ValueError("no root in the given bracket")
-    while hi - lo > tol:
-        mid = _safe_mid(lo, hi)
-        if count_roots(chain, mid, hi) >= 1:
-            lo = mid
+    while vlo - vhi > 1 or poly_eval(s, lo) == 0:
+        mid = (lo + hi) / 2
+        vmid = _sign_variations(chain, mid)
+        if vmid > vhi:
+            lo, vlo = mid, vmid
         else:
-            hi = mid
-    return lo, hi
+            hi, vhi = mid, vmid
+    return s, lo, hi
 
 
 def bisect_root(p: Poly, lo: Fraction, hi: Fraction, tol: Fraction) -> tuple[Fraction, Fraction]:
-    """Sign bisection for a bracket with p(lo) < 0 < p(hi)."""
+    """Sign bisection of a bracket [lo, hi] where p changes sign once, to
+    width <= tol; [r, r] when an end or a bisection point is the root r."""
     flo, fhi = poly_eval(p, lo), poly_eval(p, hi)
     if flo == 0:
         return lo, lo
@@ -131,6 +131,18 @@ def bisect_root(p: Poly, lo: Fraction, hi: Fraction, tol: Fraction) -> tuple[Fra
         else:
             hi = mid
     return lo, hi
+
+
+def largest_root_interval(
+    p: Poly, lo: Fraction, hi: Fraction, tol: Fraction
+) -> tuple[Fraction, Fraction]:
+    """Isolate the largest real root of p in (lo, hi] to width <= tol.
+
+    Requires that p has at least one real root in (lo, hi] and none above
+    hi; roots of any multiplicity are allowed, also at lo and hi. Returns
+    [r, r] when a bisection point hits the root r exactly.
+    """
+    return bisect_root(*_isolate(p, lo, hi), tol)
 
 
 # ---------------------------------------------------------------------------
@@ -242,8 +254,7 @@ def charpoly_exact(a: Graph | np.ndarray) -> list[int] | list[list[int]]:
 
 def _bracket(n: int) -> tuple[Fraction, Fraction]:
     """(lo, hi) with lambda(G) the largest charpoly root in (lo, hi], for a
-    graph on n vertices with an edge: lambda >= 1 then, lambda <= n - 1, and
-    half-integers are never roots of a monic integer polynomial."""
+    graph on n vertices with an edge: 1 <= lambda <= n - 1 then."""
     return Fraction(1, 2), Fraction(2 * n + 1, 2)
 
 
@@ -257,45 +268,22 @@ def lambda_interval_exact(g: Graph, tol: Fraction = Fraction(1, 10**12)) -> tupl
     return largest_root_interval(p, *_bracket(g.n), tol)
 
 
-def poly_gcd(a: Poly, b: Poly) -> Poly:
-    a, b = _poly_trim(list(a)), _poly_trim(list(b))
-    while b:
-        a, b = b, _poly_rem(a, b)
-    if a:
-        lead = a[-1]
-        a = [c / lead for c in a]
-    return a
-
-
 def sign_at_largest_root(p: Poly, q: Poly, lo: Fraction, hi: Fraction) -> int:
     """Exact sign of q evaluated at the largest root of p in (lo, hi].
 
     Requires p to have at least one root in (lo, hi] and none above hi.
     Returns -1, 0, or +1; 0 means the largest root of p is a root of q.
     """
-    chain_p = sturm_chain(p)
-    if count_roots(chain_p, lo, hi) < 1:
-        raise ValueError("no root of p in the bracket")
-    # tighten until the bracket holds only the single largest root of p
-    while count_roots(chain_p, lo, hi) > 1:
-        mid = _safe_mid(lo, hi)
-        if count_roots(chain_p, mid, hi) >= 1:
-            lo = mid
-        else:
-            hi = mid
-    chain_q = sturm_chain(q)
-    while True:
-        if count_roots(chain_q, lo, hi) == 0:
-            val = poly_eval(q, hi)
-            return 0 if val == 0 else (1 if val > 0 else -1)
-        g = poly_gcd(p, q)
-        if len(g) >= 2 and count_roots(sturm_chain(g), lo, hi) >= 1:
-            return 0
-        mid = _safe_mid(lo, hi)
-        if count_roots(chain_p, mid, hi) >= 1:
-            lo = mid
-        else:
-            hi = mid
+    s, lo, hi = _isolate(p, lo, hi)
+    # roots of gcd(s, q) are simple roots of s, and (lo, hi] holds only one
+    g = poly_gcd(s, q)
+    if len(g) >= 2 and count_roots(sturm_chain(g), lo, hi):
+        return 0
+    chain_q = sturm_chain(_square_free(q))
+    while count_roots(chain_q, lo, hi):  # halve until q keeps one sign on (lo, hi]
+        lo, hi = bisect_root(s, lo, hi, (hi - lo) / 2)
+    val = poly_eval(q, hi)
+    return (val > 0) - (val < 0)
 
 
 def signs_at_lambda(graphs: Sequence[Graph], qs: Sequence[Poly]) -> list[int]:

@@ -38,11 +38,10 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .families import build_from_spec, book_join, l_nsalpha, y_n2q
-from .graph import Graph, adjacency_matrix, build_graph, complete_graph, induced, mask_of
+from .families import build_from_spec, l_nsalpha, y_n2q
+from .graph import Graph, adjacency_matrix, build_graph, complete_graph
 from .graph import is_complete_bipartite, remove_edge, toggle_edge
 from .graph6 import emit_graph6
-from .morphism import are_isomorphic
 from .roots import FamilyPolynomial, family_lambda, signs_at_lambda
 from .spectral import Ordering, _decide, certify_lambda_ge_frac, exact_lambda, perron_enclosure
 from .theorems import bn_relation_poly, verify_by_id
@@ -500,11 +499,22 @@ def _full_scan_shard(args: tuple) -> dict:
     }
 
 
+def core_is_book(g: Graph) -> bool:
+    """Is G, less its isolated vertices, the book `book_join(k)`? With C the
+    non-isolated vertices: exactly when m = 2k + 1, |C| = k + 2 and two hubs
+    v have N(v) + v = C, for then the two hubs carry all m edges."""
+    core = [v for v in range(g.n) if g.rows[v]]
+    k = (g.m - 1) // 2
+    if g.m != 2 * k + 1 or len(core) != k + 2:
+        return False
+    c = sum(1 << v for v in core)
+    return sum(g.rows[v] | 1 << v == c for v in core) >= 2
+
+
 def _run_full_scan(job: SearchJob, workers: int) -> SearchReport:
     report = SearchReport(job)
     target = job.target
     eq_all: list[dict] = []
-    books: dict[int, Graph] = {}  # book_join(k).graph, built once per k
     best = None
     for n in sorted(job.grid.get("n", [])):
         ns = n * (n - 1) // 2
@@ -559,14 +569,9 @@ def _run_full_scan(job: SearchJob, workers: int) -> SearchReport:
                     )
             for g, s in zip(flagged[cut:], signs[cut:]):
                 if s == 0:
-                    core_vs = [v for v in range(g.n) if g.degree(v) > 0]
-                    core = induced(g, mask_of(core_vs)) if core_vs else g
-                    k = (g.m - 1) // 2
-                    if k not in books:
-                        books[k] = book_join(k).graph
                     eq_all.append(
                         {"n": n, "graph6": emit_graph6(g), "m": g.m,
-                         "core_is_book": are_isomorphic(core, books[k])}
+                         "core_is_book": core_is_book(g)}
                     )
         elif target == "NOSAL":
             signs = signs_at_lambda(flagged, [[-g.m, 0, 1] for g in flagged])

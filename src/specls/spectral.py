@@ -335,17 +335,17 @@ def certified(order: Ordering, expected: Ordering) -> Optional[bool]:
     return None if order in (Ordering.TIE, Ordering.INDETERMINATE) else order is expected
 
 
-def compare_lambda(g: Graph, h: Graph, tol_floor: float = 1e-12) -> Ordering:
+def compare_lambda(g: Graph, h: Graph) -> Ordering:
     """Certified ordering of lambda(G) vs lambda(H).
 
     Tie refuses to certify and never claims equality: exact values that
     agree (regular / complete bipartite graphs) compare as Tie, and so do
-    enclosures that still overlap at tol_floor. Indeterminate means an
-    enclosure stopped converging before tol_floor.
+    enclosures that still overlap at the last rung (1e-12). Indeterminate
+    means an enclosure stopped converging before it.
     """
     if g.n == h.n and g.rows == h.rows:
         return Ordering.TIE
-    return _decide(_order, g, h, tol_floor=tol_floor)
+    return _decide(_order, g, h)
 
 
 def certify_lambda_ge_frac(g: Graph, c: Fraction, tol_floor: float = 1e-12) -> Optional[bool]:
@@ -353,17 +353,17 @@ def certify_lambda_ge_frac(g: Graph, c: Fraction, tol_floor: float = 1e-12) -> O
     return True if c <= 0 else _as_bool(_decide(_at_least(c * c), g, tol_floor=tol_floor))
 
 
-def certify_lambda_le_frac(g: Graph, c: Fraction, tol_floor: float = 1e-12) -> Optional[bool]:
-    return False if c < 0 else _as_bool(_decide(_at_most(c * c), g, tol_floor=tol_floor))
+def certify_lambda_le_frac(g: Graph, c: Fraction) -> Optional[bool]:
+    return False if c < 0 else _as_bool(_decide(_at_most(c * c), g))
 
 
-def certify_lambda_ge_sqrt(g: Graph, k: Fraction, tol_floor: float = 1e-12) -> Optional[bool]:
+def certify_lambda_ge_sqrt(g: Graph, k: Fraction) -> Optional[bool]:
     """Certified comparison of lambda(G) against sqrt(k) for rational k >= 0."""
-    return _as_bool(_decide(_at_least(k), g, tol_floor=tol_floor))
+    return _as_bool(_decide(_at_least(k), g))
 
 
-def certify_lambda_le_sqrt(g: Graph, k: Fraction, tol_floor: float = 1e-12) -> Optional[bool]:
-    return _as_bool(_decide(_at_most(k), g, tol_floor=tol_floor))
+def certify_lambda_le_sqrt(g: Graph, k: Fraction) -> Optional[bool]:
+    return _as_bool(_decide(_at_most(k), g))
 
 
 # ---------------------------------------------------------------------------

@@ -523,9 +523,10 @@ def _embed_candidates(q: int) -> list[tuple[str, Graph]]:
     return out
 
 
-def check_embed_order(n: int, q: int, side: str = "larger") -> TheoremVerdict:
+def check_embed_order(n: int, q: int) -> TheoremVerdict:
     """Certified strict decrease of lambda along the embedding order
-    star, clique, complete bipartite, cycle, path, matching (q edges each).
+    star, clique, complete bipartite, cycle, path, matching (q edges each),
+    each embedded in the larger part of T_{n,2}.
 
     The chain is a claimed order, not a theorem, and each adjacent pair is
     certified on its own. At q=3 the star>clique pair is certified reversed:
@@ -539,13 +540,12 @@ def check_embed_order(n: int, q: int, side: str = "larger") -> TheoremVerdict:
     earlier one (clique=cycle at q=3, complete bipartite=cycle at q=4)
     collapse into the earlier position.
     """
-    part = (n + 1) // 2 if side == "larger" else n // 2
     kept: list[tuple[str, Graph]] = []
     skipped = []
     for name, h in _embed_candidates(q):
         if h.m != q:
             raise AssertionError(f"embedding {name} has {h.m} edges, wanted {q}")
-        if h.n > part:
+        if h.n > (n + 1) // 2:
             skipped.append((name, "does not fit"))
             continue
         if any(are_isomorphic(h, h2) for _, h2 in kept):
@@ -555,8 +555,8 @@ def check_embed_order(n: int, q: int, side: str = "larger") -> TheoremVerdict:
     orders = {}
     decided = []
     for (name_a, ha), (name_b, hb) in zip(kept, kept[1:]):
-        ga = embed_into_turan2(n, ha, side).graph
-        gb = embed_into_turan2(n, hb, side).graph
+        ga = embed_into_turan2(n, ha).graph
+        gb = embed_into_turan2(n, hb).graph
         order = compare_lambda(ga, gb)
         orders[f"{name_a}>{name_b}"] = order.value
         decided.append(certified(order, Ordering.GREATER))
@@ -570,7 +570,7 @@ def check_embed_order(n: int, q: int, side: str = "larger") -> TheoremVerdict:
         orders,
         {"chain": chain, "skipped": skipped},
         None if ok is not None else "a comparison refused to certify",
-        {"n": n, "q": q, "side": side},
+        {"n": n, "q": q, "side": "larger"},
     )
 
 
@@ -627,7 +627,7 @@ def is_t_n2q(g: Graph, q: int) -> bool:
 
 def _equality_witness(g: Graph, q: int) -> dict:
     """Witness of an equality case t = q*floor(n/2): is G the extremal T_{n,2,q}?"""
-    return {"equality_case": True, "matches_extremal": is_t_n2q(g, q), "method": "isomorphism"}
+    return {"equality_case": True, "matches_extremal": is_t_n2q(g, q), "method": "structural"}
 
 
 def check_x_mass(g: Graph, cert: Optional[SpectralCertificate] = None) -> TheoremVerdict:

@@ -73,50 +73,49 @@ def triangle_stats(g: Graph, per_edge: bool = False, with_tau3: bool = False) ->
     return stats
 
 
-def _greedy_disjoint(tris: list[int], covered: VertexMask) -> int:
-    """Size of a greedily grown set of pairwise vertex-disjoint uncovered
-    triangles; a lower bound on the remaining cover size."""
+def _greedy_disjoint(tris: list[VertexMask]) -> int:
+    """Size of a greedily grown set of pairwise disjoint vertex sets, smallest
+    first; each set needs its own cover vertex, so a lower bound on the cover."""
     used = 0
     count = 0
-    for t in tris:
-        if t & covered or t & used:
-            continue
-        used |= t
-        count += 1
+    for t in sorted(tris, key=int.bit_count):
+        if not t & used:
+            used |= t
+            count += 1
     return count
 
 
 def tau3(g: Graph, budget: int = TRIANGLE_BUDGET) -> tuple[int, VertexMask]:
     """Exact minimum vertex set meeting every triangle, with one witness.
 
-    Branch and bound: branch on the three vertices of the first uncovered
-    triangle, prune with the greedy disjoint-triangle lower bound.
+    Branch and bound on the uncovered triangles, each cut down to the
+    vertices still allowed in the cover. Branch on a smallest one: its i-th
+    vertex joins the cover and the vertices before it are barred from it, so
+    no cover is reached twice. Prune with the greedy disjoint lower bound.
     """
-    tris = [ (1 << a) | (1 << b) | (1 << c) for a, b, c in triangle_list(g, budget) ]
+    tris = [(1 << a) | (1 << b) | (1 << c) for a, b, c in triangle_list(g, budget)]
     if not tris:
         return 0, 0
     best_size = g.n + 1
     best_cover = 0
 
-    def first_uncovered(covered: VertexMask) -> int:
-        for t in tris:
-            if not t & covered:
-                return t
-        return 0
-
-    def rec(covered: VertexMask, size: int) -> None:
+    def rec(tris: list[VertexMask], cover: VertexMask, size: int) -> None:
         nonlocal best_size, best_cover
-        if size + _greedy_disjoint(tris, covered) >= best_size:
-            return
-        t = first_uncovered(covered)
-        if not t:
+        if not tris:
             best_size = size
-            best_cover = covered
+            best_cover = cover
             return
-        for v in bits(t):
-            rec(covered | (1 << v), size + 1)
+        if size + _greedy_disjoint(tris) >= best_size:
+            return
+        barred = 0
+        for v in bits(min(tris, key=int.bit_count)):
+            bit = 1 << v
+            rest = [t & ~barred for t in tris if not t & bit]
+            if all(rest):  # an emptied triangle can no longer be covered
+                rec(rest, cover | bit, size + 1)
+            barred |= bit
 
-    rec(0, 0)
+    rec(tris, 0, 0)
     return best_size, best_cover
 
 

@@ -20,6 +20,7 @@ from specls.roots import (
     signs_at_lambda,
     sturm_chain,
 )
+from specls.roots import _bracket
 
 TOL = Fraction(1, 10**12)
 
@@ -204,11 +205,34 @@ def test_lambda_interval_exact_contains_eigenvalue():
         assert hi - lo <= Fraction(1, 10**12)
 
 
+def _poly(*roots):
+    """Monic polynomial with the given roots, as Fractions."""
+    p = [Fraction(1)]
+    for r in roots:
+        p = [a - Fraction(r) * b for a, b in zip([Fraction(0)] + p, p + [Fraction(0)])]
+    return p
+
+
 def test_largest_root_with_repeated_roots():
     # two disjoint triangles: lambda = 2 is a double root of the charpoly
     g = build_graph(6, [(0, 1), (0, 2), (1, 2), (3, 4), (3, 5), (4, 5)])
     lo, hi = lambda_interval_exact(g)
     assert lo <= 2 <= hi
+    tol = Fraction(1, 10**9)
+    # the lower end is a double root, the upper end the largest one
+    assert largest_root_interval(_poly(1, 1, 3, 3), Fraction(1), Fraction(3), tol) == (3, 3)
+    lo, hi = largest_root_interval(_poly(1, 1, 3, 3, 5, 5), Fraction(1), Fraction(6), tol)
+    assert lo <= 5 <= hi and hi - lo <= tol
+    # an irrational double root: (x^2 - 2)^2 (x - 1)
+    p = [Fraction(c) for c in (-4, 4, 4, -4, -1, 1)]
+    lo, hi = largest_root_interval(p, Fraction(1), Fraction(2), tol)
+    assert lo * lo <= 2 <= hi * hi and hi - lo <= tol
+    with pytest.raises(ValueError):  # the only roots are at or below lo
+        largest_root_interval(_poly(1, 1, 3), Fraction(3), Fraction(4), tol)
+    # a bisection point (2) is a root below the largest: (x - 1)(x - 2)(x - 3) on (0, 4]
+    assert largest_root_interval(_poly(1, 2, 3), Fraction(0), Fraction(4), tol) == (3, 3)
+    # ... and a double root: (x - 2)^2 (x - 3), where p's own chain never isolates
+    assert largest_root_interval(_poly(2, 2, 3), Fraction(0), Fraction(4), tol) == (3, 3)
 
 
 def test_sturm_counts():
@@ -230,6 +254,25 @@ def test_sign_at_largest_root():
     assert sign_at_largest_root(p, q, Fraction(1, 2), Fraction(7, 2)) == 0
     q = [Fraction(-5), Fraction(0), Fraction(1)]  # x^2 - 5 < 0 at 2
     assert sign_at_largest_root(p, q, Fraction(1, 2), Fraction(7, 2)) == -1
+    half, lo, hi = Fraction(1, 2), Fraction(2), Fraction(4)
+    # lambda = 2 is a multiple root of p and a root of q
+    assert sign_at_largest_root(_poly(2, 2, -1), _poly(2, 5), half, hi) == 0
+    two_k3 = build_graph(6, [(0, 1), (0, 2), (1, 2), (3, 4), (3, 5), (4, 5)])
+    assert [sign_at_lambda(two_k3, q) for q in ([-2, 1], [-4, 0, 1], [-3, 1])] == [0, 0, -1]
+    # q is not square-free, and its double root 3 is the first bisection point
+    ten = [Fraction(-10), Fraction(0), Fraction(1)]  # lambda = sqrt(10) = 3.162...
+    assert sign_at_largest_root(ten, _poly(3, 3, 4), lo, hi) == -1
+    assert sign_at_largest_root(ten, _poly(3, 3, 3), lo, hi) == 1
+    assert sign_at_largest_root(_poly(3, -1, -1, -1), _poly(3, 3, 5), lo, hi) == 0
+    # a root of q within 1e-9 of lambda = sqrt(2) = 1.41421356237...
+    for p in ([Fraction(-2), Fraction(0), Fraction(1)], [Fraction(c) for c in (4, 0, -4, 0, 1)]):
+        assert sign_at_largest_root(p, [Fraction(-1414213562, 10**9), Fraction(1)], half, hi) == 1
+        assert sign_at_largest_root(p, [Fraction(-1414213563, 10**9), Fraction(1)], half, hi) == -1
+    # the first bisection point of (0, 4] is a root of p below lambda = 3
+    p, zero, four = _poly(1, 2, 3), Fraction(0), Fraction(4)
+    assert [sign_at_largest_root(p, _poly(r), zero, four) for r in (2, 3, Fraction(7, 2))] == [1, 0, -1]
+    assert sign_at_largest_root(p, [Fraction(0)], zero, four) == 0
+    assert sign_at_largest_root(p, [Fraction(-7)], zero, four) == -1
 
 
 def test_sign_at_lambda():
@@ -255,3 +298,45 @@ def test_sign_at_lambda():
 def test_poly_eval():
     p = [Fraction(1), Fraction(2), Fraction(3)]  # 3x^2 + 2x + 1
     assert poly_eval(p, Fraction(2)) == 17
+
+
+def _safe_mid(lo: Fraction, hi: Fraction) -> Fraction:
+    mid = (lo + hi) / 2
+    if mid.denominator == 1:
+        mid += (hi - lo) / 4
+        if mid.denominator == 1:
+            mid += Fraction(1, 8)
+    return mid
+
+
+def _sturm_bisection_reference(p, lo, hi, tol):
+    """The earlier engine: Sturm bisection on p's own chain all the way down
+    to tol, with midpoints kept off the integers (the only rational roots of
+    a monic integer polynomial)."""
+    chain = sturm_chain(p)
+    assert count_roots(chain, lo, hi) >= 1
+    while hi - lo > tol:
+        mid = _safe_mid(lo, hi)
+        if count_roots(chain, mid, hi) >= 1:
+            lo = mid
+        else:
+            hi = mid
+    return lo, hi
+
+
+@settings(max_examples=25, deadline=None)
+@given(_symmetric_matrices(1, 12, 1), st.sampled_from([Fraction(1, 10**12), Fraction(1, 10**4)]))
+def test_largest_root_interval_matches_sturm_bisection(A, tol):
+    n = len(A)
+    edges = [(i, j) for i in range(n) for j in range(i + 1, n) if A[i][j]]
+    double = edges + [(u + n, v + n) for u, v in edges]  # lambda becomes a repeated root
+    for g in (build_graph(n, edges), build_graph(2 * n, double)):
+        if g.m == 0:
+            continue
+        p = [Fraction(c) for c in charpoly_exact(g)]
+        lo, hi = largest_root_interval(p, *_bracket(g.n), tol)
+        rlo, rhi = _sturm_bisection_reference(p, *_bracket(g.n), tol)
+        lam = float(np.linalg.eigvalsh(adjacency_matrix(g).astype(float))[-1])
+        assert max(lo, rlo) <= min(hi, rhi)
+        assert float(lo) - 1e-9 <= lam <= float(hi) + 1e-9
+        assert 0 <= hi - lo <= tol

@@ -12,12 +12,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from specls import roots, search
-from specls.families import build_from_spec, y_n2q
+from specls.families import book_join, build_from_spec, y_n2q
 from specls.graph6 import emit_graph6, parse_graph6
+from specls.morphism import are_isomorphic
 from specls.search import (
     SearchJob,
     _dense_dfs,
+    _graph_from_mask,
     _triangles_dense,
+    core_is_book,
     dense_enumeration_size,
     edge_slots,
     enumerate_dense,
@@ -29,7 +32,8 @@ from specls.search import (
     run_local_search,
     run_random,
 )
-from specls.graph import adjacency_matrix, build_graph, complete_graph, empty_graph
+from specls.graph import add_edge, adjacency_matrix, build_graph, complete_graph, empty_graph
+from specls.graph import remove_edge
 from specls.graph import is_complete_bipartite
 from specls.triangles import triangle_count
 
@@ -258,6 +262,36 @@ def test_book_exhaustive_small():
     assert not rep.counterexamples
     assert rep.detail["equality_set"]
     assert all(e["core_is_book"] for e in rep.detail["equality_set"])
+
+
+def _core_is_book_reference(g):
+    """Isomorphism of G less its isolated vertices with book_join((m - 1)/2)."""
+    core = [v for v in range(g.n) if g.degree(v)]
+    h = build_graph(len(core), [(core.index(u), core.index(v)) for u, v in g.edges()])
+    return g.m % 2 == 1 and are_isomorphic(h, book_join((g.m - 1) // 2).graph)
+
+
+def test_core_is_book_matches_isomorphism():
+    graphs = [_graph_from_mask(n, mask) for n in range(1, 6) for mask in range(1 << n * (n - 1) // 2)]
+    rng = random.Random(12)
+    for _ in range(3000):
+        n = rng.choice((6, 7))
+        graphs.append(_graph_from_mask(n, rng.getrandbits(n * (n - 1) // 2)))
+    for k in range(6):  # relabelled books planted among isolated vertices
+        for n in range(k + 2, 9):
+            perm = rng.sample(range(n), n)
+            book = build_graph(n, [(perm[u], perm[v]) for u, v in book_join(k).graph.edges()])
+            graphs.append(book)
+            if k >= 1:  # hub perm[0] loses page perm[2]; m stays odd when
+                moved = remove_edge(book, perm[0], perm[2])
+                if k >= 2:  # ... two pages are joined
+                    graphs.append(add_edge(moved, perm[2], perm[3]))
+                if n > k + 2:  # ... or the hub gains an isolated vertex
+                    graphs.append(add_edge(moved, perm[0], perm[n - 1]))
+    odd = [g for g in graphs if g.m % 2]
+    assert sum(map(core_is_book, odd)) > 60
+    assert [core_is_book(g) for g in odd] == [_core_is_book_reference(g) for g in odd]
+    assert not any(core_is_book(g) for g in graphs if g.m % 2 == 0)
 
 
 def test_nosal_exhaustive_small():

@@ -99,7 +99,7 @@ def test_er_rad_equality_characterization():
         v = check_er_rad(relabelled(t_n2q(n, 1).graph, n))
         assert v.hypothesis_met and v.conclusion_met
         assert v.witness == {"equality_case": True, "matches_extremal": True,
-                             "method": "isomorphism"}
+                             "method": "structural"}
     # equality graph must be the unique one: a different margin-0 graph?
     # Add the extra edge in the smaller part instead (odd n): fewer triangles
     g = turan(9, 2).graph
@@ -150,10 +150,10 @@ def test_spec_ls_equality_at_scale():
     assert v.hypothesis_met is True
     assert v.conclusion_met is True and v.margins["t_margin"] == 0
     assert v.witness.get("equality_case") and v.witness.get("matches_extremal")
-    assert v.witness["method"] == "isomorphism"
+    assert v.witness["method"] == "structural"
     v = check_spec_ls_t(t_n2q(301, q).graph, q)
     assert v.witness == {"lambda_route": "identical graph", "equality_case": True,
-                         "matches_extremal": True, "method": "isomorphism"}
+                         "matches_extremal": True, "method": "structural"}
     v = check_spec_ls_y(y_n2q(n, q).graph, q)
     assert v.hypothesis_met is True and v.conclusion_met is True
 

@@ -97,6 +97,48 @@ def test_tau3_vs_bruteforce():
         assert all((1 << a | 1 << b | 1 << c) & cover for a, b, c in tris)
 
 
+def _tau3_reference(g):
+    """The earlier branch and bound: branch on the three vertices of the first
+    uncovered triangle, prune with a greedy disjoint-triangle packing."""
+    tris = [(1 << a) | (1 << b) | (1 << c) for a, b, c in triangle_list(g)]
+    best = g.n + 1 if tris else 0
+
+    def packing(covered):
+        used = count = 0
+        for t in tris:
+            if not t & (covered | used):
+                used |= t
+                count += 1
+        return count
+
+    def rec(covered, size):
+        nonlocal best
+        if size + packing(covered) >= best:
+            return
+        t = next((t for t in tris if not t & covered), 0)
+        if not t:
+            best = size
+            return
+        for v in range(g.n):
+            if t >> v & 1:
+                rec(covered | 1 << v, size + 1)
+
+    if tris:
+        rec(0, 0)
+    return best
+
+
+def test_tau3_matches_reference_branch_and_bound():
+    rng = random.Random(25)
+    for n in range(9, 15):
+        for p in (0.3, 0.5, 0.7):
+            g = random_graph(rng, n, p)
+            size, cover = tau3(g)
+            assert size == _tau3_reference(g)
+            assert cover.bit_count() == size
+            assert all((1 << a | 1 << b | 1 << c) & cover for a, b, c in triangle_list(g))
+
+
 def test_tau3_cover_minimality_and_validity():
     rng = random.Random(23)
     for _ in range(100):
