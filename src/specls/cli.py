@@ -186,6 +186,11 @@ def main(argv=None) -> int:
 
 
 def _dispatch(args, argv: list[str]) -> int:
+    if getattr(args, "exact_limit", 0) > EXACT_CUT_LIMIT:
+        raise ValueError(
+            f"--exact-limit {args.exact_limit} is above {EXACT_CUT_LIMIT}: an exact max cut "
+            f"examines 2^(n-1) bipartitions, so it is refused past n = {EXACT_CUT_LIMIT}"
+        )
     doc = ReportDocument(command=argv)
     doc.provenance = {k: getattr(args, k) for k in ("tol", "tol_floor", "seed") if hasattr(args, k)}
 

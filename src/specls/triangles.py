@@ -3,9 +3,11 @@
 Triangle counting uses the orientation convention that charges each
 triangle a<b<c to its edge {a,b}, counting the common neighbors above b;
 no division, no double counting. The covering number tau3 is solved
-exactly by branch and bound on the triangle hypergraph, and the distance
-to bipartiteness (edges minus max cut) by Gray-code enumeration of all
-bipartitions up to the configured exact limit.
+exactly by branch and bound on the triangle hypergraph. The distance to
+bipartiteness is edges minus max cut; the max cut is exact up to
+EXACT_CUT_LIMIT vertices, where every bipartition is evaluated as a sum of
+two half-cuts and a cross term, in numpy blocks of one matmul each, and
+beyond it a flagged local-search bound.
 """
 
 from __future__ import annotations
@@ -14,10 +16,23 @@ import random
 from dataclasses import dataclass
 from typing import Optional
 
-from .graph import Graph, PartitionWitness, VertexMask, bits, cut_stats, partition_witness
+import numpy as np
+
+from .graph import (
+    Graph,
+    PartitionWitness,
+    VertexMask,
+    adjacency_matrix,
+    bits,
+    cut_stats,
+    partition_witness,
+)
 
 TRIANGLE_BUDGET = 10**7
 EXACT_CUT_LIMIT = 30
+# Entries of the max-cut table per matmul (one high subset when 2^k is larger);
+# larger blocks raise peak memory and gain little.
+CUT_BLOCK = 1 << 12
 
 
 def triangle_count(g: Graph) -> int:
@@ -134,34 +149,72 @@ class BipartiteDistance:
     exact: bool  # False: local-search result, an upper bound on epsilon only
 
 
-def max_cut_exact(g: Graph) -> tuple[int, VertexMask]:
-    """Maximum cut by Gray-code sweep over the 2^(n-1) bipartitions.
+def _subsets(masks: np.ndarray, k: int) -> np.ndarray:
+    """Subsets of k vertices as 0/1 rows; row i holds the bits of masks[i]."""
+    return (masks[:, None] >> np.arange(k) & 1).astype(np.float64)
 
-    Vertex n-1 stays on the T side; each step flips the single vertex
-    indexed by the trailing-zero count, updating the cut incrementally.
+
+def _gray_rank(masks: np.ndarray, width: int) -> np.ndarray:
+    """Inverse Gray code S ^ (S >> 1) ^ (S >> 2) ^ ... of width-bit masks:
+    the step at which a Gray-code sweep over the masks reaches each one."""
+    ranks = masks.copy()
+    shift = 1
+    while shift < width:
+        ranks ^= ranks >> shift
+        shift <<= 1
+    return ranks
+
+
+def max_cut_exact(g: Graph) -> tuple[int, VertexMask]:
+    """Maximum cut over the 2^(n-1) bipartitions, vertex n-1 on the T side.
+
+    Among the maximisers the side S with the smallest inverse-Gray rank
+    S ^ (S >> 1) ^ (S >> 2) ^ ... is returned, the first one that a
+    Gray-code sweep from S = 0 meets, so the empty graph gives (0, 0).
+
+    The f = n-1 free vertices split into a low half L (the first
+    k = ceil(f/2)) and a high half H. With d the degrees in g,
+    cut(S) = sum_{i in S} d_i - 2e(S), so for S = S_L | S_H
+
+        cut(S) = a[S_L] + b[S_H] - 2 x_L^T A_LH x_H,
+
+    where a and b are the cuts of each half alone. The table over all 2^k
+    low subsets and a block of high subsets is one matmul plus two
+    broadcast adds. Every entry and every partial sum is an integer of
+    magnitude at most 2n^2 < 2^53, so the float64 sums are exact in any
+    order and under any BLAS thread count. The high subsets run in
+    Gray-code order, so every rank in a block is below every rank in the
+    blocks after it: a later block wins only with a strictly larger cut.
+    Refuses n > EXACT_CUT_LIMIT.
     """
     n = g.n
+    if n > EXACT_CUT_LIMIT:
+        raise ValueError(f"exact max cut needs n <= {EXACT_CUT_LIMIT}, got n = {n}")
     if n <= 1:
         return 0, 0
-    rows = g.rows
-    degs = g.degrees()
-    S = 0
-    cut = 0
-    best = 0
-    best_mask = 0
-    for i in range(1, 1 << (n - 1)):
-        v = (i & -i).bit_length() - 1
-        bit = 1 << v
-        same = (rows[v] & S).bit_count()
-        if S & bit:
-            cut += 2 * same - degs[v]  # v leaves S
-        else:
-            cut += degs[v] - 2 * same  # v joins S
-        S ^= bit
-        if cut > best:
-            best = cut
-            best_mask = S
-    return best, best_mask
+    f = n - 1
+    k = (f + 1) // 2
+    A = adjacency_matrix(g)
+    d = A.sum(axis=1)
+    gray = np.arange(1 << (f - k))
+    gray ^= gray >> 1
+    low, high = _subsets(np.arange(1 << k), k), _subsets(gray, f - k)
+    a = low @ d[:k] - ((low @ A[:k, :k]) * low).sum(axis=1)
+    b = high @ d[k:f] - ((high @ A[k:f, k:f]) * high).sum(axis=1)
+    cross = -2.0 * (low @ A[:k, k:f])
+    cols = max(1, CUT_BLOCK >> k)
+    best, best_mask = -1.0, 0
+    for start in range(0, len(b), cols):
+        table = cross @ high[start:start + cols].T
+        table += a[:, None]
+        table += b[start:start + cols]
+        top = table.max()
+        if top <= best:
+            continue
+        rows, col = np.nonzero(table == top)
+        masks = rows | gray[start + col] << k
+        best, best_mask = top, masks[_gray_rank(masks, f).argmin()]
+    return int(best), int(best_mask)
 
 
 def _local_search_cut(g: Graph, seeds: int = 8, rng_seed: int = 0) -> tuple[int, VertexMask]:

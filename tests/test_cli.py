@@ -1,6 +1,7 @@
 import argparse
 import json
 import os
+import random
 
 import pytest
 
@@ -43,6 +44,29 @@ def test_count(capsys):
     assert code == 0
     row = json.loads(out.splitlines()[0])
     assert row["t"] == 4 and row["tau3"] == 1 and row["epsilon"] == 1
+
+
+def test_count_epsilon_is_exact_at_24_vertices(capsys):
+    from test_triangles import _max_cut_sweep_reference, random_graph
+
+    g = random_graph(random.Random(30), 24)
+    code, out, _ = run(capsys, "count", "--g6", emit_graph6(g), "--epsilon")
+    assert code == 0
+    row = json.loads(out.splitlines()[0])
+    assert row["epsilon_exact"] is True
+    assert row["epsilon"] == g.m - _max_cut_sweep_reference(g)[0]
+
+
+@pytest.mark.parametrize("argv", [
+    ["count", "--spec", "Turan:n=40,r=2", "--epsilon"],
+    ["verify", "FAR_BIP_SUPERSAT", "--spec", "Turan:n=40,r=2"],
+    ["verify", "TRI_EFFI", "--spec", "Turan:n=40,r=2"],
+    ["verify", "STRUCTURAL", "--spec", "Turan:n=40,r=2"],
+])
+def test_exact_limit_above_the_exact_cut_limit_is_a_usage_error(capsys, argv):
+    code, out, err = run(capsys, *argv, "--exact-limit", "40")
+    assert code == 2 and not out
+    assert "error: --exact-limit 40 is above 30" in err
 
 
 def test_verify_ok_and_csv(capsys):

@@ -107,8 +107,8 @@ K33 = build_graph(6, [(i, j) for i in range(3) for j in range(3, 6)])
 def test_cut_sweep_and_tri_effi_clause_ii_match_brute_force(g, k):
     n = g.n
     cuts = [cut_stats(g, S)[2] for S in range(1 << n)]
-    # the sweep visits the reflected Gray code i ^ (i >> 1); the witness is
-    # the first bipartition in that order that reaches the maximum
+    # the witness is the first bipartition in reflected Gray-code order
+    # i ^ (i >> 1) that reaches the maximum
     gray = [i ^ (i >> 1) for i in range(1 << (n - 1))]
     cut, mask = max_cut_exact(g)
     assert cut == max(cuts)

@@ -6,6 +6,7 @@ import pytest
 from specls.families import t_n2q, turan, y_n2q
 from specls.graph import build_graph, complete_graph, cut_stats, empty_graph, mask_of, remove_edge
 from specls.triangles import (
+    EXACT_CUT_LIMIT,
     bipartite_distance,
     degree_square_sum,
     max_cut_exact,
@@ -148,6 +149,48 @@ def test_tau3_cover_minimality_and_validity():
         assert (size == 0) == (triangle_count(g) == 0)
 
 
+def _max_cut_sweep_reference(g):
+    """The earlier pure-Python sweep: a Gray-code walk over the 2^(n-1)
+    bipartitions with vertex n-1 on the T side, flipping one vertex per step
+    and keeping the first bipartition that reaches the maximum."""
+    n = g.n
+    if n <= 1:
+        return 0, 0
+    rows = g.rows
+    degs = g.degrees()
+    S = cut = best = best_mask = 0
+    for i in range(1, 1 << (n - 1)):
+        v = (i & -i).bit_length() - 1
+        bit = 1 << v
+        same = (rows[v] & S).bit_count()
+        if S & bit:
+            cut += 2 * same - degs[v]  # v leaves S
+        else:
+            cut += degs[v] - 2 * same  # v joins S
+        S ^= bit
+        if cut > best:
+            best = cut
+            best_mask = S
+    return best, best_mask
+
+
+def test_max_cut_matches_sweep_reference():
+    # odd and even n - 1, blocks of several high-half subsets (n <= 22) and
+    # of one (n = 24); ties must resolve to the sweep's first maximiser
+    rng = random.Random(29)
+    for n in [*range(10, 23), 24]:
+        for p in ((0.3, 0.5, 0.7) if n < 24 else (0.5,)):
+            g = random_graph(rng, n, p)
+            assert max_cut_exact(g) == _max_cut_sweep_reference(g), (n, p)
+    for g in (empty_graph(12), complete_graph(11), turan(13, 2).graph, t_n2q(14, 3).graph):
+        assert max_cut_exact(g) == _max_cut_sweep_reference(g)
+
+
+def test_max_cut_exact_refuses_above_the_limit():
+    with pytest.raises(ValueError, match=f"exact max cut needs n <= {EXACT_CUT_LIMIT}"):
+        max_cut_exact(empty_graph(EXACT_CUT_LIMIT + 1))
+
+
 def test_maxcut_vs_bruteforce():
     rng = random.Random(24)
     for _ in range(200):
@@ -156,6 +199,7 @@ def test_maxcut_vs_bruteforce():
         cut, mask = max_cut_exact(g)
         assert cut == best
         assert cut_stats(g, mask)[2] == cut
+        assert (cut, mask) == _max_cut_sweep_reference(g)
 
 
 def test_bipartite_distance_known():
