@@ -28,6 +28,7 @@ from .graph import (
     complete_graph,
     delete_vertex,
     empty_graph,
+    from_matrix,
     from_rows,
     induced,
     is_bipartite,

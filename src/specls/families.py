@@ -14,7 +14,9 @@ import math
 from dataclasses import dataclass
 from typing import Optional
 
-from .graph import Graph, build_graph
+import numpy as np
+
+from .graph import Graph, adjacency_matrix, build_graph, from_matrix
 from .roots import FamilyPolynomial
 from .triangles import triangle_count
 
@@ -33,50 +35,54 @@ class Construction:
     spec: str  # canonical parameter string, e.g. "Y:n=10,q=2"
 
 
-def _parts_turan(n: int, r: int) -> list[list[int]]:
-    """Vertex classes of T_{n,r}, larger classes first, labels contiguous."""
-    sizes = [(n + r - 1 - i) // r for i in range(r)]
-    parts = []
-    at = 0
-    for s in sizes:
-        parts.append(list(range(at, at + s)))
-        at += s
-    return parts
+def _multipartite(sizes: list[int]) -> np.ndarray:
+    """uint8 adjacency of the complete multipartite graph whose parts have
+    these sizes and contiguous labels, in order."""
+    part = np.repeat(np.arange(len(sizes)), sizes)
+    return np.not_equal.outer(part, part).view(np.uint8)
 
 
-def turan(n: int, r: int) -> Construction:
-    """Complete r-partite graph with part sizes as equal as possible."""
-    if r < 1:
-        raise ValueError("need r >= 1")
-    parts = _parts_turan(n, min(r, n) if n else r)
-    sizes = [len(p) for p in parts]
-    edges = []
-    for i in range(len(parts)):
-        for j in range(i + 1, len(parts)):
-            edges.extend((u, v) for u in parts[i] for v in parts[j])
-    g = build_graph(n, edges)
+def _set_edges(A: np.ndarray, us, vs, value: int = 1) -> None:
+    """Set the symmetric entries (u, v) and (v, u) of A for u, v zipped."""
+    A[us, vs] = value
+    A[vs, us] = value
+
+
+def _multipartite_stats(sizes: list[int]) -> tuple[int, int]:
+    """Edges and triangles of the complete multipartite graph."""
     e2 = sum(a * b for i, a in enumerate(sizes) for b in sizes[i + 1 :])
     e3 = 0
     for i in range(len(sizes)):
         for j in range(i + 1, len(sizes)):
             for k in range(j + 1, len(sizes)):
                 e3 += sizes[i] * sizes[j] * sizes[k]
-    return Construction(g, PredictedStats(e2, e3), f"Turan:n={n},r={r}")
+    return e2, e3
 
 
-def _turan2_edges(n: int) -> tuple[list[tuple[int, int]], int]:
-    """All cross edges of T_{n,2}; larger part is vertices 0..ceil(n/2)-1."""
+def turan(n: int, r: int) -> Construction:
+    """Complete r-partite graph with part sizes as equal as possible, larger
+    parts first."""
+    if r < 1:
+        raise ValueError("need r >= 1")
+    k = min(r, n) if n else r
+    sizes = [(n + k - 1 - i) // k for i in range(k)]
+    g = from_matrix(_multipartite(sizes))
+    return Construction(g, PredictedStats(*_multipartite_stats(sizes)), f"Turan:n={n},r={r}")
+
+
+def _turan2(n: int) -> tuple[np.ndarray, int]:
+    """Adjacency of T_{n,2}; the larger part is vertices 0..ceil(n/2)-1."""
     a = (n + 1) // 2
-    return [(u, v) for u in range(a) for v in range(a, n)], a
+    return _multipartite([a, n - a]), a
 
 
 def t_n2q(n: int, q: int) -> Construction:
     """T_{n,2} with a q-edge star on the lowest labels of the larger part."""
-    edges, a = _turan2_edges(n)
+    A, a = _turan2(n)
     if q < 0 or q + 1 > a:
         raise ValueError(f"star with {q} edges does not fit in part of size {a}")
-    edges.extend((0, i) for i in range(1, q + 1))
-    g = build_graph(n, edges)
+    _set_edges(A, 0, np.arange(1, q + 1))
+    g = from_matrix(A)
     poly = FamilyPolynomial("T_star4", n) if q == 4 and n >= 9 and n % 2 else None
     if q == 1:
         poly = FamilyPolynomial("Y_even" if n % 2 == 0 else "Y_odd", n)
@@ -89,11 +95,11 @@ def t_n2q(n: int, q: int) -> Construction:
 
 def y_n2q(n: int, q: int) -> Construction:
     """T_{n,2} with q disjoint edges on the lowest labels of the larger part."""
-    edges, a = _turan2_edges(n)
+    A, a = _turan2(n)
     if q < 0 or 2 * q > a:
         raise ValueError(f"{q}-edge matching does not fit in part of size {a}")
-    edges.extend((2 * i, 2 * i + 1) for i in range(q))
-    g = build_graph(n, edges)
+    _set_edges(A, np.arange(0, 2 * q, 2), np.arange(1, 2 * q, 2))
+    g = from_matrix(A)
     poly = None
     if q == 1:
         poly = FamilyPolynomial("Y_even" if n % 2 == 0 else "Y_odd", n)
@@ -108,10 +114,9 @@ def kab_plus(a: int, b: int) -> Construction:
     """K_{a,b} plus one edge inside the a-side; has exactly b triangles."""
     if a < 2:
         raise ValueError("need a >= 2 to host the extra edge")
-    n = a + b
-    edges = [(u, v) for u in range(a) for v in range(a, n)]
-    edges.append((0, 1))
-    g = build_graph(n, edges)
+    A = _multipartite([a, b])
+    _set_edges(A, 0, 1)
+    g = from_matrix(A)
     return Construction(g, PredictedStats(a * b + 1, b), f"Kab+:a={a},b={b}")
 
 
@@ -122,15 +127,15 @@ SIDE_SMALLER = "smaller"
 def embed_into_turan2(n: int, h: Graph, side: str = SIDE_LARGER) -> Construction:
     """T_{n,2} with H's edges copied onto the first |V(H)| vertices of the
     chosen part."""
-    edges, a = _turan2_edges(n)
-    part = list(range(a)) if side == SIDE_LARGER else list(range(a, n))
     if side not in (SIDE_LARGER, SIDE_SMALLER):
         raise ValueError(f"side must be {SIDE_LARGER!r} or {SIDE_SMALLER!r}")
-    if h.n > len(part):
-        raise ValueError(f"embedded graph on {h.n} vertices exceeds part size {len(part)}")
-    edges.extend((part[u], part[v]) for u, v in h.edges())
-    g = build_graph(n, edges)
-    other = n - len(part)
+    A, a = _turan2(n)
+    start, size = (0, a) if side == SIDE_LARGER else (a, n - a)
+    if h.n > size:
+        raise ValueError(f"embedded graph on {h.n} vertices exceeds part size {size}")
+    A[start:start + h.n, start:start + h.n] = adjacency_matrix(h, np.uint8)
+    g = from_matrix(A)
+    other = n - size
     return Construction(
         g,
         PredictedStats(n * n // 4 + h.m, h.m * other + triangle_count(h)),
@@ -164,15 +169,13 @@ def balogh_clemen_g1(n: int, s: int, t: int, a: int) -> Construction:
     if alpha > s - 1:
         raise ValueError(f"alpha={alpha} deletions but only {s - 1} matched x-vertices")
     # parts are A = 0..size_a-1, B = size_a..n-1 (A may exceed ceil(n/2))
-    edges = [(u, v) for u in range(size_a) for v in range(size_a, n)]
-    u1, u2 = size_a, size_a + 1
-    edges.append((u1, u2))
-    xs = [2 * i for i in range(s - 1)]
-    ys = [2 * i + 1 for i in range(s - 1)]
-    edges.extend(zip(xs, ys))
-    removed = {(x, u1) for x in xs[:alpha]}
-    edges = [e for e in edges if (e[0], e[1]) not in removed and (e[1], e[0]) not in removed]
-    g = build_graph(n, edges)
+    A = _multipartite([size_a, size_b])
+    u1 = size_a
+    _set_edges(A, u1, u1 + 1)
+    xs = np.arange(0, 2 * (s - 1), 2)
+    _set_edges(A, xs, xs + 1)
+    _set_edges(A, xs[:alpha], u1, 0)
+    g = from_matrix(A)
     return Construction(
         g,
         PredictedStats(n * n // 4 + t, (s - 1) * size_b + size_a - 2 * alpha),
@@ -188,14 +191,11 @@ def balogh_clemen_g2(n: int, s: int, t: int, a: int) -> Construction:
         raise ValueError(f"2s={2 * s} picked vertices exceed |A|={size_a}")
     if alpha > s:
         raise ValueError(f"alpha={alpha} deletions but only {s} matched x-vertices")
-    edges = [(u, v) for u in range(size_a) for v in range(size_a, n)]
-    u = size_a
-    xs = [2 * i for i in range(s)]
-    ys = [2 * i + 1 for i in range(s)]
-    edges.extend(zip(xs, ys))
-    removed = {(x, u) for x in xs[:alpha]}
-    edges = [e for e in edges if (e[0], e[1]) not in removed and (e[1], e[0]) not in removed]
-    g = build_graph(n, edges)
+    A = _multipartite([size_a, size_b])
+    xs = np.arange(0, 2 * s, 2)
+    _set_edges(A, xs, xs + 1)
+    _set_edges(A, xs[:alpha], size_a, 0)
+    g = from_matrix(A)
     return Construction(
         g,
         PredictedStats(n * n // 4 + t, s * size_b - alpha),
@@ -222,23 +222,8 @@ def l_nsalpha(n: int, s: int, alpha: float) -> Construction:
         sizes[order[i % (s + 1)]] += 1
     if any(sz <= 0 for sz in sizes):
         raise ValueError(f"part sizes {sizes} infeasible (one part empties)")
-    parts = []
-    at = 0
-    for sz in sizes:
-        parts.append(list(range(at, at + sz)))
-        at += sz
-    edges = []
-    for i in range(len(parts)):
-        for j in range(i + 1, len(parts)):
-            edges.extend((u, v) for u in parts[i] for v in parts[j])
-    g = build_graph(n, edges)
-    e2 = sum(x * y for i, x in enumerate(sizes) for y in sizes[i + 1 :])
-    e3 = 0
-    for i in range(len(sizes)):
-        for j in range(i + 1, len(sizes)):
-            for k in range(j + 1, len(sizes)):
-                e3 += sizes[i] * sizes[j] * sizes[k]
-    return Construction(g, PredictedStats(e2, e3), f"L:n={n},s={s},alpha={alpha!r}")
+    g = from_matrix(_multipartite(sizes))
+    return Construction(g, PredictedStats(*_multipartite_stats(sizes)), f"L:n={n},s={s},alpha={alpha!r}")
 
 
 def book_join(k: int) -> Construction:

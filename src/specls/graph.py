@@ -3,11 +3,16 @@
 Each adjacency row is a Python int used as a bit vector (bit j of row i is
 set iff {i,j} is an edge), so neighborhood intersections, degree counts and
 set operations are single popcount/AND operations on machine words.
+The validating constructors `build_graph` and `from_rows` end in
+`from_matrix`: numpy checks a 0/1 matrix for symmetry and a zero diagonal
+and packs its rows into the ints.
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
+from itertools import chain, repeat
 from typing import Iterable, Iterator, Optional
 
 import numpy as np
@@ -35,7 +40,9 @@ def bits(mask: VertexMask) -> Iterator[int]:
 
 @dataclass(frozen=True)
 class Graph:
-    """Immutable simple undirected graph; construct via build_graph()."""
+    """Immutable simple undirected graph; construct via build_graph() from
+    an edge list, from_matrix() from a 0/1 adjacency matrix or from_rows()
+    from bit rows, each of which validates its input."""
 
     n: int
     rows: tuple[int, ...]
@@ -54,10 +61,16 @@ class Graph:
         return [r.bit_count() for r in self.rows]
 
     def edges(self) -> Iterator[tuple[int, int]]:
-        for u in range(self.n):
-            high = self.rows[u] >> (u + 1)
-            for off in bits(high):
-                yield (u, u + 1 + off)
+        """Lazily yield every edge (u, v), u < v, in lexicographic order;
+        each row's bits are found in numpy, one row at a time."""
+        width = (self.n + 7) // 8
+        for u, row in enumerate(self.rows):
+            high = row >> (u + 1)
+            if high:
+                row_bits = np.unpackbits(
+                    np.frombuffer(high.to_bytes(width, "little"), np.uint8), bitorder="little"
+                )
+                yield from zip(repeat(u), (np.flatnonzero(row_bits) + (u + 1)).tolist())
 
     def full_mask(self) -> VertexMask:
         return (1 << self.n) - 1
@@ -77,59 +90,87 @@ class PartitionWitness:
     eST: int
 
 
-def _check_rows(n: int, rows: tuple[int, ...]) -> int:
-    """Validate symmetry/loop-freeness and return the edge count."""
+def _check_n(n: int) -> None:
     if not 0 <= n <= MAX_VERTICES:
         raise ValueError(f"vertex count {n} outside 0..{MAX_VERTICES}")
-    if len(rows) != n:
-        raise ValueError("row count does not match n")
-    full = (1 << n) - 1
-    total = 0
-    for i, r in enumerate(rows):
-        if r & ~full:
-            raise ValueError(f"row {i} has bits >= n set")
-        if r >> i & 1:
-            raise ValueError(f"self-loop at vertex {i}")
-        total += r.bit_count()
-    if total % 2:
-        raise ValueError("adjacency is not symmetric")
-    for i, r in enumerate(rows):
-        for j in bits(r >> (i + 1)):
-            if not rows[i + 1 + j] >> i & 1:
-                raise ValueError(f"asymmetric pair ({i},{i + 1 + j})")
-    return total // 2
+
+
+def _unpack(n: int, rows: Iterable[int]) -> np.ndarray:
+    """The n x n uint8 adjacency matrix of bit rows below 2^n."""
+    width = (n + 7) // 8
+    packed = np.frombuffer(b"".join(r.to_bytes(width, "little") for r in rows), np.uint8)
+    return np.unpackbits(packed.reshape(n, width), axis=1, count=n, bitorder="little")
+
+
+def from_matrix(A: np.ndarray) -> Graph:
+    """Build a Graph from a square 0/1 adjacency matrix, validating that it
+    is symmetric with a zero diagonal; rows are packed to bits in numpy."""
+    A = np.asarray(A)
+    if A.ndim != 2 or A.shape[0] != A.shape[1]:
+        raise ValueError(f"adjacency matrix of shape {A.shape} is not square")
+    n = A.shape[0]
+    _check_n(n)
+    B = A.astype(np.uint8, copy=False)
+    if B.max(initial=0) > 1 or (B is not A and (B != A).any()):
+        i, j = np.argwhere((A != 0) & (A != 1))[0]
+        raise ValueError(f"entry ({i},{j}) is not 0 or 1")
+    if B.trace():
+        raise ValueError(f"self-loop at vertex {np.flatnonzero(np.diagonal(B))[0]}")
+    asym = B != B.T
+    if asym.any():
+        i, j = np.argwhere(asym)[0]  # the first pair has i < j
+        raise ValueError(f"asymmetric pair ({i},{j})")
+    packed = np.packbits(B, axis=1, bitorder="little")
+    width = packed.shape[1]
+    buf = packed.tobytes()
+    rows = tuple(int.from_bytes(buf[i * width:(i + 1) * width], "little") for i in range(n))
+    return Graph(n, rows, int(np.count_nonzero(B)) // 2)
 
 
 def from_rows(n: int, rows: Iterable[int]) -> Graph:
     """Build a Graph from raw adjacency rows, validating all invariants."""
+    _check_n(n)
     tup = tuple(rows)
-    m = _check_rows(n, tup)
-    return Graph(n, tup, m)
+    if len(tup) != n:
+        raise ValueError("row count does not match n")
+    for i, r in enumerate(tup):
+        high = r >> n
+        if high:
+            j = n + (high & -high).bit_length() - 1
+            raise ValueError(f"edge ({i},{j}) has endpoint outside 0..{n - 1}")
+    return from_matrix(_unpack(n, tup))
 
 
 def build_graph(n: int, edges: Iterable[tuple[int, int]]) -> Graph:
-    """Build a Graph from an edge list; duplicates collapse, loops reject."""
-    if not 0 <= n <= MAX_VERTICES:
-        raise ValueError(f"vertex count {n} outside 0..{MAX_VERTICES}")
-    rows = [0] * n
-    for u, v in edges:
-        if u == v:
-            raise ValueError(f"self-loop ({u},{v}) rejected")
-        if not (0 <= u < n and 0 <= v < n):
-            raise ValueError(f"edge ({u},{v}) has endpoint outside 0..{n - 1}")
-        rows[u] |= 1 << v
-        rows[v] |= 1 << u
-    m = sum(r.bit_count() for r in rows) // 2
-    return Graph(n, tuple(rows), m)
+    """Build a Graph from an edge list; duplicates collapse, loops reject.
+
+    The edges are read as one flat run of endpoints, taken two at a time,
+    so an odd total raises but items longer than pairs are not detected.
+    Endpoints must be integers (`operator.index`); a float or a string
+    raises TypeError rather than being truncated or parsed.
+    """
+    _check_n(n)
+    try:
+        ends = np.fromiter(map(operator.index, chain.from_iterable(edges)), np.int64)
+    except OverflowError as exc:
+        raise ValueError(f"edge endpoint outside 0..{n - 1}") from exc
+    if len(ends) % 2:
+        raise ValueError("edge list holds an endpoint without a partner")
+    outside = ends.view(np.uint64) >= n  # a negative endpoint wraps to >= 2^63
+    if outside.any():
+        k = int(outside.argmax()) // 2
+        raise ValueError(f"edge ({ends[2 * k]},{ends[2 * k + 1]}) has endpoint outside 0..{n - 1}")
+    u, v = ends[0::2], ends[1::2]
+    A = np.zeros((n, n), np.uint8)  # a loop lands on the diagonal, which from_matrix rejects
+    A[u, v] = 1
+    A[v, u] = 1
+    return from_matrix(A)
 
 
-def adjacency_matrix(g: Graph) -> np.ndarray:
-    """Dense float64 adjacency matrix, unpacked from the bit rows at once."""
-    width = (g.n + 7) // 8
-    packed = np.frombuffer(b"".join(r.to_bytes(width, "little") for r in g.rows), np.uint8)
-    return np.unpackbits(
-        packed.reshape(g.n, width), axis=1, count=g.n, bitorder="little"
-    ).astype(np.float64)
+def adjacency_matrix(g: Graph, dtype=np.float64) -> np.ndarray:
+    """Dense adjacency matrix (float64 unless asked), unpacked from the bit
+    rows at once."""
+    return _unpack(g.n, g.rows).astype(dtype, copy=False)
 
 
 def complete_graph(n: int) -> Graph:
@@ -262,10 +303,15 @@ def is_bipartite(g: Graph) -> Optional[PartitionWitness]:
 
 
 def is_complete_bipartite(g: Graph) -> bool:
-    """Connected and complete bipartite: K_{a,b} with a, b >= 0, n >= 1."""
-    if g.n == 0:
-        return False
-    w = is_bipartite(g)
-    if w is None:
-        return False
-    return g.m == w.S.bit_count() * w.T.bit_count() and len(components(g)) == 1
+    """Connected and complete bipartite: K_{a,b} with a, b >= 0, n >= 1.
+
+    For n >= 2 this holds exactly when the rows take two values r and
+    r ^ full with r != 0: a loop-free vertex lies outside its own row, so
+    the vertices with row r are the set r ^ full and those with row
+    r ^ full are r, and both sets are non-empty. O(n) row comparisons,
+    no search.
+    """
+    if g.n <= 1:
+        return g.n == 1
+    r = g.rows[0]
+    return r != 0 and set(g.rows) == {r, g.full_mask() ^ r}

@@ -45,7 +45,7 @@ from .graph6 import emit_graph6
 from .roots import FamilyPolynomial, family_lambda, signs_at_lambda
 from .spectral import Ordering, _decide, certify_lambda_ge_frac, exact_lambda, perron_enclosure
 from .theorems import bn_relation_poly, verify_by_id
-from .triangles import triangle_count
+from .triangles import dense_triangle_count, triangle_count
 from .verdicts import jsonable_value
 
 SHARDS = 32
@@ -627,13 +627,6 @@ def floyd_sample(rng: random.Random, universe: int, k: int) -> np.ndarray:
     return np.sort(np.argpartition(keys, k - 1)[:k])
 
 
-def _triangles_dense(A: np.ndarray) -> int:
-    # float32 is exact here: every entry of B @ B is an integer <= n - 2 < 2^24,
-    # and the float64 total 6t <= n^3 stays below 2^53
-    B = A.astype(np.float32)
-    return int(((B @ B) * B).sum(dtype=np.float64)) // 6
-
-
 @functools.lru_cache(maxsize=8)
 def _y_reference(n: int, q: int) -> tuple[np.ndarray, frozenset, Fraction, Fraction]:
     """Y_{n,2,q} for the random probe, built once per (n, q): its edges as a
@@ -693,7 +686,7 @@ def run_random(job: SearchJob) -> SearchReport:
         if not decided:
             return
         hyp_true += 1
-        t = _triangles_dense(A)
+        t = dense_triangle_count(A)
         min_t = t if min_t is None else min(min_t, t)
         if t < bound:
             g = build_graph(n, zip(iu[idx].tolist(), jv[idx].tolist()))

@@ -32,7 +32,7 @@ from .families import (
     t_n2q,
     y_n2q,
 )
-from .graph import Graph, bits, components, cut_stats, induced, is_bipartite, is_complete_bipartite
+from .graph import Graph, bits, components, cut_stats, induced, is_complete_bipartite
 from .morphism import are_isomorphic
 from .roots import sign_at_lambda
 from .spectral import (
@@ -57,10 +57,8 @@ def _floor_q(n: int) -> int:
 
 
 def is_turan2(g: Graph) -> bool:
-    if not is_complete_bipartite(g):
-        return False
-    w = is_bipartite(g)
-    return abs(w.S.bit_count() - w.T.bit_count()) <= 1
+    # in K_{a,b} the row of vertex 0 is the whole other part
+    return is_complete_bipartite(g) and abs(g.n - 2 * g.rows[0].bit_count()) <= 1
 
 
 CLIQUE_EXACT_LIMIT = 6

@@ -1,13 +1,25 @@
 """Exact triangle statistics: counts, covers, and distance to bipartiteness.
 
-Triangle counting uses the orientation convention that charges each
-triangle a<b<c to its edge {a,b}, counting the common neighbors above b;
-no division, no double counting. The covering number tau3 is solved
-exactly by branch and bound on the triangle hypergraph. The distance to
-bipartiteness is edges minus max cut; the max cut is exact up to
-EXACT_CUT_LIMIT vertices, where every bipartition is evaluated as a sum of
-two half-cuts and a cross term, in numpy blocks of one matmul each, and
-beyond it a flagged local-search bound.
+Triangle counting has two exact routes. The bit-row count charges each
+triangle a<b<c to its edge {a,b}, counting the common neighbors above b
+(no division, no double counting); it costs about one microsecond per
+edge. The dense count is 6t = sum((B @ B) * B) over the 0/1 adjacency
+matrix B, in float32 matmuls of TRIANGLE_BLOCK rows at a time; it costs
+about 1.6e-11 s per n^3 on a 2-core Xeon. `triangle_count` takes the
+dense route when n >= DENSE_TRIANGLE_N and m >= n^3 / 2^16, and bit rows
+otherwise (small graphs, where numpy's per-call cost dominates, and
+sparse ones). The dense count is exact: the entries of B @ B that count
+(those off the diagonal) are integers <= n - 2 < 2^24, as is every
+partial sum behind them, so float32 holds them in any summation order
+and under any BLAS thread count; each block is summed in float64, and
+the total 6t <= n^3 <= 2^36 < 2^53 (n <= MAX_VERTICES = 4096).
+
+The covering number tau3 is solved exactly by branch and bound on the
+triangle hypergraph. The distance to bipartiteness is edges minus max
+cut; the max cut is exact up to EXACT_CUT_LIMIT vertices, where every
+bipartition is evaluated as a sum of two half-cuts and a cross term, in
+numpy blocks of one matmul each, and beyond it a flagged local-search
+bound.
 """
 
 from __future__ import annotations
@@ -29,13 +41,36 @@ from .graph import (
 )
 
 TRIANGLE_BUDGET = 10**7
+DENSE_TRIANGLE_N = 32
+# Rows of B per dense block: at n = 4096 a block product is 8 MB next to the
+# 64 MB float32 matrix, never a second or third n x n array.
+TRIANGLE_BLOCK = 512
 EXACT_CUT_LIMIT = 30
 # Entries of the max-cut table per matmul (one high subset when 2^k is larger);
 # larger blocks raise peak memory and gain little.
 CUT_BLOCK = 1 << 12
 
 
+def dense_triangle_count(A: np.ndarray) -> int:
+    """Exact triangle count of a 0/1 adjacency matrix, by float32 matmuls in
+    row blocks (see the module docstring for why float32 is exact)."""
+    B = A.astype(np.float32, copy=False)
+    total = 0
+    for lo in range(0, len(B), TRIANGLE_BLOCK):
+        block = B[lo:lo + TRIANGLE_BLOCK]
+        walks = block @ B
+        walks *= block
+        total += int(walks.sum(dtype=np.float64))
+    return total // 6
+
+
 def triangle_count(g: Graph) -> int:
+    if g.n >= DENSE_TRIANGLE_N and g.m << 16 >= g.n ** 3:
+        return dense_triangle_count(adjacency_matrix(g, np.float32))
+    return _triangle_count_bit_rows(g)
+
+
+def _triangle_count_bit_rows(g: Graph) -> int:
     total = 0
     rows = g.rows
     for u in range(g.n):

@@ -21,6 +21,8 @@ from specls.families import (
     turan,
     y_n2q,
 )
+from specls.graph import build_graph
+from specls.graph6 import emit_graph6
 from specls.spectral import compare_lambda, perron_enclosure, Ordering
 from specls.triangles import tau3, triangle_count
 
@@ -219,3 +221,100 @@ def test_perturbed_turan_below_matching_construction():
                     added += 1
             assert triangle_count(g) < q * (n // 2)
             assert compare_lambda(g, y) is Ordering.LESS
+
+
+# -- the matrix builders against the edge-list builds they replace -----------
+
+
+def _cross(sizes):
+    """Edges between distinct parts of contiguous parts with these sizes."""
+    starts = [sum(sizes[:i]) for i in range(len(sizes))]
+    return [
+        (u, v)
+        for i, (si, ai) in enumerate(zip(starts, sizes))
+        for sj, aj in zip(starts[i + 1:], sizes[i + 1:])
+        for u in range(si, si + ai)
+        for v in range(sj, sj + aj)
+    ]
+
+
+def _turan_edges(n, r):
+    k = min(r, n) if n else r
+    return _cross([(n + k - 1 - i) // k for i in range(k)])
+
+
+def _t_edges(n, q):
+    return _cross([(n + 1) // 2, n // 2]) + [(0, i) for i in range(1, q + 1)]
+
+
+def _y_edges(n, q):
+    return _cross([(n + 1) // 2, n // 2]) + [(2 * i, 2 * i + 1) for i in range(q)]
+
+
+def _kab_plus_edges(a, b):
+    return _cross([a, b]) + [(0, 1)]
+
+
+def _embed_edges(n, h, side):
+    a = (n + 1) // 2
+    start = 0 if side == "larger" else a
+    return _cross([a, n - a]) + [(start + u, start + v) for u, v in h.edges()]
+
+
+def _bc_edges(n, s, t, a, hub_edge):
+    size_a = (n + 1) // 2 + a
+    alpha = s - t - a * a - (a if n % 2 else 0)
+    u1 = size_a
+    xs = list(range(0, 2 * (s - 1 if hub_edge else s), 2))
+    edges = _cross([size_a, n - size_a]) + [(x, x + 1) for x in xs]
+    if hub_edge:
+        edges.append((u1, u1 + 1))
+    removed = {(x, u1) for x in xs[:alpha]}
+    return [e for e in edges if e not in removed]
+
+
+def _l_edges(n, s, alpha):
+    ideal = [n * (1 + alpha) / (s + 1)] * s + [n * (1 - s * alpha) / (s + 1)]
+    sizes = [math.floor(x) for x in ideal]
+    order = sorted(range(s + 1), key=lambda i: (-(ideal[i] - sizes[i]), i))
+    for i in range(n - sum(sizes)):
+        sizes[order[i % (s + 1)]] += 1
+    return _cross(sizes)
+
+
+_ODD_AND_EVEN_N = (9, 10, 21, 24, 301)
+
+
+def _reference_cases():
+    for n in _ODD_AND_EVEN_N + (0, 1, 2):
+        for r in (1, 2, 3, 5):
+            yield f"turan({n},{r})", turan(n, r), n, _turan_edges(n, r)
+    for n in _ODD_AND_EVEN_N:
+        for q in (0, 1, 2, 4):
+            yield f"t_n2q({n},{q})", t_n2q(n, q), n, _t_edges(n, q)
+            if 2 * q <= (n + 1) // 2:
+                yield f"y_n2q({n},{q})", y_n2q(n, q), n, _y_edges(n, q)
+        for name, h in (("star", small_star(3)), ("clique", small_clique(4)),
+                        ("kab", small_complete_bipartite(2, 2)), ("cycle", small_cycle(4))):
+            for side in ("larger", "smaller"):
+                yield (f"embed({n},{name},{side})", embed_into_turan2(n, h, side), n,
+                       _embed_edges(n, h, side))
+    for a, b in ((2, 1), (2, 5), (4, 4), (5, 6)):
+        yield f"kab_plus({a},{b})", kab_plus(a, b), a + b, _kab_plus_edges(a, b)
+    for n in (20, 21, 40, 41):
+        for s, t, a in ((3, 1, 0), (4, 2, 1), (5, 1, 1), (4, 1, 0)):
+            yield (f"g1({n},{s},{t},{a})", balogh_clemen_g1(n, s, t, a), n,
+                   _bc_edges(n, s, t, a, True))
+            yield (f"g2({n},{s},{t},{a})", balogh_clemen_g2(n, s, t, a), n,
+                   _bc_edges(n, s, t, a, False))
+    for n in (12, 13, 30, 31):
+        for s, alpha in ((2, 0.0), (2, 0.3), (3, 0.1), (4, 0.1)):
+            yield f"l({n},{s},{alpha})", l_nsalpha(n, s, alpha), n, _l_edges(n, s, alpha)
+
+
+def test_matrix_builders_match_the_edge_list_builds():
+    names = set()
+    for name, c, n, edges in _reference_cases():
+        assert emit_graph6(c.graph) == emit_graph6(build_graph(n, edges)), name
+        names.add(name.partition("(")[0])
+    assert names == {"turan", "t_n2q", "y_n2q", "embed", "kab_plus", "g1", "g2", "l"}

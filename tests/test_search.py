@@ -19,7 +19,6 @@ from specls.search import (
     SearchJob,
     _dense_dfs,
     _graph_from_mask,
-    _triangles_dense,
     core_is_book,
     dense_enumeration_size,
     edge_slots,
@@ -35,7 +34,7 @@ from specls.search import (
 from specls.graph import add_edge, adjacency_matrix, build_graph, complete_graph, empty_graph
 from specls.graph import remove_edge
 from specls.graph import is_complete_bipartite
-from specls.triangles import triangle_count
+from specls.triangles import _triangle_count_bit_rows, dense_triangle_count, triangle_count
 
 
 def test_enumerate_counts_tiny():
@@ -427,7 +426,7 @@ def test_counterexample_graph_is_the_sample(monkeypatch):
         counted.append(A.copy())
         return 0
 
-    monkeypatch.setattr(search, "_triangles_dense", no_triangles)
+    monkeypatch.setattr(search, "dense_triangle_count", no_triangles)
     job = SearchJob("SPEC_LS_Y", "random",
                     {"n": [n], "q": [1], "samples": [20], "perturbations": [5]}, seed=3)
     rep = run_random(job)
@@ -446,11 +445,11 @@ def test_triangles_dense_is_exact():
         slots = edge_slots(n)
         graphs.append(build_graph(n, rng.sample(slots, rng.randrange(len(slots) + 1))))
     for g in graphs:
-        assert _triangles_dense(adjacency_matrix(g)) == triangle_count(g), g.n
+        assert dense_triangle_count(adjacency_matrix(g)) == _triangle_count_bit_rows(g), g.n
     # K_300: 6t = 26 730 600 > 2^24. K_327: 6t = 34 645 650 > 2^25 is no float32
     # number, and a float32 sum of the products rounds it to 6t - 2
-    assert _triangles_dense(adjacency_matrix(complete_graph(300))) == comb(300, 3)
-    assert _triangles_dense(adjacency_matrix(complete_graph(327))) == comb(327, 3)
+    assert dense_triangle_count(adjacency_matrix(complete_graph(300))) == comb(300, 3)
+    assert dense_triangle_count(adjacency_matrix(complete_graph(327))) == comb(327, 3)
 
 
 def test_run_random_probe_and_replay():

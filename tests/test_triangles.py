@@ -1,14 +1,27 @@
 import itertools
 import random
 
+import numpy as np
 import pytest
 
 from specls.families import t_n2q, turan, y_n2q
-from specls.graph import build_graph, complete_graph, cut_stats, empty_graph, mask_of, remove_edge
+from specls.graph import (
+    MAX_VERTICES,
+    adjacency_matrix,
+    build_graph,
+    complete_graph,
+    cut_stats,
+    empty_graph,
+    mask_of,
+    remove_edge,
+)
 from specls.triangles import (
+    DENSE_TRIANGLE_N,
     EXACT_CUT_LIMIT,
+    _triangle_count_bit_rows,
     bipartite_distance,
     degree_square_sum,
+    dense_triangle_count,
     max_cut_exact,
     partition_stats,
     tau3,
@@ -47,6 +60,29 @@ def test_triangle_count_vs_naive_bulk():
     for _ in range(10_000):
         g = random_graph(rng, rng.randrange(0, 11), rng.choice([0.2, 0.5, 0.8]))
         assert triangle_count(g) == naive_triangles(g)
+
+
+def test_dense_and_bit_row_counts_agree_around_the_cut_off():
+    rng = random.Random(22)
+    for n in range(DENSE_TRIANGLE_N - 8, DENSE_TRIANGLE_N + 9):
+        for p in (0.0, 0.02, 0.3, 0.7, 1.0):
+            g = random_graph(rng, n, p)
+            bit_rows = _triangle_count_bit_rows(g)
+            assert dense_triangle_count(adjacency_matrix(g)) == bit_rows, (n, p)
+            assert dense_triangle_count(adjacency_matrix(g, np.uint8)) == bit_rows, (n, p)
+            assert triangle_count(g) == bit_rows, (n, p)
+    for n in (100, 513, 700):  # one, two and more row blocks
+        g = random_graph(rng, n, 0.4)
+        assert triangle_count(g) == dense_triangle_count(adjacency_matrix(g)) == _triangle_count_bit_rows(g)
+
+
+@pytest.mark.parametrize("n, q", [(1200, 1), (1200, 2), (2700, 1), (2700, 3), (MAX_VERTICES, 3)])
+def test_dense_count_matches_the_family_formulas_at_theorem_sizes(n, q):
+    builders = (t_n2q,) if n == MAX_VERTICES else (t_n2q, y_n2q)
+    for builder in builders:
+        c = builder(n, q)
+        assert c.graph.m << 16 >= n**3  # the dense route
+        assert triangle_count(c.graph) == c.predicted.t_expected == q * (n // 2)
 
 
 def test_triangle_list_and_per_edge():
