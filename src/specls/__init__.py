@@ -55,13 +55,10 @@ from .spectral import (
 )
 from .triangles import (
     BipartiteDistance,
-    TriangleStats,
     bipartite_distance,
     degree_square_sum,
-    partition_stats,
     tau3,
     triangle_count,
-    triangle_stats,
 )
 from .verdicts import TheoremVerdict
 

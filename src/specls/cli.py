@@ -16,8 +16,9 @@ from .families import build_from_spec
 from .graph import Graph, build_graph
 from .graph6 import Graph6Error, emit_graph6, parse_graph6
 from .reporting import ReportDocument, verdicts_to_csv
-from .roots import FamilyPolynomial, family_lambda
+from .roots import FAMILY_TAGS, FamilyPolynomial, family_lambda
 from .search import (
+    EXHAUSTIVE_TARGETS,
     SearchJob,
     dense_enumeration_size,
     enumerate_dense,
@@ -120,7 +121,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--r", type=int, default=2)
     p.add_argument("--k", type=int, default=1)
     p.add_argument("--exhaustive", action="store_true",
-                   help="exhaustive run over all labeled graphs (LS/BN/BOOK/NOSAL)")
+                   help="exhaustive run over all labeled graphs "
+                   f"({'/'.join(EXHAUSTIVE_TARGETS)})")
     _add_flags(p, "--workers", "--exact-limit", "--csv")
 
     p = sub.add_parser("enumerate", help="dense labeled enumeration with count check")
@@ -147,7 +149,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_flags(p, "--tol-floor")
 
     p = sub.add_parser("family-root", help="exact largest root of a family polynomial")
-    p.add_argument("tag", choices=["Y_even", "Y_odd", "T_star4", "C4_embed"])
+    p.add_argument("tag", choices=FAMILY_TAGS)
     p.add_argument("--n", type=int, required=True)
     _add_flags(p, "--tol")
     return ap
@@ -247,7 +249,7 @@ def _dispatch(args, argv: list[str]) -> int:
             _emit(doc, args, [v])
             return _exit_code([v])
         if args.exhaustive:
-            if args.theorem_id not in ("LS", "BN", "BOOK", "NOSAL"):
+            if args.theorem_id not in EXHAUSTIVE_TARGETS:
                 raise ValueError(f"no exhaustive mode for {args.theorem_id}")
             if args.n is None:
                 raise ValueError("--n required with --exhaustive")

@@ -120,26 +120,18 @@ def kab_plus(a: int, b: int) -> Construction:
     return Construction(g, PredictedStats(a * b + 1, b), f"Kab+:a={a},b={b}")
 
 
-SIDE_LARGER = "larger"
-SIDE_SMALLER = "smaller"
-
-
-def embed_into_turan2(n: int, h: Graph, side: str = SIDE_LARGER) -> Construction:
+def embed_into_turan2(n: int, h: Graph) -> Construction:
     """T_{n,2} with H's edges copied onto the first |V(H)| vertices of the
-    chosen part."""
-    if side not in (SIDE_LARGER, SIDE_SMALLER):
-        raise ValueError(f"side must be {SIDE_LARGER!r} or {SIDE_SMALLER!r}")
+    larger part."""
     A, a = _turan2(n)
-    start, size = (0, a) if side == SIDE_LARGER else (a, n - a)
-    if h.n > size:
-        raise ValueError(f"embedded graph on {h.n} vertices exceeds part size {size}")
-    A[start:start + h.n, start:start + h.n] = adjacency_matrix(h, np.uint8)
+    if h.n > a:
+        raise ValueError(f"embedded graph on {h.n} vertices exceeds part size {a}")
+    A[:h.n, :h.n] = adjacency_matrix(h, np.uint8)
     g = from_matrix(A)
-    other = n - size
     return Construction(
         g,
-        PredictedStats(n * n // 4 + h.m, h.m * other + triangle_count(h)),
-        f"Embed:n={n},side={side[0].upper()},mH={h.m},nH={h.n}",
+        PredictedStats(n * n // 4 + h.m, h.m * (n - a) + triangle_count(h)),
+        f"Embed:n={n},side=L,mH={h.m},nH={h.n}",
     )
 
 

@@ -3,9 +3,15 @@
 Each adjacency row is a Python int used as a bit vector (bit j of row i is
 set iff {i,j} is an edge), so neighborhood intersections, degree counts and
 set operations are single popcount/AND operations on machine words.
-The validating constructors `build_graph` and `from_rows` end in
-`from_matrix`: numpy checks a 0/1 matrix for symmetry and a zero diagonal
-and packs its rows into the ints.
+The validating constructors `build_graph`, `from_rows` and `from_slot_bits`
+end in `from_matrix`: numpy checks a 0/1 matrix for symmetry and a zero
+diagonal and packs its rows into the ints.
+
+This module also owns the order of the C(n,2) edge slots: slot
+s = j(j-1)/2 + i joins i < j, so the slots run through the upper adjacency
+triangle column by column. That is the bit order of a graph6 body and of
+every edge-set mask in `search`; `slot_ends`, `slot_bits` and
+`from_slot_bits` are the only code that derives it.
 """
 
 from __future__ import annotations
@@ -50,9 +56,6 @@ class Graph:
 
     def degree(self, v: int) -> int:
         return self.rows[v].bit_count()
-
-    def neighbors(self, v: int) -> VertexMask:
-        return self.rows[v]
 
     def has_edge(self, u: int, v: int) -> bool:
         return bool(self.rows[u] >> v & 1)
@@ -171,6 +174,38 @@ def adjacency_matrix(g: Graph, dtype=np.float64) -> np.ndarray:
     """Dense adjacency matrix (float64 unless asked), unpacked from the bit
     rows at once."""
     return _unpack(g.n, g.rows).astype(dtype, copy=False)
+
+
+def _slot_mask(n: int) -> np.ndarray:
+    """n x n boolean mask of the entries (j, i), i < j, whose row-major
+    order is the slot order. Built per call: a cache would pin O(n^2)
+    bytes (16 MB at n = 4096)."""
+    return np.tri(n, n, -1, dtype=bool)
+
+
+def slot_ends(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Endpoint arrays (i, j), int64, of the C(n,2) edge slots in order:
+    slot s = j(j-1)/2 + i joins i < j."""
+    j = np.repeat(np.arange(n), np.arange(n))  # column j holds j slots
+    return np.arange(len(j)) - j * (j - 1) // 2, j
+
+
+def slot_bits(g: Graph) -> np.ndarray:
+    """The 0/1 uint8 vector of g's edge slots, in slot order."""
+    return adjacency_matrix(g, np.uint8)[_slot_mask(g.n)]
+
+
+def from_slot_bits(n: int, bits: np.ndarray) -> Graph:
+    """Build the n-vertex Graph whose slot vector is `bits`, validated by
+    `from_matrix` (every entry must be 0 or 1)."""
+    _check_n(n)
+    bits = np.asarray(bits)
+    ns = n * (n - 1) // 2
+    if bits.shape != (ns,):
+        raise ValueError(f"slot vector of shape {bits.shape} for n={n}, expected {ns} bits")
+    A = np.zeros((n, n), bits.dtype)
+    A[_slot_mask(n)] = bits
+    return from_matrix(A + A.T)
 
 
 def complete_graph(n: int) -> Graph:

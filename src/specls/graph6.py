@@ -4,11 +4,20 @@ Bit-exact per the de facto standard: the size header N(n), then the upper
 adjacency triangle in column-major order packed into big-endian 6-bit
 groups, each offset by 63. Long-form headers cover 63 <= n <= 258047;
 this module caps n at MAX_VERTICES.
+
+That triangle order is the edge-slot order of `graph`, so the body is the
+graph's `slot_bits` vector regrouped six bits to a byte, and parsing
+regroups the bytes back into bits for `from_slot_bits`, which validates
+the graph like every other constructor.
 """
 
 from __future__ import annotations
 
-from .graph import Graph, MAX_VERTICES
+import numpy as np
+
+from .graph import MAX_VERTICES, Graph, from_slot_bits, slot_bits
+
+_SHIFTS = np.arange(5, -1, -1, dtype=np.uint8)  # a byte's 6 bits, most significant first
 
 
 class Graph6Error(ValueError):
@@ -25,29 +34,20 @@ def emit_graph6(g: Graph) -> str:
         head = [n + 63]
     else:
         head = [126, ((n >> 12) & 63) + 63, ((n >> 6) & 63) + 63, (n & 63) + 63]
-    out = bytearray(head)
-    acc = 0
-    nbits = 0
-    for j in range(1, n):
-        col = g.rows[j]  # bit i of column j is the (i, j) entry, i < j
-        for i in range(j):
-            acc = (acc << 1) | (col >> i & 1)
-            nbits += 1
-            if nbits == 6:
-                out.append(acc + 63)
-                acc = 0
-                nbits = 0
-    if nbits:
-        out.append((acc << (6 - nbits)) + 63)
-    return out.decode("ascii")
+    bits = slot_bits(g)
+    groups = np.append(bits, np.zeros(-len(bits) % 6, np.uint8)).reshape(-1, 6)
+    body = groups @ (1 << _SHIFTS) + 63
+    return (bytes(head) + body.astype(np.uint8).tobytes()).decode("ascii")
 
 
 def parse_graph6(text: str) -> Graph:
     data = text.strip("\n\r")
     raw = data.encode("ascii", errors="replace")
-    for off, b in enumerate(raw):
-        if not 63 <= b <= 126:
-            raise Graph6Error(f"byte {b!r} outside graph6 range 63..126", off)
+    codes = np.frombuffer(raw, np.uint8)
+    outside = (codes < 63) | (codes > 126)
+    if outside.any():
+        off = int(outside.argmax())
+        raise Graph6Error(f"byte {raw[off]!r} outside graph6 range 63..126", off)
     if not raw:
         raise Graph6Error("empty input", 0)
     if raw[0] == 126:
@@ -56,46 +56,21 @@ def parse_graph6(text: str) -> Graph:
         if len(raw) < 4:
             raise Graph6Error("truncated long-form size header", len(raw))
         n = ((raw[1] - 63) << 12) | ((raw[2] - 63) << 6) | (raw[3] - 63)
-        body = raw[4:]
         body_off = 4
     else:
         n = raw[0] - 63
-        body = raw[1:]
         body_off = 1
     if n > MAX_VERTICES:
         raise Graph6Error(f"vertex count {n} exceeds cap {MAX_VERTICES}", 0)
     nbits = n * (n - 1) // 2
     need = (nbits + 5) // 6
+    body = codes[body_off:] - 63
     if len(body) != need:
         raise Graph6Error(
             f"body has {len(body)} chars, expected {need} for n={n}",
             body_off + min(len(body), need),
         )
-    rows = [0] * n
-    k = 0  # bit cursor over the upper triangle in column-major order
-    for idx, b in enumerate(body):
-        group = b - 63
-        for s in range(5, -1, -1):
-            bit = group >> s & 1
-            if k >= nbits:
-                if bit:
-                    raise Graph6Error("padding bits must be zero", body_off + idx)
-                continue
-            if bit:
-                i, j = _triangle_pos(k)
-                rows[i] |= 1 << j
-                rows[j] |= 1 << i
-            k += 1
-    m = sum(r.bit_count() for r in rows) // 2
-    return Graph(n, tuple(rows), m)
-
-
-def _triangle_pos(k: int) -> tuple[int, int]:
-    """Map a column-major upper-triangle bit index to the (i, j) pair."""
-    # column j holds j bits; find smallest j with j(j+1)/2 > k
-    j = int(((8 * k + 1) ** 0.5 - 1) / 2) + 1
-    while j * (j - 1) // 2 > k:
-        j -= 1
-    while (j + 1) * j // 2 <= k:
-        j += 1
-    return k - j * (j - 1) // 2, j
+    bits = (body[:, None] >> _SHIFTS & 1).ravel()
+    if bits[nbits:].any():  # only the last byte holds padding
+        raise Graph6Error("padding bits must be zero", body_off + need - 1)
+    return from_slot_bits(n, bits[:nbits])

@@ -1,7 +1,9 @@
 """Exhaustive small-n verification and randomized search against the
 theorems and conjectures.
 
-One sharded complement walk (`_dense_dfs` over `_ls_shard`) serves both the
+Every graph here is a subset of the C(n,2) edge slots, in the order of the
+codec in `graph` (`slot_ends`, `slot_bits`, `from_slot_bits`), which is
+also the graph6 body order. One sharded complement walk (`_dense_dfs` over `_ls_shard`) serves both the
 LS exhaustive check and the `enumerate` count: graphs with at least
 min_edges edges correspond to subsets F of the edge-slot lattice of bounded
 size, walked in colex order in 32 shards (the patterns of the first five
@@ -33,17 +35,17 @@ import random
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations
-from math import comb
+from math import comb, isqrt
 from typing import Callable, Optional
 
 import numpy as np
 
 from .families import build_from_spec, l_nsalpha, y_n2q
-from .graph import Graph, adjacency_matrix, build_graph, complete_graph
-from .graph import is_complete_bipartite, remove_edge, toggle_edge
+from .graph import Graph, complete_graph, from_matrix, from_slot_bits, is_complete_bipartite
+from .graph import remove_edge, slot_bits, slot_ends, toggle_edge
 from .graph6 import emit_graph6
 from .roots import FamilyPolynomial, family_lambda, signs_at_lambda
-from .spectral import Ordering, _decide, certify_lambda_ge_frac, exact_lambda, perron_enclosure
+from .spectral import Ordering, _decide, certify_lambda_ge_frac, exact_lambda_sq, perron_enclosure
 from .theorems import bn_relation_poly, verify_by_id
 from .triangles import dense_triangle_count, triangle_count
 from .verdicts import jsonable_value
@@ -109,30 +111,25 @@ class SearchReport:
 
 
 # ---------------------------------------------------------------------------
-# Edge-slot lattice helpers (colex order).
+# Edge-slot lattice helpers (colex order); the slot order is `graph.slot_ends`.
 # ---------------------------------------------------------------------------
 
 
 def edge_slots(n: int) -> list[tuple[int, int]]:
-    return [(i, j) for j in range(n) for i in range(j)]
+    """The (i, j) pair of each edge slot, in slot order."""
+    return list(zip(*(e.tolist() for e in slot_ends(n))))
 
 
 def graph_slots(g: Graph) -> np.ndarray:
-    """The edges of g as sorted slot indices in the order of `edge_slots`."""
-    jv, iu = np.tril_indices(g.n, -1)
-    return np.flatnonzero(adjacency_matrix(g)[iu, jv])
+    """The edges of g as sorted slot indices."""
+    return np.flatnonzero(slot_bits(g))
 
 
 def graph_from_complement(n: int, comp_slots: tuple[int, ...]) -> Graph:
-    slots = edge_slots(n)
-    g = complete_graph(n)
-    rows = list(g.rows)
-    for s in comp_slots:
-        u, v = slots[s]
-        rows[u] &= ~(1 << v)
-        rows[v] &= ~(1 << u)
-    m = sum(r.bit_count() for r in rows) // 2
-    return Graph(n, tuple(rows), m)
+    """K_n less the edges in the slots `comp_slots`."""
+    bits = np.ones(n * (n - 1) // 2, np.uint8)
+    bits[np.array(comp_slots, dtype=np.int64)] = 0
+    return from_slot_bits(n, bits)
 
 
 def dense_enumeration_size(n: int, min_edges: int) -> int:
@@ -204,11 +201,9 @@ def _ls_shard(args: tuple) -> tuple:
     one, and `best` compares those candidates as tuples. Complements of the
     largest size kmax get margins only."""
     n, kmax, qmax, pattern = args
-    slots = edge_slots(n)
-    ns = len(slots)
+    su, sv = slot_ends(n)
+    ns = len(su)
     prefix = min(_SHARD_PREFIX_BITS, ns)
-    su = np.array([e[0] for e in slots], dtype=np.int64)
-    sv = np.array([e[1] for e in slots], dtype=np.int64)
     words = max(1, -(-n // _ROW_BITS))
     word_of = np.arange(words)
     # a complement of size f has margin const[f] + d:
@@ -386,14 +381,14 @@ _CW_STEPS = 2  # (A + I) power steps before the Collatz-Wielandt prefilter
 def _scan_chunk_stats(n: int, masks: np.ndarray):
     """Exact edge counts, triangle counts and degrees (m, t, deg) of the
     graphs whose edge sets are these slot masks, by bit operations."""
-    ns = n * (n - 1) // 2
-    bit = {}
-    for s, (i, j) in enumerate(edge_slots(n)):
-        bit[i, j] = bit[j, i] = 1 << s
+    i, j = slot_ends(n)
+    ns = len(i)
+    bit = np.zeros((n, n), dtype=np.int64)  # the mask bit of each matrix entry
+    bit[i, j] = bit[j, i] = np.left_shift(1, np.arange(ns))
     m = _popcount(masks, ns)
     deg = np.zeros((len(masks), n), dtype=np.int64)
-    for v in range(n):
-        deg[:, v] = _popcount(masks & sum(bit[v, w] for w in range(n) if w != v), ns)
+    for v, star in enumerate(bit.sum(1)):
+        deg[:, v] = _popcount(masks & star, ns)
     t = np.zeros(len(masks), dtype=np.int64)
     for a, b, c in combinations(range(n), 3):
         tri = bit[a, b] | bit[a, c] | bit[b, c]
@@ -403,15 +398,14 @@ def _scan_chunk_stats(n: int, masks: np.ndarray):
 
 def _adjacency_batch(n: int, masks: np.ndarray) -> np.ndarray:
     """Float adjacency matrices of the graphs with these slot masks."""
-    slots = edge_slots(n)
-    ns = len(slots)
-    entry = np.full(n * n, ns)  # the slot of each matrix entry; ns is a zero column
-    for s, (i, j) in enumerate(slots):
-        entry[i * n + j] = entry[j * n + i] = s
+    i, j = slot_ends(n)
+    ns = len(i)
+    entry = np.full((n, n), ns)  # the slot of each matrix entry; ns is a zero column
+    entry[i, j] = entry[j, i] = np.arange(ns)
     shifts = np.append(np.arange(ns), 62)  # masks stay below 2^62
     bits = ((masks[:, None] >> shifts) & 1).astype(np.float64)
     # a gather, not a matmul: BLAS would add its buffers to each worker's memory
-    return np.take(bits, entry, axis=1).reshape(len(masks), n, n)
+    return np.take(bits, entry, axis=1)
 
 
 def _cw_upper(A: np.ndarray, deg: np.ndarray) -> np.ndarray:
@@ -424,8 +418,8 @@ def _cw_upper(A: np.ndarray, deg: np.ndarray) -> np.ndarray:
 
 
 def _graph_from_mask(n: int, mask: int) -> Graph:
-    slots = edge_slots(n)
-    return build_graph(n, [slots[s] for s in range(len(slots)) if mask >> s & 1])
+    """The graph whose edge set is this slot mask (bit s for slot s)."""
+    return from_slot_bits(n, np.right_shift(mask, np.arange(n * (n - 1) // 2)) & 1)
 
 
 def _full_scan_shard(args: tuple) -> dict:
@@ -650,7 +644,7 @@ def run_random(job: SearchJob) -> SearchReport:
     Samples uniform G(n, m) at m = floor(n^2/4)+q plus edge-swap
     perturbations of the matching construction; every sample with certified
     lambda >= lambda(Y_{n,2,q}) must have at least q*floor(n/2) triangles.
-    Samples are arrays of slot indices in the order of `edge_slots(n)`.
+    Samples are arrays of slot indices (`graph.slot_ends` order).
     """
     if job.target != "SPEC_LS_Y":
         raise ValueError(f"no random runner for target {job.target!r}")
@@ -663,7 +657,7 @@ def run_random(job: SearchJob) -> SearchReport:
     m = n * n // 4 + q
     bound = q * (n // 2)
     y_slots, y_set, y_lo2, y_hi2 = _y_reference(n, q)
-    jv, iu = np.tril_indices(n, -1)  # slot s joins iu[s] < jv[s], as in edge_slots(n)
+    iu, jv = slot_ends(n)
     ns = len(iu)
 
     def above_y(iv) -> Optional[bool]:  # is lambda(G) > lambda(Y)?
@@ -689,7 +683,7 @@ def run_random(job: SearchJob) -> SearchReport:
         t = dense_triangle_count(A)
         min_t = t if min_t is None else min(min_t, t)
         if t < bound:
-            g = build_graph(n, zip(iu[idx].tolist(), jv[idx].tolist()))
+            g = from_matrix(A)
             v = verify_by_id("SPEC_LS_Y", g, {"q": q})[0]
             report.counterexamples.append(
                 {"graph6": emit_graph6(g), "verdict": v.to_jsonable()}
@@ -836,7 +830,9 @@ def ratio_scan(families: list[str], n_grid: list[int], tol: float = 1e-12) -> Se
                 continue
             g = c.graph
             t = triangle_count(g)
-            e = exact_lambda(g)
+            sq = exact_lambda_sq(g)  # an integer when known; lambda is exact when it is a square
+            root = isqrt(int(sq or 0))
+            e = Fraction(root) if sq is not None and root * root == sq else None
             if e is not None:
                 lam_lo = lam_hi = e
             elif c.predicted.lambda_poly is not None:

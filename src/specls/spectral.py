@@ -11,18 +11,21 @@ Directed rounding is unavailable here, so each bound is widened outward by
 an n*ulp-scale slack (recorded on the certificate) before use; the running
 enclosure is the intersection of all widened bounds seen. The iteration
 runs in numpy on a dense matrix unpacked once from the bit rows, one
-connected component at a time.
+connected component at a time; `_cw_rungs` aggregates the components
+(largest bounds, total iterations, the Perron vector of the top component)
+for both `perron_enclosure` and the ladder below.
 
 Every certified decision about lambda (`compare_lambda`, the
 `certify_lambda_*` thresholds, the cubic triangle bound of
 `theorems.check_bn`, and the probes in `search`) goes through one ladder,
 `_decide`: it tests enclosures of lambda^2 that only get tighter.
-The first rung is free: the exact value for regular (d^2) and complete
-bipartite (ab) graphs, whose equality cases no floating interval can
-resolve, and otherwise [(2m/n)^2, inf). Then the CW iteration is tightened
-through the tolerances of `_tols_down_to(tol_floor)`, each rung resuming
-where the last one stopped. An unconverged rung ends the ladder as
-Indeterminate; running out of rungs ends it as Tie.
+The first rung is free: `exact_lambda_sq`, the exact value for regular
+(d^2, 0 with no edges) and complete bipartite (ab) graphs, whose equality
+cases no floating interval can resolve, and otherwise [(2m/n)^2, inf).
+Then the CW iteration is tightened through the tolerances of
+`_tols_down_to(tol_floor)`, each rung resuming where the last one stopped.
+An unconverged rung ends the ladder as Indeterminate; running out of rungs
+ends it as Tie.
 """
 
 from __future__ import annotations
@@ -83,7 +86,7 @@ def rayleigh_lower_bound(g: Graph) -> Fraction:
 
 
 def _iterate_component(
-    A: np.ndarray, tols: Sequence[float], start: Optional[Sequence[float]] = None
+    A: np.ndarray, tols: Sequence[float]
 ) -> Iterator[tuple[float, float, np.ndarray, bool, int, float]]:
     """CW enclosure of lambda for one connected component with dense
     adjacency matrix A, tightened through the decreasing tolerances `tols`.
@@ -98,10 +101,7 @@ def _iterate_component(
     if k == 1:
         yield from repeat((0.0, 0.0, np.ones(1), True, 0, 0.0), len(tols))
         return
-    x = np.ones(k) if start is None else np.array(start, dtype=np.float64)
-    if x.min() <= 0:
-        raise ValueError("start vector must be positive")
-    x = x / x.max()
+    x = np.ones(k)
     lo_best, hi_best = 0.0, float(k)
     slack_used = 0.0
     it = 0
@@ -165,11 +165,35 @@ def _blocks(A: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
     return out
 
 
-def perron_enclosure(
-    g: Graph,
-    tol: float = 1e-9,
-    start: Optional[Sequence[float]] = None,
-) -> SpectralCertificate:
+def _cw_rungs(
+    A: np.ndarray, tols: Sequence[float]
+) -> Iterator[tuple[float, float, bool, int, float, np.ndarray]]:
+    """The CW enclosure of lambda for the graph with dense adjacency matrix
+    A, its components tightened together through the tolerances `tols`.
+
+    Yields (lo, hi, converged, iterations, slack, x) once per tolerance:
+    the largest lo and hi over the components, whether every component
+    converged and hi - lo <= tol, the total iterations, the largest slack,
+    and the Perron vector estimate of the component with the largest hi
+    (the first on ties), max entry 1, zero elsewhere. Nothing follows an
+    unconverged yield.
+    """
+    blocks = _blocks(A)
+    runs = [_iterate_component(block, tols) for _, block in blocks]
+    for tol in tols:
+        rungs = [next(run) for run in runs]
+        his = [r[1] for r in rungs]
+        top = his.index(max(his))
+        lo, hi = max(r[0] for r in rungs), his[top]
+        x = np.zeros(A.shape[0])
+        x[blocks[top][0]] = rungs[top][2]
+        converged = all(r[3] for r in rungs) and hi - lo <= tol
+        yield lo, hi, converged, sum(r[4] for r in rungs), max(r[5] for r in rungs), x
+        if not converged:
+            return
+
+
+def perron_enclosure(g: Graph, tol: float = 1e-9) -> SpectralCertificate:
     """Certified two-sided enclosure of lambda(G) plus an approximate
     Perron vector scaled to max entry 1 (supported on an extremal
     component when G is disconnected)."""
@@ -181,24 +205,9 @@ def perron_enclosure(
         perron = (1.0,) * g.n
         return SpectralCertificate(0.0, 0.0, perron, 0.0, True, 0, tol, 0.0)
     A = adjacency_matrix(g)
-    results = []
-    for verts, block in _blocks(A):
-        sub_start = None if start is None else [start[v] for v in verts]
-        results.append((verts, next(_iterate_component(block, (tol,), sub_start))))
-    lo = max(r[1][0] for r in results)
-    hi = max(r[1][1] for r in results)
-    verts, (_, _, vec, _, _, _) = max(results, key=lambda r: r[1][1])
-    iterations = sum(r[1][4] for r in results)
-    slack = max(r[1][5] for r in results)
-    full = [0.0] * g.n
-    vec = vec.tolist()
-    vmax = max(vec)
-    for v, xv in zip(verts.tolist(), vec):
-        full[v] = xv / vmax
-    converged = all(r[1][3] for r in results) and (hi - lo) <= tol
-    residual = _residual(A, np.array(full))
+    lo, hi, converged, iterations, slack, x = next(_cw_rungs(A, (tol,)))
     return SpectralCertificate(
-        lo, hi, tuple(full), residual, converged, iterations, tol, slack
+        lo, hi, tuple(x.tolist()), _residual(A, x), converged, iterations, tol, slack
     )
 
 
@@ -215,26 +224,20 @@ def _residual(A: np.ndarray, x: np.ndarray) -> float:
 
 
 # ---------------------------------------------------------------------------
-# Exact side channels (resolve equality cases no float interval can).
+# The exact rung (resolves equality cases no float interval can).
 # ---------------------------------------------------------------------------
 
 
-def exact_lambda(g: Graph) -> Optional[Fraction]:
-    """Exact spectral radius when available: d for d-regular graphs."""
+def exact_lambda_sq(g: Graph) -> Optional[Fraction]:
+    """Exact lambda^2 where a closed form gives it: d^2 for d-regular
+    graphs (0 with no edges) and ab = m for K_{a,b}; None otherwise and on
+    zero vertices."""
     if g.n == 0:
         return None
     degs = g.degrees()
     if min(degs) == max(degs):
-        return Fraction(degs[0])
-    return None
-
-
-def exact_lambda_sq(g: Graph) -> Optional[Fraction]:
-    """Exact value of lambda^2 when available: a*b for K_{a,b} (plus the
-    m=0 case); complete bipartite graphs have lambda = sqrt(m)."""
-    if g.n == 0:
-        return None
-    if g.m == 0 or is_complete_bipartite(g):
+        return Fraction(degs[0] ** 2)
+    if is_complete_bipartite(g):
         return Fraction(g.m)
     return None
 
@@ -263,8 +266,7 @@ def _lambda_sq_rungs(
     adjacency matrix of one: the free rung, then one rung per tolerance.
     None marks an unconverged rung; nothing follows it."""
     if isinstance(subject, Graph):
-        e = exact_lambda(subject)
-        exact = e * e if e is not None else exact_lambda_sq(subject)
+        exact = exact_lambda_sq(subject)
         if exact is not None:
             yield from repeat((exact, exact), len(tols) + 1)
             return
@@ -273,14 +275,8 @@ def _lambda_sq_rungs(
     else:
         low = Fraction(int(subject.sum()), subject.shape[0])  # 2m/n
     yield low * low, math.inf
-    iterations = [_iterate_component(block, tols) for _, block in _blocks(subject)]
-    for tol in tols:
-        rungs = [next(it) for it in iterations]
-        lo, hi = max(r[0] for r in rungs), max(r[1] for r in rungs)
-        if not all(r[3] for r in rungs) or hi - lo > tol:
-            yield None
-            return
-        yield Fraction(lo) ** 2, Fraction(hi) ** 2
+    for lo, hi, converged, *_ in _cw_rungs(subject, tols):
+        yield (Fraction(lo) ** 2, Fraction(hi) ** 2) if converged else None
 
 
 def _decide(

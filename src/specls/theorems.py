@@ -48,7 +48,8 @@ from .spectral import (
     compare_lambda,
     perron_enclosure,
 )
-from .triangles import EXACT_CUT_LIMIT, bipartite_distance, max_cut_exact, tau3, triangle_count
+from .triangles import EXACT_CUT_LIMIT, bipartite_distance, degree_square_sum, max_cut_exact, tau3
+from .triangles import triangle_count
 from .verdicts import TheoremVerdict
 
 
@@ -477,8 +478,7 @@ def check_nosal_nz(g: Graph) -> TheoremVerdict:
 
 def check_deg_sq(g: Graph) -> TheoremVerdict:
     m = g.m
-    s = sum(d * d for d in g.degrees())
-    margin = m * m + m - s
+    margin = m * m + m - degree_square_sum(g)
     witness = None
     if margin == 0 and g.n > 0:
         witness = {"equality_case": True, "shape": _deg_sq_equality_shape(g)}

@@ -26,7 +26,6 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
@@ -98,31 +97,6 @@ def triangle_list(g: Graph, budget: int = TRIANGLE_BUDGET) -> list[tuple[int, in
     return out
 
 
-def triangles_per_edge(g: Graph) -> dict[tuple[int, int], int]:
-    """Map edge (u<v) -> number of triangles containing it."""
-    out = {}
-    for u, v in g.edges():
-        out[(u, v)] = (g.rows[u] & g.rows[v]).bit_count()
-    return out
-
-
-@dataclass
-class TriangleStats:
-    t: int
-    per_edge: Optional[dict[tuple[int, int], int]] = None
-    tau3: Optional[int] = None
-    cover_witness: Optional[VertexMask] = None
-
-
-def triangle_stats(g: Graph, per_edge: bool = False, with_tau3: bool = False) -> TriangleStats:
-    stats = TriangleStats(t=triangle_count(g))
-    if per_edge:
-        stats.per_edge = triangles_per_edge(g)
-    if with_tau3:
-        stats.tau3, stats.cover_witness = tau3(g)
-    return stats
-
-
 def _greedy_disjoint(tris: list[VertexMask]) -> int:
     """Size of a greedily grown set of pairwise disjoint vertex sets, smallest
     first; each set needs its own cover vertex, so a lower bound on the cover."""
@@ -171,10 +145,6 @@ def tau3(g: Graph, budget: int = TRIANGLE_BUDGET) -> tuple[int, VertexMask]:
 
 def degree_square_sum(g: Graph) -> int:
     return sum(d * d for d in g.degrees())
-
-
-def partition_stats(g: Graph, S: VertexMask) -> PartitionWitness:
-    return partition_witness(g, S)
 
 
 @dataclass(frozen=True)

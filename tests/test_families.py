@@ -93,12 +93,8 @@ def test_embed_predictions():
         for n in (12, 15):
             c = embed_into_turan2(n, h)
             assert measured_match(c), (h, n)
-    c = embed_into_turan2(9, small_cycle(4), side="smaller")
-    assert measured_match(c)
     with pytest.raises(ValueError):
         embed_into_turan2(7, small_matching(3))  # 6 vertices > part of 4
-    with pytest.raises(ValueError):
-        embed_into_turan2(9, small_cycle(4), side="sideways")
 
 
 def test_balogh_clemen_formulas():
@@ -255,10 +251,8 @@ def _kab_plus_edges(a, b):
     return _cross([a, b]) + [(0, 1)]
 
 
-def _embed_edges(n, h, side):
-    a = (n + 1) // 2
-    start = 0 if side == "larger" else a
-    return _cross([a, n - a]) + [(start + u, start + v) for u, v in h.edges()]
+def _embed_edges(n, h):
+    return _cross([(n + 1) // 2, n // 2]) + list(h.edges())
 
 
 def _bc_edges(n, s, t, a, hub_edge):
@@ -296,9 +290,7 @@ def _reference_cases():
                 yield f"y_n2q({n},{q})", y_n2q(n, q), n, _y_edges(n, q)
         for name, h in (("star", small_star(3)), ("clique", small_clique(4)),
                         ("kab", small_complete_bipartite(2, 2)), ("cycle", small_cycle(4))):
-            for side in ("larger", "smaller"):
-                yield (f"embed({n},{name},{side})", embed_into_turan2(n, h, side), n,
-                       _embed_edges(n, h, side))
+            yield f"embed({n},{name})", embed_into_turan2(n, h), n, _embed_edges(n, h)
     for a, b in ((2, 1), (2, 5), (4, 4), (5, 6)):
         yield f"kab_plus({a},{b})", kab_plus(a, b), a + b, _kab_plus_edges(a, b)
     for n in (20, 21, 40, 41):

@@ -1,5 +1,7 @@
 import inspect
 import random
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -21,6 +23,7 @@ from specls.graph import (
     empty_graph,
     from_matrix,
     from_rows,
+    from_slot_bits,
     induced,
     is_bipartite,
     is_complete_bipartite,
@@ -28,6 +31,8 @@ from specls.graph import (
     mask_of,
     partition_witness,
     remove_edge,
+    slot_bits,
+    slot_ends,
 )
 
 
@@ -368,3 +373,49 @@ def test_edges_is_a_lazy_walk_in_the_bit_walk_order(case):
     g = build_graph(*case)
     assert inspect.isgenerator(g.edges())
     assert list(g.edges()) == list(_edges_bit_walk(g))
+
+
+# The edge-slot codec, against the nested-loop order: slot s = j(j-1)/2 + i
+# joins i < j, column by column through the upper triangle.
+
+
+def _nested_slots(n):
+    return [(i, j) for j in range(n) for i in range(j)]
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 3, 7, 62, 63, 70])
+def test_slot_ends_follow_the_nested_loop_order(n):
+    i, j = slot_ends(n)
+    assert i.dtype == j.dtype == np.int64
+    assert list(zip(i.tolist(), j.tolist())) == _nested_slots(n)
+    assert (j * (j - 1) // 2 + i).tolist() == list(range(n * (n - 1) // 2))
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 7, 62, 63, 70])
+def test_slot_bits_round_trip(n):
+    rng = random.Random(n)
+    for p in (0.0, 0.3, 1.0):
+        g = random_graph(rng, n, p)
+        b = slot_bits(g)
+        assert b.dtype == np.uint8
+        assert b.tolist() == [int(g.has_edge(i, j)) for i, j in _nested_slots(n)]
+        assert from_slot_bits(n, b) == g
+        assert from_slot_bits(n, b.astype(bool)) == g
+
+
+def test_from_slot_bits_validates():
+    with pytest.raises(ValueError, match="expected 6 bits"):
+        from_slot_bits(4, np.ones(5, np.uint8))
+    with pytest.raises(ValueError, match="not 0 or 1"):
+        from_slot_bits(4, np.array([0, 0, 2, 0, 0, 0]))
+    with pytest.raises(ValueError, match="not 0 or 1"):
+        from_slot_bits(3, np.array([0.5, 0.0, 1.0]))
+    with pytest.raises(ValueError, match="outside 0..4096"):
+        from_slot_bits(MAX_VERTICES + 1, np.zeros(0, np.uint8))
+
+
+def test_only_graph_derives_the_slot_order():
+    src = Path(__file__).resolve().parents[1] / "src" / "specls"
+    callers = sorted(p.name for p in src.glob("*.py")
+                     if re.search(r"\b(tril|triu)_indices\b|_triangle_pos", p.read_text()))
+    assert set(callers) <= {"graph.py"}, callers

@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from specls.graph import build_graph, complete_graph, empty_graph
+from specls.graph import build_graph, complete_graph, empty_graph, slot_ends
 from specls.graph6 import Graph6Error, emit_graph6, parse_graph6
 
 
@@ -74,3 +74,39 @@ def test_short_string_style():
     g = parse_graph6("D?{")
     assert g.n == 5
     assert emit_graph6(g) == "D?{"
+
+
+def _body_bits(text, n):
+    """The body of a graph6 string as bits, most significant first per byte."""
+    body = text[1:] if n <= 62 else text[4:]
+    return [(ord(c) - 63) >> s & 1 for c in body for s in range(5, -1, -1)]
+
+
+@pytest.mark.parametrize("n", [2, 3, 7, 62, 63, 70])
+def test_body_bit_s_is_slot_s(n):
+    # the graph with one edge, on slot s, sets body bit s and no other
+    i, j = slot_ends(n)
+    assert list(zip(i.tolist(), j.tolist())) == [(a, b) for b in range(n) for a in range(b)]
+    for s in sorted({0, min(1, len(i) - 1), len(i) // 2, len(i) - 1}):
+        body = _body_bits(emit_graph6(build_graph(n, [(int(i[s]), int(j[s]))])), n)
+        assert len(body) == 6 * -(-len(i) // 6)
+        assert [k for k, b in enumerate(body) if b] == [s]
+
+
+def test_padding_and_length_offsets():
+    # n = 3: 3 bits and 3 padding bits in body byte 1
+    for low in range(1, 8):
+        with pytest.raises(Graph6Error, match="padding") as ei:
+            parse_graph6("B" + chr(63 + low))
+        assert ei.value.offset == 1
+    # n = 70 (long header, 4 bytes): 2415 bits in 403 bytes, 3 padding bits
+    g = build_graph(70, [(0, 69)])
+    s = emit_graph6(g)
+    assert len(s) == 4 + 403
+    with pytest.raises(Graph6Error, match="padding") as ei:
+        parse_graph6(s[:-1] + chr(63 + ((ord(s[-1]) - 63) | 1)))
+    assert ei.value.offset == 406
+    for text, offset in [("C~~", 2), ("C", 1), (s + "?", 407), (s[:-2], 405), (s[:4], 4)]:
+        with pytest.raises(Graph6Error, match="body has") as ei:
+            parse_graph6(text)
+        assert ei.value.offset == offset

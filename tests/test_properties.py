@@ -8,7 +8,7 @@ from math import ceil, floor
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from specls.families import embed_into_turan2, small_path, small_star, t_n2q, y_n2q
+from specls.families import embed_into_turan2, small_path, t_n2q, turan, y_n2q
 from specls.graph import build_graph, complete_graph, cut_stats
 from specls.morphism import ISO_LIMIT, are_isomorphic
 from specls.roots import lambda_interval_exact
@@ -140,12 +140,13 @@ def near_t_n2q(draw):
     n = draw(st.integers(3, ISO_LIMIT))
     a = (n + 1) // 2
     q = draw(st.integers(1, a - 1))
-    builders = [lambda: t_n2q(n, q), lambda: embed_into_turan2(n, small_path(q))]
+    builders = [lambda: t_n2q(n, q).graph, lambda: embed_into_turan2(n, small_path(q)).graph]
     if 2 * q <= a:
-        builders.append(lambda: y_n2q(n, q))
-    if q + 1 <= n // 2:
-        builders.append(lambda: embed_into_turan2(n, small_star(q), "smaller"))
-    edges = set(draw(st.sampled_from(builders))().graph.edges())
+        builders.append(lambda: y_n2q(n, q).graph)
+    if q + 1 <= n // 2:  # the star on the first vertices of the smaller part
+        builders.append(lambda: build_graph(
+            n, list(turan(n, 2).graph.edges()) + [(a, a + k) for k in range(1, q + 1)]))
+    edges = set(draw(st.sampled_from(builders))().edges())
     if draw(st.booleans()):
         i, j = draw(st.lists(st.integers(0, n - 1), min_size=2, max_size=2, unique=True))
         edges ^= {(min(i, j), max(i, j))}

@@ -16,7 +16,6 @@ from specls.spectral import (
     certify_lambda_le_frac,
     certify_lambda_le_sqrt,
     compare_lambda,
-    exact_lambda,
     exact_lambda_sq,
     perron_enclosure,
     rayleigh_lower_bound,
@@ -220,12 +219,7 @@ def test_compare_known_orderings():
 def test_compare_seed_invariance():
     g, h = y_n2q(14, 2).graph, t_n2q(14, 2).graph
     assert compare_lambda(g, h) is Ordering.LESS
-    rng = random.Random(99)
-    for _ in range(5):
-        start = [rng.random() + 0.1 for _ in range(g.n)]
-        cg = perron_enclosure(g, 1e-9, start=start)
-        ch = perron_enclosure(h, 1e-9, start=start)
-        assert cg.lambda_hi < ch.lambda_lo
+    assert perron_enclosure(g, 1e-9).lambda_hi < perron_enclosure(h, 1e-9).lambda_lo
 
 
 def test_rayleigh_lower_bound():
@@ -237,11 +231,13 @@ def test_rayleigh_lower_bound():
 
 
 def test_exact_lambda_routes():
-    assert exact_lambda(complete_graph(5)) == 4
-    assert exact_lambda(turan(9, 3).graph) == 6  # 2n/3 for 3|n
-    assert exact_lambda(t_n2q(10, 1).graph) is None
+    assert exact_lambda_sq(complete_graph(5)) == 16
+    assert exact_lambda_sq(turan(9, 3).graph) == 36  # lambda = 2n/3 for 3|n
+    assert exact_lambda_sq(t_n2q(10, 1).graph) is None
     assert exact_lambda_sq(turan(7, 2).graph) == 12
-    assert exact_lambda_sq(complete_graph(4)) is None
+    assert exact_lambda_sq(complete_graph(4)) == 9  # 3-regular
+    assert exact_lambda_sq(empty_graph(3)) == 0
+    assert exact_lambda_sq(empty_graph(0)) is None
 
 
 def test_certified_comparisons():

@@ -118,7 +118,8 @@ def test_is_t_n2q_small_cases():
             assert not is_t_n2q(g, q + 1) and not is_t_n2q(g, q - 1)
     assert not is_t_n2q(y_n2q(10, 2).graph, 2)  # same n, m and t as T_{10,2,2}
     # the star in the smaller part is another graph when n is odd
-    assert not is_t_n2q(embed_into_turan2(9, small_star(2), "smaller").graph, 2)
+    star_in_smaller = [(5, 6), (5, 7)]  # T_{9,2} has parts 0..4 and 5..8
+    assert not is_t_n2q(build_graph(9, list(turan(9, 2).graph.edges()) + star_in_smaller), 2)
     assert not is_t_n2q(turan(8, 2).graph, 1) and not is_t_n2q(complete_graph(5), 1)
 
 

@@ -13,6 +13,7 @@ from specls.graph import (
     cut_stats,
     empty_graph,
     mask_of,
+    partition_witness,
     remove_edge,
 )
 from specls.triangles import (
@@ -23,12 +24,9 @@ from specls.triangles import (
     degree_square_sum,
     dense_triangle_count,
     max_cut_exact,
-    partition_stats,
     tau3,
     triangle_count,
     triangle_list,
-    triangle_stats,
-    triangles_per_edge,
 )
 
 
@@ -90,12 +88,11 @@ def test_triangle_list_and_per_edge():
     tris = triangle_list(g)
     assert len(tris) == 4
     assert all(a < b < c for a, b, c in tris)
-    per = triangles_per_edge(g)
+    per = {(u, v): (g.rows[u] & g.rows[v]).bit_count() for u, v in g.edges()}
     assert all(v == 2 for v in per.values()) and len(per) == 6
-    # consistency: each triangle counted 3 times over vertices
-    s = triangle_stats(g, per_edge=True, with_tau3=True)
-    assert s.t == 4 and s.tau3 == 2
-    assert sum(per.values()) == 3 * s.t
+    # consistency: each triangle counted once per edge
+    assert triangle_count(g) == 4 and tau3(g)[0] == 2
+    assert sum(per.values()) == 3 * len(tris)
 
 
 def test_triangle_budget():
@@ -294,13 +291,13 @@ def test_degree_square_bound_holds_everywhere():
 
 def test_partition_stats_examples():
     t8 = turan(8, 2).graph
-    w = partition_stats(t8, mask_of(range(4)))
+    w = partition_witness(t8, mask_of(range(4)))
     assert (w.eS, w.eT, w.eST) == (0, 0, 16)
     y = y_n2q(8, 2).graph
-    w = partition_stats(y, mask_of(range(4)))
+    w = partition_witness(y, mask_of(range(4)))
     assert (w.eS, w.eT, w.eST) == (2, 0, 16)
     k4 = complete_graph(4)
-    w = partition_stats(k4, mask_of([0, 1]))
+    w = partition_witness(k4, mask_of([0, 1]))
     assert (w.eS, w.eT, w.eST) == (1, 1, 4)
 
 
