@@ -42,12 +42,15 @@ def emit_graph6(g: Graph) -> str:
 
 def parse_graph6(text: str) -> Graph:
     data = text.strip("\n\r")
-    raw = data.encode("ascii", errors="replace")
-    codes = np.frombuffer(raw, np.uint8)
-    outside = (codes < 63) | (codes > 126)
+    points = np.frombuffer(data.encode("utf-32-le"), "<u4")  # one per character
+    outside = (points < 63) | (points > 126)
     if outside.any():
         off = int(outside.argmax())
-        raise Graph6Error(f"byte {raw[off]!r} outside graph6 range 63..126", off)
+        c = int(points[off])
+        what = f"byte {c}" if c < 128 else f"non-ASCII character {chr(c)!r}"
+        raise Graph6Error(f"{what} outside graph6 range 63..126", off)
+    raw = data.encode("ascii")
+    codes = np.frombuffer(raw, np.uint8)
     if not raw:
         raise Graph6Error("empty input", 0)
     if raw[0] == 126:

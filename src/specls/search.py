@@ -603,22 +603,33 @@ def run_exhaustive(job: SearchJob, workers: int = 1) -> SearchReport:
 def floyd_sample(rng: random.Random, universe: int, k: int) -> np.ndarray:
     """Uniform k-subset of range(universe) as a sorted int64 array.
 
-    One `rng.getrandbits(64 * universe)` call gives every element an
-    independent 64-bit key, and the subset is the k smallest keys. The keys
-    are exchangeable, so when they are distinct their ranking is a uniform
-    permutation and the k smallest form exactly a uniform k-subset, fixed by
-    the draw alone rather than by numpy's selection algorithm. A tie has
-    probability below C(universe, 2) / 2^64 (about 5.5e-11 at universe =
-    44 850, the slot count at n = 300). Python's `getrandbits` stream, unlike
-    `numpy.random`, does not change between numpy versions. The name is kept
-    from the Floyd (1987) loop this replaces.
+    One `rng.getrandbits(universe)` call tosses a fair coin for every
+    element, which chooses some c of them. If c != k, Floyd's loop (Bentley &
+    Floyd, "A sample of brilliance", CACM 1987) picks |c - k| positions of the
+    pool, the chosen elements if c > k and the unchosen ones if c < k, with
+    `rng.randrange`, and those elements flip. Given c, the coin set is a
+    uniform c-subset, and the fix-up picks positions in the pool without
+    looking at which elements are in it, so the law of the result does not
+    change under any permutation of range(universe); a law on k-subsets with
+    that property is uniform. It is exact: no ties, no rejection. Python's
+    random stream, unlike `numpy.random`, does not change between numpy
+    versions.
     """
-    keys = np.frombuffer(
-        rng.getrandbits(64 * universe).to_bytes(8 * universe, "little"), dtype="<u8"
-    )
-    if k == 0:
-        return np.empty(0, dtype=np.int64)
-    return np.sort(np.argpartition(keys, k - 1)[:k])
+    if not 0 <= k <= universe:
+        raise ValueError(f"k = {k} outside 0..{universe}")
+    coins = rng.getrandbits(universe).to_bytes((universe + 7) // 8, "little")
+    mask = np.unpackbits(
+        np.frombuffer(coins, np.uint8), count=universe, bitorder="little"
+    ).view(bool)
+    c = int(np.count_nonzero(mask))
+    if c != k:
+        pool = np.flatnonzero(mask if c > k else ~mask)
+        picked: set[int] = set()
+        for j in range(len(pool) - abs(c - k), len(pool)):
+            t = rng.randrange(j + 1)
+            picked.add(j if t in picked else t)
+        mask[pool[list(picked)]] = c < k
+    return np.flatnonzero(mask)
 
 
 @functools.lru_cache(maxsize=8)
@@ -659,6 +670,7 @@ def run_random(job: SearchJob) -> SearchReport:
     y_slots, y_set, y_lo2, y_hi2 = _y_reference(n, q)
     iu, jv = slot_ends(n)
     ns = len(iu)
+    upper, lower = iu * n + jv, jv * n + iu  # flat (row-major) entries of each slot
 
     def above_y(iv) -> Optional[bool]:  # is lambda(G) > lambda(Y)?
         return True if iv[0] > y_hi2 else False if iv[1] < y_lo2 else None
@@ -670,9 +682,10 @@ def run_random(job: SearchJob) -> SearchReport:
     def eval_sample(idx: np.ndarray) -> None:
         nonlocal hyp_true, min_t, examined
         examined += 1
-        A = np.zeros((n, n))
-        A[iu[idx], jv[idx]] = 1.0
-        A[jv[idx], iu[idx]] = 1.0
+        A = np.zeros(n * n)
+        A[upper[idx]] = 1.0
+        A[lower[idx]] = 1.0
+        A = A.reshape(n, n)
         decided = _decide(above_y, A)
         if isinstance(decided, Ordering):
             report.ties += 1

@@ -21,7 +21,8 @@ Every certified decision about lambda (`compare_lambda`, the
 `_decide`: it tests enclosures of lambda^2 that only get tighter.
 The first rung is free: `exact_lambda_sq`, the exact value for regular
 (d^2, 0 with no edges) and complete bipartite (ab) graphs, whose equality
-cases no floating interval can resolve, and otherwise [(2m/n)^2, inf).
+cases no floating interval can resolve, and otherwise Hofmeister's
+[sum(d^2)/n, inf).
 Then the CW iteration is tightened through the tolerances of
 `_tols_down_to(tol_floor)`, each rung resuming where the last one stopped.
 An unconverged rung ends the ladder as Indeterminate; running out of rungs
@@ -264,17 +265,22 @@ def _lambda_sq_rungs(
 ) -> Iterator[Optional[Interval]]:
     """Certified enclosures of lambda^2 for a graph, or for the dense
     adjacency matrix of one: the free rung, then one rung per tolerance.
-    None marks an unconverged rung; nothing follows it."""
+    None marks an unconverged rung; nothing follows it.
+
+    Unless `exact_lambda_sq` applies, the free rung is Hofmeister's bound
+    lambda^2 >= sum(d^2)/n (the Rayleigh quotient of A^2 at the all-ones
+    vector), never weaker than (2m/n)^2 by Cauchy-Schwarz. `d @ d` is exact:
+    every degree and partial sum is an integer below 2^53."""
     if isinstance(subject, Graph):
         exact = exact_lambda_sq(subject)
         if exact is not None:
             yield from repeat((exact, exact), len(tols) + 1)
             return
-        low = rayleigh_lower_bound(subject)
+        if subject.n < 1:
+            raise ValueError("needs at least one vertex")
         subject = adjacency_matrix(subject)
-    else:
-        low = Fraction(int(subject.sum()), subject.shape[0])  # 2m/n
-    yield low * low, math.inf
+    d = subject.sum(axis=1)
+    yield Fraction(int(d @ d), len(d)), math.inf
     for lo, hi, converged, *_ in _cw_rungs(subject, tols):
         yield (Fraction(lo) ** 2, Fraction(hi) ** 2) if converged else None
 

@@ -110,3 +110,18 @@ def test_padding_and_length_offsets():
         with pytest.raises(Graph6Error, match="body has") as ei:
             parse_graph6(text)
         assert ei.value.offset == offset
+
+
+@pytest.mark.parametrize("text, offset", [
+    ("B\x80", 1),           # would read as the edgeless 3-vertex graph if replaced by '?'
+    ("é", 0),
+    ("C~中", 2),
+    ("~??\U0001F600", 3),
+    ("Cÿ!", 1),        # the first offending character wins
+    ("C!ÿ", 1),
+    ("B\x80\n", 1),
+])
+def test_parse_rejects_non_ascii(text, offset):
+    with pytest.raises(Graph6Error, match="outside graph6 range 63..126") as ei:
+        parse_graph6(text)
+    assert ei.value.offset == offset

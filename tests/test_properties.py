@@ -9,11 +9,12 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from specls.families import embed_into_turan2, small_path, t_n2q, turan, y_n2q
-from specls.graph import build_graph, complete_graph, cut_stats
+from specls.graph import adjacency_matrix, build_graph, complete_graph, cut_stats
 from specls.morphism import ISO_LIMIT, are_isomorphic
 from specls.roots import lambda_interval_exact
 from specls.spectral import (
     Ordering,
+    _lambda_sq_rungs,
     certify_lambda_ge_frac,
     certify_lambda_ge_sqrt,
     certify_lambda_le_frac,
@@ -94,6 +95,30 @@ def test_exact_channels_decide_the_equality_cases(case, other):
     h, lam_sq_h = other
     expected = {-1: Ordering.LESS, 0: Ordering.TIE, 1: Ordering.GREATER}
     assert compare_lambda(g, h) is expected[(lam_sq > lam_sq_h) - (lam_sq < lam_sq_h)]
+
+
+@st.composite
+def unions_with_isolated(draw):
+    """Up to two disjoint graphs on at most 6 vertices each, plus isolated
+    vertices, at most 12 vertices in all."""
+    parts = draw(st.lists(graphs(6), min_size=1, max_size=2))
+    edges, n = [], 0
+    for p in parts:
+        edges += [(u + n, v + n) for u, v in p.edges()]
+        n += p.n
+    return build_graph(n + draw(st.integers(0, 12 - n)), edges)
+
+
+@settings(max_examples=120, deadline=None)
+@given(g=unions_with_isolated())
+def test_free_rung_lies_between_the_mean_degree_and_the_exact_lambda(g):
+    # the free rung is a proved lower bound on lambda^2 (Hofmeister), never
+    # weaker than (2m/n)^2, on both kinds of subject
+    hi_sq = lambda_interval_exact(g)[1] ** 2
+    mean_sq = Fraction(2 * g.m, g.n) ** 2
+    for subject in (g, adjacency_matrix(g)):
+        low, _ = next(_lambda_sq_rungs(subject, [1e-9]))
+        assert mean_sq <= low <= hi_sq
 
 
 PRISM = build_graph(6, [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5), (0, 3), (1, 4), (2, 5)])

@@ -1,6 +1,9 @@
 import hashlib
 import json
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
 from itertools import combinations
 from math import comb
@@ -338,41 +341,67 @@ def test_floyd_sample_is_sorted_distinct_int64():
         assert 0 <= s[0] and s[-1] < universe
 
 
-@pytest.mark.parametrize("universe, k", [(30, 7), (30, 0), (1, 1), (0, 0)])
+def test_floyd_sample_rejects_k_outside_the_universe():
+    for k in (-1, 11):
+        with pytest.raises(ValueError, match=r"outside 0\.\.10"):
+            floyd_sample(random.Random(1), 10, k)
+
+
+def _coin_floyd_reference(rng, universe, k):
+    """The sampler in plain Python: a coin per element, then Floyd's loop
+    flips |c - k| positions of the chosen (c > k) or unchosen (c < k) pool."""
+    coins = rng.getrandbits(universe)
+    chosen = {i for i in range(universe) if coins >> i & 1}
+    c = len(chosen)
+    pool = sorted(chosen) if c > k else [i for i in range(universe) if i not in chosen]
+    picked = set()
+    for j in range(len(pool) - abs(c - k), len(pool)):
+        t = rng.randrange(j + 1)
+        picked.add(j if t in picked else t)
+    return sorted(chosen ^ {pool[p] for p in picked})
+
+
+@pytest.mark.parametrize("universe, k", [(30, 7), (30, 0), (1, 1), (0, 0), (30, 25)])
 def test_floyd_sample_makes_one_draw(universe, k):
+    # one getrandbits(universe) call for the coins, then exactly the
+    # randrange calls of Floyd's loop over the pool
     rng = random.Random(5)
     twin = random.Random()
     twin.setstate(rng.getstate())
     floyd_sample(rng, universe, k)
-    twin.getrandbits(64 * universe)
+    c = twin.getrandbits(universe).bit_count()
+    pool = c if c > k else universe - c
+    for j in range(pool - abs(c - k), pool):
+        twin.randrange(j + 1)
     assert rng.getstate() == twin.getstate()
 
 
 def test_floyd_sample_is_uniform():
-    # 40 000 draws of a 3-subset of range(6): each of the 20 subsets is
-    # expected 2000 times. The bound is the 0.999 quantile of chi-square
-    # with 19 degrees of freedom.
+    # Each case draws a k-subset of range(universe) 40 000 times; a chi-square
+    # statistic over the C(universe, k) subsets must stay below the 0.999
+    # quantile for C(universe, k) - 1 degrees of freedom. (7, 2) and (8, 1)
+    # mostly shrink the coin set by large fix-ups, (7, 6) grows it.
     rng = random.Random(11)
-    counts = dict.fromkeys(combinations(range(6), 3), 0)
     draws = 40_000
-    for _ in range(draws):
-        counts[tuple(floyd_sample(rng, 6, 3).tolist())] += 1
-    assert len(counts) == 20 and min(counts.values()) > 0
-    expected = draws / 20
-    chi2 = sum((c - expected) ** 2 / expected for c in counts.values())
-    assert chi2 < 43.82, chi2
+    for universe, k, bound in [(6, 3, 43.82), (7, 2, 45.31), (7, 6, 22.46), (8, 1, 24.32)]:
+        counts = dict.fromkeys(combinations(range(universe), k), 0)
+        for _ in range(draws):
+            counts[tuple(floyd_sample(rng, universe, k).tolist())] += 1
+        assert len(counts) == comb(universe, k) and min(counts.values()) > 0
+        expected = draws / len(counts)
+        chi2 = sum((c - expected) ** 2 / expected for c in counts.values())
+        assert chi2 < bound, (universe, k, chi2)
 
 
 @settings(max_examples=150, deadline=None)
-@given(seed=st.integers(0, 2**32), universe=st.integers(1, 300), data=st.data())
+@given(seed=st.integers(0, 2**32), universe=st.integers(0, 300), data=st.data())
 def test_floyd_sample_takes_the_k_smallest_keys(seed, universe, data):
+    # the same subset, from the same stream, as the plain-Python coin + Floyd
+    # reference; both leave the generator in the same state
     k = data.draw(st.integers(0, universe))
-    keys = np.frombuffer(
-        random.Random(seed).getrandbits(64 * universe).to_bytes(8 * universe, "little"),
-        dtype="<u8",
-    )
-    expected = np.sort(np.argsort(keys, kind="stable")[:k])
-    assert floyd_sample(random.Random(seed), universe, k).tolist() == expected.tolist()
+    rng, twin = random.Random(seed), random.Random(seed)
+    assert floyd_sample(rng, universe, k).tolist() == _coin_floyd_reference(twin, universe, k)
+    assert rng.getstate() == twin.getstate()
 
 
 def test_tril_indices_follow_the_edge_slots():
@@ -389,6 +418,23 @@ def test_graph_slots_of_y(n, q):
     slots = graph_slots(g)
     assert slots.tolist() == expected
     assert len(expected) == g.m
+
+
+def test_run_random_leaves_numpy_random_unimported():
+    # the probe draws from Python's random stream only (numpy.random would
+    # add several MB of resident memory to every probe process)
+    code = (
+        "import sys\n"
+        "from specls.search import SearchJob, run_random\n"
+        "run_random(SearchJob('SPEC_LS_Y', 'random', {'n': [12], 'q': [1], 'samples': [5],"
+        " 'perturbations': [3]}, seed=2))\n"
+        "print('numpy.random' in sys.modules)\n"
+    )
+    src = str(Path(search.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env=env, check=True)
+    assert out.stdout.strip() == "False"
 
 
 def test_perturbations_swap_at_most_one_edge_of_y(monkeypatch):
