@@ -47,7 +47,7 @@ from .graph6 import emit_graph6
 from .roots import FamilyPolynomial, family_lambda, signs_at_lambda
 from .spectral import Ordering, _decide, certify_lambda_ge_frac, exact_lambda_sq, perron_enclosure
 from .theorems import bn_relation_poly, verify_by_id
-from .triangles import dense_triangle_count, triangle_count
+from .triangles import dense_triangle_count, triangle_count, triangle_workspace
 from .verdicts import jsonable_value
 
 SHARDS = 32
@@ -633,10 +633,10 @@ def floyd_sample(rng: random.Random, universe: int, k: int) -> np.ndarray:
 
 
 @functools.lru_cache(maxsize=8)
-def _y_reference(n: int, q: int) -> tuple[np.ndarray, frozenset, Fraction, Fraction]:
+def _y_reference(n: int, q: int) -> tuple[np.ndarray, Fraction, Fraction]:
     """Y_{n,2,q} for the random probe, built once per (n, q): its edges as a
-    read-only sorted slot array and as a set, and a certified bracket of its
-    lambda^2 (the exact family polynomial at q = 1, CW otherwise)."""
+    read-only sorted slot array, and a certified bracket of its lambda^2
+    (the exact family polynomial at q = 1, CW otherwise)."""
     yc = y_n2q(n, q)
     if q == 1:
         tag = "Y_even" if n % 2 == 0 else "Y_odd"
@@ -646,7 +646,17 @@ def _y_reference(n: int, q: int) -> tuple[np.ndarray, frozenset, Fraction, Fract
         y_lo, y_hi = Fraction(ycert.lambda_lo), Fraction(ycert.lambda_hi)
     y_slots = graph_slots(yc.graph)
     y_slots.flags.writeable = False
-    return y_slots, frozenset(y_slots.tolist()), y_lo * y_lo, y_hi * y_hi
+    return y_slots, y_lo * y_lo, y_hi * y_hi
+
+
+@functools.lru_cache(maxsize=2)
+def _flat_slots(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The flat (row-major) entries i*n + j and j*n + i of each edge slot
+    {i, j} of an n x n matrix, read-only int64, in slot order."""
+    iu, jv = slot_ends(n)
+    upper, lower = iu * n + jv, jv * n + iu
+    upper.flags.writeable = lower.flags.writeable = False
+    return upper, lower
 
 
 def run_random(job: SearchJob) -> SearchReport:
@@ -655,7 +665,10 @@ def run_random(job: SearchJob) -> SearchReport:
     Samples uniform G(n, m) at m = floor(n^2/4)+q plus edge-swap
     perturbations of the matching construction; every sample with certified
     lambda >= lambda(Y_{n,2,q}) must have at least q*floor(n/2) triangles.
-    Samples are arrays of slot indices (`graph.slot_ends` order).
+    Samples are subsets of the edge slots (`graph.slot_ends` order). Every
+    sample is written into one float32 adjacency matrix that the job reuses,
+    as is the triangle count's workspace, so a sample allocates no n x n
+    array unless its lambda needs the CW rungs.
     """
     if job.target != "SPEC_LS_Y":
         raise ValueError(f"no random runner for target {job.target!r}")
@@ -667,25 +680,28 @@ def run_random(job: SearchJob) -> SearchReport:
     n_perturb = job.grid.get("perturbations", [0])[0]
     m = n * n // 4 + q
     bound = q * (n // 2)
-    y_slots, y_set, y_lo2, y_hi2 = _y_reference(n, q)
-    iu, jv = slot_ends(n)
-    ns = len(iu)
-    upper, lower = iu * n + jv, jv * n + iu  # flat (row-major) entries of each slot
+    y_slots, y_lo2, y_hi2 = _y_reference(n, q)
+    upper, lower = _flat_slots(n)
+    ns = len(upper)
+    A = np.zeros((n, n), np.float32)
+    flat = A.reshape(-1)  # a view: writes go to A
+    walks = triangle_workspace(n)
+    pos = np.empty(m, np.int64)
 
     def above_y(iv) -> Optional[bool]:  # is lambda(G) > lambda(Y)?
         return True if iv[0] > y_hi2 else False if iv[1] < y_lo2 else None
+
+    def put(slots, value: float) -> None:
+        for half in (upper, lower):
+            flat[half[slots]] = value
 
     hyp_true = 0
     min_t = None
     examined = 0
 
-    def eval_sample(idx: np.ndarray) -> None:
+    def eval_sample() -> None:  # the sample is the graph that A holds
         nonlocal hyp_true, min_t, examined
         examined += 1
-        A = np.zeros(n * n)
-        A[upper[idx]] = 1.0
-        A[lower[idx]] = 1.0
-        A = A.reshape(n, n)
         decided = _decide(above_y, A)
         if isinstance(decided, Ordering):
             report.ties += 1
@@ -693,7 +709,7 @@ def run_random(job: SearchJob) -> SearchReport:
         if not decided:
             return
         hyp_true += 1
-        t = dense_triangle_count(A)
+        t = dense_triangle_count(A, walks)
         min_t = t if min_t is None else min(min_t, t)
         if t < bound:
             g = from_matrix(A)
@@ -703,15 +719,23 @@ def run_random(job: SearchJob) -> SearchReport:
             )
 
     for _ in range(n_uniform):
-        eval_sample(floyd_sample(rng, ns, m))
+        idx = floyd_sample(rng, ns, m)
+        for half in (upper, lower):
+            flat[np.take(half, idx, out=pos)] = 1.0
+        eval_sample()
+        A.fill(0.0)
+    put(y_slots, 1.0)  # A holds Y from here on, between perturbations
     for _ in range(n_perturb):
-        drop = rng.randrange(len(y_slots))
-        dropped = int(y_slots[drop])
+        dropped = int(y_slots[rng.randrange(len(y_slots))])
         while True:  # any slot outside Y minus the dropped one, which may come back
             cand = rng.randrange(ns)
-            if cand not in y_set or cand == dropped:
+            if flat[upper[cand]] == 0.0 or cand == dropped:
                 break
-        eval_sample(np.append(np.delete(y_slots, drop), cand))
+        put(dropped, 0.0)
+        put(cand, 1.0)
+        eval_sample()
+        put(cand, 0.0)
+        put(dropped, 1.0)
     report.graphs_examined = examined
     report.counterexamples.sort(key=lambda c: c["graph6"])
     report.extremal_tracker = {

@@ -269,8 +269,11 @@ def _lambda_sq_rungs(
 
     Unless `exact_lambda_sq` applies, the free rung is Hofmeister's bound
     lambda^2 >= sum(d^2)/n (the Rayleigh quotient of A^2 at the all-ones
-    vector), never weaker than (2m/n)^2 by Cauchy-Schwarz. `d @ d` is exact:
-    every degree and partial sum is an integer below 2^53."""
+    vector), never weaker than (2m/n)^2 by Cauchy-Schwarz. The matrix may
+    have any 0/1 dtype: each degree is an integer at most n < 2^24, exact
+    even in float32, and `d @ d` runs in int64, so it is exact however
+    large sum(d^2) grows. The CW rungs run on a float64 copy, made only
+    when they are reached."""
     if isinstance(subject, Graph):
         exact = exact_lambda_sq(subject)
         if exact is not None:
@@ -279,9 +282,9 @@ def _lambda_sq_rungs(
         if subject.n < 1:
             raise ValueError("needs at least one vertex")
         subject = adjacency_matrix(subject)
-    d = subject.sum(axis=1)
+    d = subject.sum(axis=1).astype(np.int64)
     yield Fraction(int(d @ d), len(d)), math.inf
-    for lo, hi, converged, *_ in _cw_rungs(subject, tols):
+    for lo, hi, converged, *_ in _cw_rungs(subject.astype(np.float64, copy=False), tols):
         yield (Fraction(lo) ** 2, Fraction(hi) ** 2) if converged else None
 
 

@@ -12,7 +12,11 @@ sparse ones). The dense count is exact: the entries of B @ B that count
 (those off the diagonal) are integers <= n - 2 < 2^24, as is every
 partial sum behind them, so float32 holds them in any summation order
 and under any BLAS thread count; each block is summed in float64, and
-the total 6t <= n^3 <= 2^36 < 2^53 (n <= MAX_VERTICES = 4096).
+the total 6t <= n^3 <= 2^36 < 2^53 (n <= MAX_VERTICES = 4096). A float32
+matrix is read in place, and every block product goes into one buffer:
+the caller's `triangle_workspace(n)` when it counts many graphs of one
+order (the random probe), so that repeated counts allocate nothing, or
+else one made per call.
 
 The covering number tau3 is solved exactly by branch and bound on the
 triangle hypergraph. The distance to bipartiteness is edges minus max
@@ -26,6 +30,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from typing import Optional
 
 import numpy as np
 
@@ -50,16 +55,26 @@ EXACT_CUT_LIMIT = 30
 CUT_BLOCK = 1 << 12
 
 
-def dense_triangle_count(A: np.ndarray) -> int:
+def triangle_workspace(n: int) -> np.ndarray:
+    """A reusable float32 buffer for the block products of
+    `dense_triangle_count` on n-vertex graphs."""
+    return np.empty((min(n, TRIANGLE_BLOCK), n), np.float32)
+
+
+def dense_triangle_count(A: np.ndarray, walks: Optional[np.ndarray] = None) -> int:
     """Exact triangle count of a 0/1 adjacency matrix, by float32 matmuls in
-    row blocks (see the module docstring for why float32 is exact)."""
+    row blocks (see the module docstring for why float32 is exact). `walks`
+    is a `triangle_workspace(n)` to write the block products into; its
+    contents are overwritten."""
     B = A.astype(np.float32, copy=False)
+    if walks is None:
+        walks = triangle_workspace(len(B))
     total = 0
     for lo in range(0, len(B), TRIANGLE_BLOCK):
         block = B[lo:lo + TRIANGLE_BLOCK]
-        walks = block @ B
-        walks *= block
-        total += int(walks.sum(dtype=np.float64))
+        w = np.matmul(block, B, out=walks[:len(block)])
+        w *= block
+        total += int(w.sum(dtype=np.float64))
     return total // 6
 
 

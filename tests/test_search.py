@@ -4,6 +4,7 @@ import os
 import random
 import subprocess
 import sys
+import tracemalloc
 from fractions import Fraction
 from itertools import combinations
 from math import comb
@@ -14,7 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from specls import roots, search
+from specls import roots, search, spectral
 from specls.families import book_join, build_from_spec, y_n2q
 from specls.graph6 import emit_graph6, parse_graph6
 from specls.morphism import are_isomorphic
@@ -35,6 +36,7 @@ from specls.search import (
     run_random,
 )
 from specls.graph import add_edge, adjacency_matrix, build_graph, complete_graph, empty_graph
+from specls.graph import from_matrix
 from specls.graph import remove_edge
 from specls.graph import is_complete_bipartite
 from specls.triangles import _triangle_count_bit_rows, dense_triangle_count, triangle_count
@@ -468,7 +470,7 @@ def test_counterexample_graph_is_the_sample(monkeypatch):
     n = 10
     counted = []
 
-    def no_triangles(A):
+    def no_triangles(A, *args, **kwargs):
         counted.append(A.copy())
         return 0
 
@@ -530,11 +532,70 @@ def test_y_reference_is_built_once_per_n_q_and_read_only(monkeypatch):
                     {"n": [20], "q": [2], "samples": [3], "perturbations": [2]}, seed=1)
     assert run_random(job).to_json() == run_random(job).to_json()
     assert built == [(20, 2)]
-    y_slots, y_set, _, _ = search._y_reference(20, 2)
-    assert y_slots.tolist() == graph_slots(real(20, 2).graph).tolist() == sorted(y_set)
+    y_slots, _, _ = search._y_reference(20, 2)
+    assert y_slots.tolist() == graph_slots(real(20, 2).graph).tolist()
     with pytest.raises(ValueError):
         y_slots[0] = 0
     search._y_reference.cache_clear()
+
+
+def test_y_reference_pins_little_memory():
+    # the cache keeps up to eight references; at n = 1200 one holds the
+    # 360 001 slots of Y (2.9 MB) and its bracket, and no per-slot set
+    search._y_reference.cache_clear()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        search._y_reference(1200, 1)
+        held = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+        search._y_reference.cache_clear()
+    assert held < 5_000_000, held
+
+
+def test_probe_reports_match_golden_digests():
+    # sha256 of run_random(job).to_json() for jobs "n,q,samples,perturbations,seed":
+    # 12,1,... reaches the CW rungs and ties, 60,2,... has a CW bracket of Y
+    golden = json.loads((Path(__file__).parent / "golden" / "probe_digests.json").read_text())
+    assert len(golden) == 3
+    for spec, digest in golden.items():
+        n, q, samples, perturbations, seed = map(int, spec.split(","))
+        job = SearchJob("SPEC_LS_Y", "random", {"n": [n], "q": [q], "samples": [samples],
+                                                "perturbations": [perturbations]}, seed=seed)
+        assert hashlib.sha256(run_random(job).to_json().encode()).hexdigest() == digest, spec
+
+
+def test_probe_samples_reach_the_cw_rungs_through_one_float64_copy(monkeypatch):
+    # each sample is decided on the job's float32 matrix; the CW rungs get a
+    # float64 copy, and give the same rungs as the Graph and float64 paths
+    samples, cw_inputs = [], []
+    real_decide, real_cw = search._decide, spectral._cw_rungs
+
+    def spy_decide(test, A, **kw):
+        samples.append(A.copy())
+        return real_decide(test, A, **kw)
+
+    def spy_cw(A, tols):
+        cw_inputs.append(A.dtype)
+        return real_cw(A, tols)
+
+    monkeypatch.setattr(search, "_decide", spy_decide)
+    monkeypatch.setattr(spectral, "_cw_rungs", spy_cw)
+    job = SearchJob("SPEC_LS_Y", "random",
+                    {"n": [12], "q": [1], "samples": [50], "perturbations": [50]}, seed=3)
+    rep = run_random(job)
+    assert rep.ties == 2
+    assert cw_inputs == [np.float64] * 4
+    assert {A.dtype for A in samples} == {np.dtype(np.float32)}
+    monkeypatch.setattr(spectral, "_cw_rungs", real_cw)
+    tols = spectral._tols_down_to(1e-12)
+    for A in samples:
+        rungs = list(spectral._lambda_sq_rungs(A, tols))
+        assert rungs == list(spectral._lambda_sq_rungs(A.astype(np.float64), tols))
+        g = from_matrix(A)
+        if spectral.exact_lambda_sq(g) is None:
+            assert rungs == list(spectral._lambda_sq_rungs(g, tols))
 
 
 @pytest.mark.parametrize("gamma", ["1/2", "64/65", "1"])

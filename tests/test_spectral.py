@@ -3,13 +3,16 @@ import random
 import sys
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from specls.families import kab_plus, t_n2q, turan, y_n2q
 from specls.graph import add_edge, bits, build_graph, complete_graph, components, empty_graph
+from specls.graph import adjacency_matrix
 from specls.roots import lambda_interval_exact
 from specls.spectral import (
     Ordering,
+    _lambda_sq_rungs,
     certified,
     certify_lambda_ge_frac,
     certify_lambda_ge_sqrt,
@@ -302,3 +305,14 @@ def test_rotation_disconnected():
     v = rotation_increases_lambda(g, 3, 2, 0)
     assert v.hypothesis_met is False
     assert "disconnected" in (v.indeterminate_reason or "")
+
+
+def test_free_rung_is_exact_for_every_0_1_dtype():
+    # K_420: sum(d^2) = 420 * 419^2 = 73 735 620 > 2^24, which a float32 dot
+    # product rounds to 73 735 616; every dtype's free rung must start at the
+    # exact lambda^2 = 419^2 that the Graph path reads
+    g = complete_graph(420)
+    exact = next(_lambda_sq_rungs(g, [1e-9]))
+    assert exact == (419**2, 419**2)
+    for dtype in (np.float32, np.uint8, np.float64):
+        assert next(_lambda_sq_rungs(adjacency_matrix(g, dtype), [1e-9])) == (419**2, math.inf)

@@ -27,6 +27,7 @@ from specls.triangles import (
     tau3,
     triangle_count,
     triangle_list,
+    triangle_workspace,
 )
 
 
@@ -72,6 +73,21 @@ def test_dense_and_bit_row_counts_agree_around_the_cut_off():
     for n in (100, 513, 700):  # one, two and more row blocks
         g = random_graph(rng, n, 0.4)
         assert triangle_count(g) == dense_triangle_count(adjacency_matrix(g)) == _triangle_count_bit_rows(g)
+
+
+def test_dense_count_reuses_one_workspace_per_order():
+    # one workspace serves a sequence of graphs of one order, dense and
+    # sparse, in float32 and float64; n = 600 has one full row block and one
+    # short one, and a block product left over never leaks into the next count
+    rng = random.Random(23)
+    for n in (40, 300, 600):
+        walks = triangle_workspace(n)
+        for p in (0.9, 0.05, 0.5, 0.0, 1.0):
+            g = random_graph(rng, n, p)
+            expected = _triangle_count_bit_rows(g)
+            for dtype in (np.float32, np.float64):
+                A = adjacency_matrix(g, dtype)
+                assert dense_triangle_count(A, walks) == dense_triangle_count(A) == expected, (n, p)
 
 
 @pytest.mark.parametrize("n, q", [(1200, 1), (1200, 2), (2700, 1), (2700, 3), (MAX_VERTICES, 3)])
