@@ -224,14 +224,15 @@ def check_spec_bc(g: Graph, s: int) -> TheoremVerdict:
         return TheoremVerdict(
             "SPEC_BC", None, concl, margins, None, "lambda comparison undecided", params
         )
+    if not lam_ok:  # the hypothesis already fails: no exponential tau3 search
+        return TheoremVerdict("SPEC_BC", False, concl, margins, None, None, params)
     try:
         tau, cover = tau3(g)
     except ValueError as exc:
         return TheoremVerdict("SPEC_BC", None, concl, margins, None, str(exc), params)
     margins["tau3_margin"] = tau - s
-    hyp = bool(lam_ok) and tau >= s
     return TheoremVerdict(
-        "SPEC_BC", hyp, concl, margins, {"tau3": tau, "cover": cover}, None, params
+        "SPEC_BC", tau >= s, concl, margins, {"tau3": tau, "cover": cover}, None, params
     )
 
 

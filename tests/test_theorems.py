@@ -1,6 +1,7 @@
 import itertools
 import math
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -21,6 +22,7 @@ from specls.families import (
 )
 from specls.graph import add_edge, build_graph, complete_graph, empty_graph
 from specls.roots import lambda_interval_exact
+from specls.search import edge_slots
 from specls.spectral import Ordering
 from specls.theorems import (
     bn_relation_exact,
@@ -173,6 +175,17 @@ def test_spec_bc():
     assert v.hypothesis_met is True and v.conclusion_met is True
     v = check_spec_bc(turan(452, 2).graph, 2)
     assert v.hypothesis_met is False  # bipartite: tau3 = 0
+
+
+def test_spec_bc_skips_tau3_when_lambda_is_below():
+    # G(120, 1/2) has lambda below n/2, so the hypothesis fails before the
+    # exponential tau3 search, which ran for more than 20 s on this graph
+    g = build_graph(120, random.Random(1).sample(edge_slots(120), 3570))
+    start = time.perf_counter()
+    v = check_spec_bc(g, 1)
+    assert time.perf_counter() - start < 1.0
+    assert v.hypothesis_met is False and v.conclusion_met is True
+    assert v.witness is None and "tau3_margin" not in v.margins
 
 
 def test_bn_inequality_and_equality():
