@@ -165,10 +165,10 @@ def _emit(doc: ReportDocument, args, verdicts: list[TheoremVerdict] | None = Non
             print(json.dumps(item, sort_keys=True, default=str))
 
 
-def _exit_code(verdicts: list[TheoremVerdict], ties: int = 0) -> int:
+def _exit_code(verdicts: list[TheoremVerdict]) -> int:
     if any(v.is_counterexample for v in verdicts):
         return EXIT_COUNTEREXAMPLE
-    if ties or any(v.is_indeterminate for v in verdicts):
+    if any(v.is_indeterminate for v in verdicts):
         return EXIT_INDETERMINATE
     return EXIT_OK
 

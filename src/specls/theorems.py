@@ -1,6 +1,8 @@
 """One verifier per theorem/lemma: hypothesis + conclusion on a concrete graph.
 
-Every verifier returns a TheoremVerdict. Combinatorial quantities (edge and
+Every verifier returns a TheoremVerdict built by `_verdict`, the one place
+that decides whether a verdict shows its reason: exactly when the hypothesis
+or the conclusion is undecided (None). Combinatorial quantities (edge and
 triangle counts, degrees) enter margins as exact integers or rationals.
 Every relation involving lambda is decided on the one ladder of
 `spectral._decide` (directly, or through `compare_lambda` and the
@@ -12,13 +14,19 @@ isomorphism test or float tolerance stands in for a proof. The Perron-vector
 lemmas (X_MASS and the structural audit) read one enclosure's vector. A
 verifier never claims a counterexample unless the hypothesis is certified
 true and the conclusion certified false.
+
+WILF and NIKIFOROV_M share one clique-threshold body. The structural audit
+lists its eight gated lemmas as rows (id, conclusion, margins) and builds
+them all by one expression under the standing gate. `verify_by_id` looks a
+theorem id up in `_VERIFIERS`, which maps it to its verifier and that
+verifier's parameter names with their defaults.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Callable, Optional
+from typing import Any, Callable, Optional
 
 from .families import (
     Construction,
@@ -48,13 +56,28 @@ from .spectral import (
     compare_lambda,
     perron_enclosure,
 )
-from .triangles import EXACT_CUT_LIMIT, bipartite_distance, degree_square_sum, max_cut_exact, tau3
+from .triangles import EXACT_CUT_LIMIT, bipartite_distance, degree_square_sum, tau3
 from .triangles import triangle_count
 from .verdicts import TheoremVerdict
 
 
 def _floor_q(n: int) -> int:
     return n * n // 4
+
+
+def _verdict(
+    theorem_id: str,
+    hyp: Optional[bool],
+    concl: Optional[bool],
+    margins: dict[str, Any],
+    witness: Optional[dict[str, Any]],
+    params: dict[str, Any],
+    why: Optional[str] = None,
+) -> TheoremVerdict:
+    """A verdict that gives the reason `why` exactly when its hypothesis or
+    its conclusion is undecided (None); a refusal has both undecided."""
+    reason = why if hyp is None or concl is None else None
+    return TheoremVerdict(theorem_id, hyp, concl, margins, witness, reason, params)
 
 
 def is_turan2(g: Graph) -> bool:
@@ -96,16 +119,9 @@ def has_clique(g: Graph, k: int) -> bool:
 
 def check_mantel(g: Graph) -> TheoremVerdict:
     t = triangle_count(g)
-    hyp = g.m > _floor_q(g.n)
-    return TheoremVerdict(
-        "MANTEL",
-        hyp,
-        t >= 1,
-        {"edge_excess": g.m - _floor_q(g.n), "t": t},
-        None,
-        None,
-        {"n": g.n, "m": g.m},
-    )
+    excess = g.m - _floor_q(g.n)
+    return _verdict("MANTEL", excess > 0, t >= 1, {"edge_excess": excess, "t": t}, None,
+                    {"n": g.n, "m": g.m})
 
 
 def check_er_rad(g: Graph) -> TheoremVerdict:
@@ -114,15 +130,9 @@ def check_er_rad(g: Graph) -> TheoremVerdict:
     bound = n // 2
     hyp = g.m >= _floor_q(n) + 1
     witness = _equality_witness(g, 1) if hyp and t == bound else None
-    return TheoremVerdict(
-        "ER_RAD",
-        hyp,
-        t >= bound,
-        {"t_margin": t - bound, "edge_excess": g.m - _floor_q(n)},
-        witness,
-        None,
-        {"n": n, "m": g.m},
-    )
+    return _verdict("ER_RAD", hyp, t >= bound,
+                    {"t_margin": t - bound, "edge_excess": g.m - _floor_q(n)}, witness,
+                    {"n": n, "m": g.m})
 
 
 def check_ls(g: Graph, q: int) -> TheoremVerdict:
@@ -130,15 +140,9 @@ def check_ls(g: Graph, q: int) -> TheoremVerdict:
     t = triangle_count(g)
     hyp = 1 <= q and 2 * q < n and g.m >= _floor_q(n) + q
     bound = q * (n // 2)
-    return TheoremVerdict(
-        "LS",
-        hyp,
-        t >= bound,
-        {"t_margin": t - bound, "edge_excess": g.m - _floor_q(n)},
-        None,
-        None,
-        {"n": n, "q": q, "m": g.m},
-    )
+    return _verdict("LS", hyp, t >= bound,
+                    {"t_margin": t - bound, "edge_excess": g.m - _floor_q(n)}, None,
+                    {"n": n, "q": q, "m": g.m})
 
 
 # ---------------------------------------------------------------------------
@@ -152,19 +156,9 @@ def check_ning_zhai(g: Graph) -> TheoremVerdict:
     hyp = certify_lambda_ge_sqrt(g, _floor_q(n))
     bound = n // 2 - 1
     exception = is_turan2(g)
-    concl: Optional[bool] = t >= bound or exception
-    reason = None
-    if hyp is None:
-        reason = "lambda comparison with the bipartite Turan value undecided"
-    return TheoremVerdict(
-        "NING_ZHAI",
-        hyp,
-        concl,
-        {"t_margin": t - bound},
-        {"turan_exception": exception} if exception else None,
-        reason,
-        {"n": n, "m": g.m},
-    )
+    return _verdict("NING_ZHAI", hyp, t >= bound or exception, {"t_margin": t - bound},
+                    {"turan_exception": exception} if exception else None, {"n": n, "m": g.m},
+                    why="lambda comparison with the bipartite Turan value undecided")
 
 
 def _hyp_lambda_ge_construction(g: Graph, ref: Construction) -> tuple[Optional[bool], str, Ordering]:
@@ -187,19 +181,14 @@ def _check_spec_ls(
     n = g.n
     t = triangle_count(g)
     bound = q * (n // 2)
-    params = {"n": n, "q": q}
+    margins, params = {"t_margin": t - bound}, {"n": n, "q": q}
     if q < 1 or n < 300 * q * q:
-        return TheoremVerdict(
-            theorem_id, False, t >= bound, {"t_margin": t - bound}, None, None, params
-        )
+        return _verdict(theorem_id, False, t >= bound, margins, None, params)
     lam_ok, how, _ = _hyp_lambda_ge_construction(g, reference(n, q))
     witness = {"lambda_route": how}
     if unique and lam_ok and t == bound:
         witness.update(_equality_witness(g, q))
-    return TheoremVerdict(
-        theorem_id, lam_ok, t >= bound, {"t_margin": t - bound}, witness,
-        None if lam_ok is not None else how, params,
-    )
+    return _verdict(theorem_id, lam_ok, t >= bound, margins, witness, params, why=how)
 
 
 def check_spec_ls_y(g: Graph, q: int) -> TheoremVerdict:
@@ -217,23 +206,16 @@ def check_spec_bc(g: Graph, s: int) -> TheoremVerdict:
     bound = Fraction(s * n, 2) - 5 * s * s
     concl = Fraction(t) >= bound
     margins = {"t_margin": Fraction(t) - bound}
-    if n < 113 * s * s:
-        return TheoremVerdict("SPEC_BC", False, concl, margins, None, None, params)
-    lam_ok = certify_lambda_ge_sqrt(g, _floor_q(n))
-    if lam_ok is None:
-        return TheoremVerdict(
-            "SPEC_BC", None, concl, margins, None, "lambda comparison undecided", params
-        )
-    if not lam_ok:  # the hypothesis already fails: no exponential tau3 search
-        return TheoremVerdict("SPEC_BC", False, concl, margins, None, None, params)
+    lam_ok = n >= 113 * s * s and certify_lambda_ge_sqrt(g, _floor_q(n))
+    if not lam_ok:  # too small, undecided or below: no exponential tau3 search
+        return _verdict("SPEC_BC", lam_ok, concl, margins, None, params,
+                        why="lambda comparison undecided")
     try:
         tau, cover = tau3(g)
     except ValueError as exc:
-        return TheoremVerdict("SPEC_BC", None, concl, margins, None, str(exc), params)
+        return _verdict("SPEC_BC", None, concl, margins, None, params, why=str(exc))
     margins["tau3_margin"] = tau - s
-    return TheoremVerdict(
-        "SPEC_BC", tau >= s, concl, margins, {"tau3": tau, "cover": cover}, None, params
-    )
+    return _verdict("SPEC_BC", tau >= s, concl, margins, {"tau3": tau, "cover": cover}, params)
 
 
 # ---------------------------------------------------------------------------
@@ -275,11 +257,9 @@ def check_bn(g: Graph) -> TheoremVerdict:
     t = triangle_count(g)
     params = {"n": n, "m": m}
     if m == 0:
-        return TheoremVerdict(
-            "BN_INEQ", True, True, {"gap": (0.0, 0.0)},
-            {"equality_case": t == 0, "complete_bipartite": is_complete_bipartite(g)},
-            None, params,
-        )
+        return _verdict("BN_INEQ", True, True, {"gap": (0.0, 0.0)},
+                        {"equality_case": t == 0, "complete_bipartite": is_complete_bipartite(g)},
+                        params)
     tested: list[Interval] = []
 
     def test(iv: Interval) -> Optional[bool]:
@@ -292,7 +272,7 @@ def check_bn(g: Graph) -> TheoremVerdict:
     # interval multiplication over the last rung tested
     ends = [r * (s - m) / 3 for r in (math.sqrt(lo), math.sqrt(hi)) for s in (lo, hi)]
     margins = {"gap": (t - max(ends), t - min(ends))}
-    method = reason = None
+    method = why = None
     if isinstance(answer, bool):
         concl: Optional[bool] = answer
         if lo == hi and lo >= m and lo * (lo - m) ** 2 == 9 * t * t:
@@ -304,28 +284,21 @@ def check_bn(g: Graph) -> TheoremVerdict:
             method = "exact charpoly"
     else:
         concl = None
-        reason = f"lambda ladder returned {answer.value} and n > {_BN_EXACT_LIMIT}"
+        why = f"lambda ladder returned {answer.value} and n > {_BN_EXACT_LIMIT}"
     witness = None if method is None else {
         "equality_case": True, "complete_bipartite": is_complete_bipartite(g), "method": method,
     }
-    return TheoremVerdict("BN_INEQ", True, concl, margins, witness, reason, params)
+    return _verdict("BN_INEQ", True, concl, margins, witness, params, why=why)
 
 
 def check_moon_moser(g: Graph) -> TheoremVerdict:
     n, m = g.n, g.m
     t = triangle_count(g)
     if n == 0:
-        return TheoremVerdict("MOON_MOSER", True, True, {}, None, None, {"n": 0})
+        return _verdict("MOON_MOSER", True, True, {}, None, {"n": 0})
     bound = Fraction(4 * m, 3 * n) * (Fraction(m) - Fraction(n * n, 4))
-    return TheoremVerdict(
-        "MOON_MOSER",
-        True,
-        Fraction(t) >= bound,
-        {"t_margin": Fraction(t) - bound},
-        None,
-        None,
-        {"n": n, "m": m},
-    )
+    return _verdict("MOON_MOSER", True, Fraction(t) >= bound, {"t_margin": Fraction(t) - bound},
+                    None, {"n": n, "m": m})
 
 
 def check_far_supersat(g: Graph, exact_limit: int = EXACT_CUT_LIMIT) -> TheoremVerdict:
@@ -334,70 +307,45 @@ def check_far_supersat(g: Graph, exact_limit: int = EXACT_CUT_LIMIT) -> TheoremV
     params = {"n": n, "m": m}
     dist = bipartite_distance(g, exact_limit)
     if not dist.exact:
-        return TheoremVerdict(
-            "FAR_BIP_SUPERSAT", None, None, {}, None,
-            "epsilon only bounded heuristically at this size", params,
-        )
+        return _verdict("FAR_BIP_SUPERSAT", None, None, {}, None, params,
+                        why="epsilon only bounded heuristically at this size")
     eps = dist.epsilon
     bound = Fraction(n, 6) * (Fraction(m + eps) - Fraction(n * n, 4))
-    return TheoremVerdict(
-        "FAR_BIP_SUPERSAT",
-        True,
-        Fraction(t) >= bound,
-        {"t_margin": Fraction(t) - bound, "epsilon": eps},
-        {"partition_S": dist.witness.S},
-        None,
-        params,
-    )
+    return _verdict("FAR_BIP_SUPERSAT", True, Fraction(t) >= bound,
+                    {"t_margin": Fraction(t) - bound, "epsilon": eps},
+                    {"partition_S": dist.witness.S}, params)
 
 
 def check_tri_effi(g: Graph, k: int, exact_limit: int = EXACT_CUT_LIMIT) -> TheoremVerdict:
     n = g.n
     t = triangle_count(g)
-    params = {"n": n, "k": k}
-    hyp_lam = certify_lambda_ge_frac(g, Fraction(n, 2))
-    hyp_t = Fraction(t) <= Fraction(k * n, 2)
-    hyp = None if hyp_lam is None else (hyp_lam and hyp_t)
-    margins: dict = {"t_slack": Fraction(k * n, 2) - t}
-    # clause (i): enough edges
-    ci = Fraction(g.m) >= Fraction(n * n, 4) - 3 * k
-    margins["edge_margin"] = Fraction(g.m) - (Fraction(n * n, 4) - 3 * k)
+    half = Fraction(n, 2)
+    # three-valued AND: an undecided lambda test leaves the hypothesis open
+    hyp = certify_lambda_ge_frac(g, half) and Fraction(t) <= Fraction(k * n, 2)
+    degs = g.degrees() or [0]
+    margins: dict = {
+        "t_slack": Fraction(k * n, 2) - t,
+        # clause (i): enough edges; clause (iii): the degree window
+        "edge_margin": Fraction(g.m) - (Fraction(n * n, 4) - 3 * k),
+        "min_degree_margin": Fraction(min(degs)) - (half - 12 * k),
+        "max_degree_margin": (half + 9 * k) - max(degs),
+    }
+    # a failed clause (i) or (iii) decides, whatever the cut gives
+    clauses_i_iii = min(margins["edge_margin"], margins["min_degree_margin"],
+                        margins["max_degree_margin"]) >= 0
     # clause (ii): a partition with |n/2 - |S|| <= 3 sqrt(k) and at least
     # n^2/4 - 9k cross edges. A side of size a carries at most
     # a(n - a) = n^2/4 - (n/2 - a)^2 cross edges, so any partition that
     # reaches n^2/4 - 9k has the required sizes: the clause is max cut >= that.
     need_cross = Fraction(n * n, 4) - 9 * k
-    cii: Optional[bool] = None
-    witness_mask = None
-    if n <= exact_limit:
-        cut, mask = max_cut_exact(g)
-        margins["cross_margin"] = cut - need_cross
-        cii = cut >= need_cross
-        witness_mask = mask if cii else None
-    else:
-        margins["cross_margin"] = "unknown"
-    # clause (iii): degree window
-    degs = g.degrees() or [0]
-    ciii = Fraction(min(degs)) >= Fraction(n, 2) - 12 * k and Fraction(
-        max(degs)
-    ) <= Fraction(n, 2) + 9 * k
-    margins["min_degree_margin"] = Fraction(min(degs)) - (Fraction(n, 2) - 12 * k)
-    margins["max_degree_margin"] = (Fraction(n, 2) + 9 * k) - max(degs)
-    if cii is None:
-        concl: Optional[bool] = False if not (ci and ciii) else None
-        reason = "exact max cut unavailable for clause (ii)" if concl is None else None
-    else:
-        concl = ci and cii and ciii
-        reason = None
-    return TheoremVerdict(
-        "TRI_EFFI",
-        hyp,
-        concl,
-        margins,
-        {"partition_S": witness_mask} if witness_mask is not None else None,
-        reason if hyp is not None else "lambda >= n/2 undecided",
-        params,
-    )
+    dist = bipartite_distance(g, exact_limit)
+    cut = g.m - dist.epsilon
+    cii = cut >= need_cross if dist.exact else None
+    margins["cross_margin"] = cut - need_cross if dist.exact else "unknown"
+    return _verdict("TRI_EFFI", hyp, clauses_i_iii and cii, margins,
+                    {"partition_S": dist.witness.S} if cii else None, {"n": n, "k": k},
+                    why="lambda >= n/2 undecided" if hyp is None
+                    else "exact max cut unavailable for clause (ii)")
 
 
 # ---------------------------------------------------------------------------
@@ -405,50 +353,31 @@ def check_tri_effi(g: Graph, k: int, exact_limit: int = EXACT_CUT_LIMIT) -> Theo
 # ---------------------------------------------------------------------------
 
 
-def check_wilf(g: Graph, r: int) -> TheoremVerdict:
-    n = g.n
-    params = {"n": n, "r": r}
+def _check_clique_threshold(
+    theorem_id: str, g: Graph, r: int, scale: int,
+    certify: Callable[[Graph, Fraction], Optional[bool]], margin_key: str, params: dict,
+) -> TheoremVerdict:
+    """No K_{r+1} forces certify(G, (1 - 1/r) scale): lambda <= (1 - 1/r) n
+    (WILF, scale n) or lambda^2 <= (1 - 1/r) 2m (NIKIFOROV_M, scale 2m)."""
     if r < 1:
         raise ValueError("need r >= 1")
     if r + 1 > CLIQUE_EXACT_LIMIT:
-        return TheoremVerdict(
-            "WILF", None, None, {}, None,
-            f"clique detection exact only up to K_{CLIQUE_EXACT_LIMIT}", params,
-        )
+        return _verdict(theorem_id, None, None, {}, None, params,
+                        why=f"clique detection exact only up to K_{CLIQUE_EXACT_LIMIT}")
     hyp = not has_clique(g, r + 1)
-    concl = certify_lambda_le_frac(g, Fraction((r - 1) * n, r))
-    return TheoremVerdict(
-        "WILF",
-        hyp,
-        concl,
-        {"bound": Fraction((r - 1) * n, r)},
-        None,
-        None if concl is not None else "lambda comparison undecided",
-        params,
-    )
+    bound = Fraction((r - 1) * scale, r)
+    return _verdict(theorem_id, hyp, certify(g, bound), {margin_key: bound}, None, params,
+                    why="lambda comparison undecided")
+
+
+def check_wilf(g: Graph, r: int) -> TheoremVerdict:
+    return _check_clique_threshold("WILF", g, r, g.n, certify_lambda_le_frac, "bound",
+                                   {"n": g.n, "r": r})
 
 
 def check_nikiforov_m(g: Graph, r: int) -> TheoremVerdict:
-    params = {"n": g.n, "r": r, "m": g.m}
-    if r < 1:
-        raise ValueError("need r >= 1")
-    if r + 1 > CLIQUE_EXACT_LIMIT:
-        return TheoremVerdict(
-            "NIKIFOROV_M", None, None, {}, None,
-            f"clique detection exact only up to K_{CLIQUE_EXACT_LIMIT}", params,
-        )
-    hyp = not has_clique(g, r + 1)
-    bound = Fraction(2 * g.m * (r - 1), r)
-    concl = certify_lambda_le_sqrt(g, bound)
-    return TheoremVerdict(
-        "NIKIFOROV_M",
-        hyp,
-        concl,
-        {"bound_sq": bound},
-        None,
-        None if concl is not None else "lambda comparison undecided",
-        params,
-    )
+    return _check_clique_threshold("NIKIFOROV_M", g, r, 2 * g.m, certify_lambda_le_sqrt,
+                                   "bound_sq", {"n": g.n, "r": r, "m": g.m})
 
 
 def _floor_half_sqrt_minus1(m: int) -> int:
@@ -461,20 +390,13 @@ def _floor_half_sqrt_minus1(m: int) -> int:
 def check_nosal_nz(g: Graph) -> TheoremVerdict:
     m = g.m
     t = triangle_count(g)
-    params = {"n": g.n, "m": m}
     hyp = certify_lambda_ge_sqrt(g, m)
     cb = is_complete_bipartite(g)
     bound = _floor_half_sqrt_minus1(m)
-    concl = t >= bound or cb
-    return TheoremVerdict(
-        "NOSAL_NZ",
-        hyp,
-        concl,
-        {"t_margin": t - bound, "triangle_free": t == 0},
-        {"complete_bipartite_exception": cb} if cb else None,
-        None if hyp is not None else "lambda vs sqrt(m) undecided",
-        params,
-    )
+    return _verdict("NOSAL_NZ", hyp, t >= bound or cb,
+                    {"t_margin": t - bound, "triangle_free": t == 0},
+                    {"complete_bipartite_exception": cb} if cb else None, {"n": g.n, "m": m},
+                    why="lambda vs sqrt(m) undecided")
 
 
 def check_deg_sq(g: Graph) -> TheoremVerdict:
@@ -483,9 +405,7 @@ def check_deg_sq(g: Graph) -> TheoremVerdict:
     witness = None
     if margin == 0 and g.n > 0:
         witness = {"equality_case": True, "shape": _deg_sq_equality_shape(g)}
-    return TheoremVerdict(
-        "DEG_SQ", True, margin >= 0, {"margin": margin}, witness, None, {"n": g.n, "m": m}
-    )
+    return _verdict("DEG_SQ", True, margin >= 0, {"margin": margin}, witness, {"n": g.n, "m": m})
 
 
 def _deg_sq_equality_shape(g: Graph) -> str:
@@ -562,15 +482,8 @@ def check_embed_order(n: int, q: int) -> TheoremVerdict:
     # a certified violation anywhere decides, whatever refused elsewhere
     ok = False if False in decided else None if None in decided else True
     chain = [name for name, _ in kept]
-    return TheoremVerdict(
-        "EMBED_ORDER",
-        True,
-        ok,
-        orders,
-        {"chain": chain, "skipped": skipped},
-        None if ok is not None else "a comparison refused to certify",
-        {"n": n, "q": q, "side": "larger"},
-    )
+    return _verdict("EMBED_ORDER", True, ok, orders, {"chain": chain, "skipped": skipped},
+                    {"n": n, "q": q, "side": "larger"}, why="a comparison refused to certify")
 
 
 # ---------------------------------------------------------------------------
@@ -636,10 +549,8 @@ def check_x_mass(g: Graph, cert: Optional[SpectralCertificate] = None) -> Theore
     det = _detect_turan2_star(g)
     params = {"n": n}
     if det is None or n % 2 != 0:
-        return TheoremVerdict(
-            "X_MASS", False, None, {}, None,
-            "graph is not an even-order bipartite Turan graph plus one star", params,
-        )
+        return _verdict("X_MASS", False, None, {}, None, params,
+                        why="graph is not an even-order bipartite Turan graph plus one star")
     S, center, q = det
     params["q"] = q
     if cert is None:
@@ -650,29 +561,20 @@ def check_x_mass(g: Graph, cert: Optional[SpectralCertificate] = None) -> Theore
     size_s = S.bit_count()
     lam_lo, lam_hi = cert.lambda_lo, cert.lambda_hi
     if lam_lo <= q:
-        return TheoremVerdict(
-            "X_MASS", None, None, {}, None, "enclosure too wide (lambda <= q)", params
-        )
+        return _verdict("X_MASS", None, None, {}, None, params,
+                        why="enclosure too wide (lambda <= q)")
     lb = min(
         lam * y_V / (lam + size_s + 2 * q / (lam - q)) for lam in (lam_lo, lam_hi)
     )
     ub = max(lam * y_V / (lam + size_s + 2 * q / lam) for lam in (lam_lo, lam_hi))
     slack = n * (cert.residual + cert.width)
     concl = lb - slack <= y_T <= ub + slack
-    return TheoremVerdict(
-        "X_MASS",
-        True,
-        concl,
-        {"bracket": (lb, ub), "y_T": y_T, "slack": slack},
-        {"star_center": center, "star_part": S},
-        None,
-        params,
-    )
+    return _verdict("X_MASS", True, concl, {"bracket": (lb, ub), "y_T": y_T, "slack": slack},
+                    {"star_center": center, "star_part": S}, params)
 
 
 def _component_star_or_c4(h: Graph, comp: int) -> bool:
-    verts = list(bits(comp))
-    k = len(verts)
+    k = comp.bit_count()
     if k == 1:
         return True
     sub = induced(h, comp)
@@ -696,213 +598,103 @@ def check_structural_lemmas(
     n = g.n
     t = triangle_count(g)
     params = {"n": n, "q": q}
-    gate_n = n >= 300 * q * q and q >= 1
-    gate_t = t < q * (n // 2)
     try:
         lam_ok, lam_how, order = _hyp_lambda_ge_construction(g, y_n2q(n, q))
     except ValueError as exc:
-        order = None
-        lam_ok, lam_how = False, str(exc)
+        lam_ok, lam_how, order = False, str(exc), None
     # three-valued AND: a failed size or count gate decides, whatever lambda gives
-    gate: Optional[bool] = gate_n and gate_t and lam_ok
-    gate_reason = None if gate is not None else lam_how
+    gate = n >= 300 * q * q and q >= 1 and t < q * (n // 2) and lam_ok
 
     dist = bipartite_distance(g, exact_limit)
-    exact_part = dist.exact
     w = dist.witness
-    eS, eT, eST = w.eS, w.eT, w.eST
     a, b = w.S.bit_count(), w.T.bit_count()
+    intra = w.eS + w.eT
 
     def existential(satisfied: bool) -> Optional[bool]:
-        if satisfied:
-            return True
-        return False if exact_part else None
+        return True if satisfied else False if dist.exact else None
 
-    out = []
-    intra = eS + eT
-    out.append(
-        TheoremVerdict(
-            "PART_INTRA_LT_6Q",
-            gate,
-            existential(
-                intra < 6 * q
-                and Fraction(eST) > Fraction(n * n, 4) - 9 * q
-                and _size_within(n, a, 9 * q)
-            ),
-            {"intra": intra, "cross": eST, "sizes": (a, b)},
-            None,
-            gate_reason,
-            params,
-        )
-    )
-    out.append(
-        TheoremVerdict(
-            "PART_INTRA_LE_Q",
-            gate,
-            existential(intra <= q),
-            {"intra_margin": q - intra},
-            None,
-            gate_reason,
-            params,
-        )
-    )
     degs = g.degrees() or [0]
-    delta_ok = Fraction(min(degs)) >= Fraction(n, 2) - 4 * q
+    min_margin = Fraction(min(degs)) - (Fraction(n, 2) - 4 * q)
     dmax = Fraction(max(degs)) - Fraction(n, 2) - q  # must be <= 2 sqrt(q)
-    delta_ok = delta_ok and (dmax <= 0 or dmax * dmax <= 4 * q)
-    out.append(
-        TheoremVerdict(
-            "MIN_DEGREE_HALF",
-            gate,
-            bool(delta_ok),
-            {"min_degree_margin": Fraction(min(degs)) - (Fraction(n, 2) - 4 * q)},
-            None,
-            gate_reason,
-            params,
-        )
-    )
     cert = perron_enclosure(g, 1e-11)
     slack = 4.0 * cert.residual + cert.width
     floor_bound = 1 - 30 * q / n if n else 0.0
     xmin = min(cert.perron) if cert.perron else 0.0
-    if xmin - slack > floor_bound:
-        entry_ok: Optional[bool] = True
-    elif xmin + slack <= floor_bound:
-        entry_ok = False
-    else:
-        entry_ok = None
-    out.append(
-        TheoremVerdict(
-            "PERRON_ENTRY_FLOOR",
-            gate,
-            entry_ok,
-            {"min_entry": xmin, "bound": floor_bound, "slack": slack},
-            None,
-            gate_reason if gate is None else (None if entry_ok is not None else "residual slack straddles the bound"),
-            params,
-        )
-    )
+    entry_ok = (True if xmin - slack > floor_bound
+                else False if xmin + slack <= floor_bound else None)
+    gap: tuple = (None, {}, "needs n > 60q")
     if n > 60 * q:
         lhs = Fraction(2 * _floor_q(n), n)
         rhs = Fraction(120 * q * q, n * (n - 60 * q))
         d = lhs - rhs  # require d <= sqrt(a*b)
-        gap_ok = d <= 0 or d * d <= a * b
-        out.append(
-            TheoremVerdict(
-                "PART_PRODUCT_GAP",
-                gate,
-                existential(bool(gap_ok)),
-                {"lhs": lhs, "rhs_bound": rhs, "part_product": a * b},
-                None,
-                gate_reason,
-                params,
-            )
-        )
-    else:
-        out.append(
-            TheoremVerdict(
-                "PART_PRODUCT_GAP", gate, None, {}, None, "needs n > 60q", params
-            )
-        )
-    out.append(
-        TheoremVerdict(
-            "PART_BALANCED",
-            gate,
-            existential(abs(a - b) <= 1),
-            {"imbalance": abs(a - b)},
-            None,
-            gate_reason,
-            params,
-        )
+        gap = (existential(d <= 0 or d * d <= a * b),
+               {"lhs": lhs, "rhs_bound": rhs, "part_product": a * b}, None)
+    below = None if order is None else certified(order, Ordering.LESS)
+    comps_ok = all(
+        comp.bit_count() < 2 or _component_star_or_c4(sub, comp)
+        for sub in (induced(g, w.S), induced(g, w.T)) for comp in components(sub)
     )
-    # lambda < lambda(Y) under the additional edge-deficit hypothesis
-    edge_hyp = g.m <= _floor_q(n) + q - 1
-    if order is None:
-        below: Optional[bool] = None
-        reason = lam_how
-    else:
-        below = certified(order, Ordering.LESS)
-        reason = None if below is not None else f"comparison returned {order.value}"
-    hyp47 = None if gate is None else (gate and edge_hyp)
-    out.append(
-        TheoremVerdict(
-            "LAMBDA_BELOW_Y",
-            hyp47,
-            below,
-            {"edge_deficit": _floor_q(n) + q - 1 - g.m},
-            None,
-            reason if reason else gate_reason,
-            params,
-        )
-    )
-    # embedded components are stars or 4-cycles
-    shape_hyp = None if gate is None else (gate and eST == a * b)
-    comps_ok = True
-    for mask in (w.S, w.T):
-        sub = induced(g, mask)
-        for comp in components(sub):
-            if comp.bit_count() >= 2 and not _component_star_or_c4(sub, comp):
-                comps_ok = False
-    out.append(
-        TheoremVerdict(
-            "STAR_OR_C4",
-            shape_hyp,
-            comps_ok,
-            {"intra": intra},
-            None,
-            gate_reason,
-            params,
-        )
-    )
-    out.append(check_x_mass(g, cert))
-    return out
-
-
-def _size_within(n: int, a: int, bound_sq_times: int) -> bool:
-    """|part size - n/2| < 3 sqrt(q) checked as (n/2 - a)^2 < 9q, exactly."""
-    d = Fraction(n, 2) - a
-    return d * d < bound_sq_times
+    # id, hypothesis besides the gate, conclusion, margins, and the reason
+    # once the gate is decided (while it is undecided, the gate's stands)
+    lemmas = [
+        # |part size - n/2| < 3 sqrt(q), checked as (n/2 - a)^2 < 9q, exactly
+        ("PART_INTRA_LT_6Q", True, existential(
+            intra < 6 * q and Fraction(w.eST) > Fraction(n * n, 4) - 9 * q
+            and (Fraction(n, 2) - a) ** 2 < 9 * q
+        ), {"intra": intra, "cross": w.eST, "sizes": (a, b)}, None),
+        ("PART_INTRA_LE_Q", True, existential(intra <= q), {"intra_margin": q - intra}, None),
+        ("MIN_DEGREE_HALF", True, min_margin >= 0 and (dmax <= 0 or dmax * dmax <= 4 * q),
+         {"min_degree_margin": min_margin}, None),
+        ("PERRON_ENTRY_FLOOR", True, entry_ok,
+         {"min_entry": xmin, "bound": floor_bound, "slack": slack},
+         "residual slack straddles the bound"),
+        ("PART_PRODUCT_GAP", True, *gap),
+        ("PART_BALANCED", True, existential(abs(a - b) <= 1), {"imbalance": abs(a - b)}, None),
+        # lambda < lambda(Y) under the additional edge-deficit hypothesis
+        ("LAMBDA_BELOW_Y", g.m <= _floor_q(n) + q - 1, below,
+         {"edge_deficit": _floor_q(n) + q - 1 - g.m},
+         lam_how if order is None else f"comparison returned {order.value}"),
+        # embedded components are stars or 4-cycles
+        ("STAR_OR_C4", w.eST == a * b, comps_ok, {"intra": intra}, None),
+    ]
+    return [
+        _verdict(theorem_id, gate and also, concl, margins, None, params,
+                 why=lam_how if gate is None else why)
+        for theorem_id, also, concl, margins, why in lemmas
+    ] + [check_x_mass(g, cert)]
 
 
 # ---------------------------------------------------------------------------
 # Dispatch for the CLI.
 # ---------------------------------------------------------------------------
 
+# theorem id -> (verifier, its parameters after the graph, with their defaults)
+_VERIFIERS: dict[str, tuple[Callable[..., Any], dict[str, int]]] = {
+    "MANTEL": (check_mantel, {}),
+    "ER_RAD": (check_er_rad, {}),
+    "LS": (check_ls, {"q": 1}),
+    "NING_ZHAI": (check_ning_zhai, {}),
+    "SPEC_LS_Y": (check_spec_ls_y, {"q": 1}),
+    "SPEC_LS_T": (check_spec_ls_t, {"q": 1}),
+    "SPEC_BC": (check_spec_bc, {"s": 1}),
+    "BN_INEQ": (check_bn, {}),
+    "MOON_MOSER": (check_moon_moser, {}),
+    "FAR_BIP_SUPERSAT": (check_far_supersat, {"exact_limit": EXACT_CUT_LIMIT}),
+    "TRI_EFFI": (check_tri_effi, {"k": 1, "exact_limit": EXACT_CUT_LIMIT}),
+    "WILF": (check_wilf, {"r": 2}),
+    "NIKIFOROV_M": (check_nikiforov_m, {"r": 2}),
+    "NOSAL_NZ": (check_nosal_nz, {}),
+    "DEG_SQ": (check_deg_sq, {}),
+    "X_MASS": (check_x_mass, {}),
+    "STRUCTURAL": (check_structural_lemmas, {"q": 1, "exact_limit": EXACT_CUT_LIMIT}),
+}
+
 
 def verify_by_id(theorem_id: str, g: Graph, params: dict) -> list[TheoremVerdict]:
-    q = params.get("q", 1)
-    if theorem_id == "MANTEL":
-        return [check_mantel(g)]
-    if theorem_id == "ER_RAD":
-        return [check_er_rad(g)]
-    if theorem_id == "LS":
-        return [check_ls(g, q)]
-    if theorem_id == "NING_ZHAI":
-        return [check_ning_zhai(g)]
-    if theorem_id == "SPEC_LS_Y":
-        return [check_spec_ls_y(g, q)]
-    if theorem_id == "SPEC_LS_T":
-        return [check_spec_ls_t(g, q)]
-    if theorem_id == "SPEC_BC":
-        return [check_spec_bc(g, params.get("s", 1))]
-    if theorem_id == "BN_INEQ":
-        return [check_bn(g)]
-    if theorem_id == "MOON_MOSER":
-        return [check_moon_moser(g)]
-    if theorem_id == "FAR_BIP_SUPERSAT":
-        return [check_far_supersat(g, params.get("exact_limit", EXACT_CUT_LIMIT))]
-    if theorem_id == "TRI_EFFI":
-        return [check_tri_effi(g, params.get("k", 1), params.get("exact_limit", EXACT_CUT_LIMIT))]
-    if theorem_id == "WILF":
-        return [check_wilf(g, params.get("r", 2))]
-    if theorem_id == "NIKIFOROV_M":
-        return [check_nikiforov_m(g, params.get("r", 2))]
-    if theorem_id == "NOSAL_NZ":
-        return [check_nosal_nz(g)]
-    if theorem_id == "DEG_SQ":
-        return [check_deg_sq(g)]
-    if theorem_id == "X_MASS":
-        return [check_x_mass(g)]
-    if theorem_id == "STRUCTURAL":
-        return check_structural_lemmas(g, q, params.get("exact_limit", EXACT_CUT_LIMIT))
-    raise ValueError(f"no graph-level verifier for theorem id {theorem_id!r}")
+    """Run one graph-level verifier; each of its parameters is read from
+    `params`, or else takes the table's default."""
+    if theorem_id not in _VERIFIERS:
+        raise ValueError(f"no graph-level verifier for theorem id {theorem_id!r}")
+    verify, defaults = _VERIFIERS[theorem_id]
+    out = verify(g, **{name: params.get(name, default) for name, default in defaults.items()})
+    return out if isinstance(out, list) else [out]

@@ -237,12 +237,12 @@ def max_cut_exact(g: Graph) -> tuple[int, VertexMask]:
     return int(best), int(best_mask)
 
 
-def _local_search_cut(g: Graph, seeds: int = 8, rng_seed: int = 0) -> tuple[int, VertexMask]:
-    """Multi-seed single-flip hill climbing; returns a cut lower bound."""
+def _local_search_cut(g: Graph) -> tuple[int, VertexMask]:
+    """Single-flip hill climbing from 8 seeded starts; returns a cut lower bound."""
     n = g.n
-    rng = random.Random(rng_seed)
+    rng = random.Random(0)
     best, best_mask = -1, 0
-    for trial in range(seeds):
+    for trial in range(8):
         S = 0 if trial == 0 else rng.getrandbits(n) & ((1 << n) - 1)
         if trial == 1:
             S = sum(1 << v for v in range(0, n, 2))

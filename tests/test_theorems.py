@@ -50,7 +50,7 @@ from specls.theorems import (
     is_turan2,
     verify_by_id,
 )
-from specls.triangles import triangle_count
+from specls.triangles import EXACT_CUT_LIMIT, triangle_count
 
 
 def random_graph(rng, n, p=0.5):
@@ -450,13 +450,59 @@ def test_structural_lemmas_enclose_the_graph_once(monkeypatch):
     assert by_id["PERRON_ENTRY_FLOOR"].margins["slack"] > 0
 
 
-def test_verify_by_id_dispatch():
+# (theorem id, params, the direct call they must reach); the documented
+# defaults are q = 1, s = 1, r = 2, k = 1 and exact_limit = EXACT_CUT_LIMIT
+_DISPATCH = [
+    ("MANTEL", {}, check_mantel),
+    ("ER_RAD", {}, check_er_rad),
+    ("LS", {}, lambda g: check_ls(g, 1)),
+    ("LS", {"q": 2}, lambda g: check_ls(g, 2)),
+    ("NING_ZHAI", {}, check_ning_zhai),
+    ("SPEC_LS_Y", {}, lambda g: check_spec_ls_y(g, 1)),
+    ("SPEC_LS_Y", {"q": 2}, lambda g: check_spec_ls_y(g, 2)),
+    ("SPEC_LS_T", {}, lambda g: check_spec_ls_t(g, 1)),
+    ("SPEC_LS_T", {"q": 2}, lambda g: check_spec_ls_t(g, 2)),
+    ("SPEC_BC", {}, lambda g: check_spec_bc(g, 1)),
+    ("SPEC_BC", {"s": 2}, lambda g: check_spec_bc(g, 2)),
+    ("BN_INEQ", {}, check_bn),
+    ("MOON_MOSER", {}, check_moon_moser),
+    ("FAR_BIP_SUPERSAT", {}, lambda g: check_far_supersat(g, EXACT_CUT_LIMIT)),
+    ("FAR_BIP_SUPERSAT", {"exact_limit": 4}, lambda g: check_far_supersat(g, 4)),
+    ("TRI_EFFI", {}, lambda g: check_tri_effi(g, 1, EXACT_CUT_LIMIT)),
+    ("TRI_EFFI", {"k": 2}, lambda g: check_tri_effi(g, 2, EXACT_CUT_LIMIT)),
+    ("TRI_EFFI", {"exact_limit": 4}, lambda g: check_tri_effi(g, 1, 4)),
+    ("WILF", {}, lambda g: check_wilf(g, 2)),
+    ("WILF", {"r": 3}, lambda g: check_wilf(g, 3)),
+    ("NIKIFOROV_M", {}, lambda g: check_nikiforov_m(g, 2)),
+    ("NIKIFOROV_M", {"r": 3}, lambda g: check_nikiforov_m(g, 3)),
+    ("NOSAL_NZ", {}, check_nosal_nz),
+    ("DEG_SQ", {}, check_deg_sq),
+    ("X_MASS", {}, check_x_mass),
+    ("STRUCTURAL", {}, lambda g: check_structural_lemmas(g, 1, EXACT_CUT_LIMIT)),
+    ("STRUCTURAL", {"q": 2}, lambda g: check_structural_lemmas(g, 2, EXACT_CUT_LIMIT)),
+    ("STRUCTURAL", {"exact_limit": 4}, lambda g: check_structural_lemmas(g, 1, 4)),
+    ("EMBED_ORDER", {}, None),
+    ("ROTATION", {}, None),
+    ("NOPE", {}, None),
+]
+
+
+@pytest.mark.parametrize("tid,params,direct", _DISPATCH,
+                         ids=[f"{t}-{'-'.join(p) or 'defaults'}" for t, p, _ in _DISPATCH])
+def test_verify_by_id_dispatch(tid, params, direct):
+    # every graph-level id reads its parameters or the documented defaults;
+    # a non-default value must reach the verifier and change its verdict
     g = t_n2q(10, 2).graph
-    assert verify_by_id("LS", g, {"q": 2})[0].theorem_id == "LS"
-    assert verify_by_id("BN_INEQ", g, {})[0].theorem_id == "BN_INEQ"
-    assert len(verify_by_id("STRUCTURAL", g, {"q": 2})) >= 8
-    with pytest.raises(ValueError):
-        verify_by_id("NOPE", g, {})
+    if direct is None:
+        with pytest.raises(ValueError, match="no graph-level verifier"):
+            verify_by_id(tid, g, params)
+        return
+    want = direct(g)
+    want = [v.to_jsonable() for v in (want if isinstance(want, list) else [want])]
+    got = [v.to_jsonable() for v in verify_by_id(tid, g, params)]
+    assert got == want
+    if params:
+        assert got != [v.to_jsonable() for v in verify_by_id(tid, g, {})]
 
 
 def test_no_counterexamples_on_extremal_constructions():
