@@ -207,7 +207,8 @@ def check_spec_bc(g: Graph, s: int) -> TheoremVerdict:
     concl = Fraction(t) >= bound
     margins = {"t_margin": Fraction(t) - bound}
     lam_ok = n >= 113 * s * s and certify_lambda_ge_sqrt(g, _floor_q(n))
-    if not lam_ok:  # too small, undecided or below: no exponential tau3 search
+    # n < 113 s^2, or lambda undecided or certified below: no exponential tau3 search
+    if not lam_ok:
         return _verdict("SPEC_BC", lam_ok, concl, margins, None, params,
                         why="lambda comparison undecided")
     try:
@@ -272,7 +273,7 @@ def check_bn(g: Graph) -> TheoremVerdict:
     # interval multiplication over the last rung tested
     ends = [r * (s - m) / 3 for r in (math.sqrt(lo), math.sqrt(hi)) for s in (lo, hi)]
     margins = {"gap": (t - max(ends), t - min(ends))}
-    method = why = None
+    method = reason = None
     if isinstance(answer, bool):
         concl: Optional[bool] = answer
         if lo == hi and lo >= m and lo * (lo - m) ** 2 == 9 * t * t:
@@ -284,11 +285,11 @@ def check_bn(g: Graph) -> TheoremVerdict:
             method = "exact charpoly"
     else:
         concl = None
-        why = f"lambda ladder returned {answer.value} and n > {_BN_EXACT_LIMIT}"
+        reason = f"lambda ladder returned {answer.value} and n > {_BN_EXACT_LIMIT}"
     witness = None if method is None else {
         "equality_case": True, "complete_bipartite": is_complete_bipartite(g), "method": method,
     }
-    return _verdict("BN_INEQ", True, concl, margins, witness, params, why=why)
+    return _verdict("BN_INEQ", True, concl, margins, witness, params, why=reason)
 
 
 def check_moon_moser(g: Graph) -> TheoremVerdict:
