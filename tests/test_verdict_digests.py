@@ -4,8 +4,8 @@ Each case is one verifier call on a fixed graph; its digest is taken over
 `canonical_json` of the verdict's `to_jsonable()` (a list for STRUCTURAL).
 The graphs are the audit workload's seeded shapes (n = 10..18, densities
 0.3/0.5/0.7, seed 1) under every graph-level theorem id, plus the extremal
-families, the structural audit on both max-cut routes and the embedding
-order. After an intended byte change, rewrite the file with
+families, the structural audit on both max-cut routes, the embedding order
+and the neighborhood rotation. After an intended byte change, rewrite the file with
 
     PYTHONPATH=src python tests/test_verdict_digests.py
 
@@ -18,7 +18,7 @@ import random
 import sys
 from pathlib import Path
 
-from specls import theorems
+from specls import rotation_increases_lambda, theorems
 from specls.families import balogh_clemen_g2, t_n2q, turan, y_n2q
 from specls.graph import add_edge, build_graph, remove_edge
 from specls.reporting import canonical_json
@@ -87,6 +87,18 @@ def cases():
     out["TRI_EFFI/T_8_1/exact_limit=4"] = lambda: verify("TRI_EFFI", t8, {"exact_limit": 4})
     out["TRI_EFFI/turan_40"] = lambda: verify("TRI_EFFI", k40, {})
     out["FAR_BIP_SUPERSAT/turan_40"] = lambda: verify("FAR_BIP_SUPERSAT", k40, {})
+    for fam, build in (("Y", y_n2q), ("T", t_n2q)):
+        g = build(300, 1).graph
+        for tid in ("FAR_BIP_SUPERSAT", "TRI_EFFI"):
+            out[f"{tid}/{fam}_300_1"] = lambda tid=tid, g=g: verify(tid, g, {})
+    p4 = build_graph(4, [(0, 1), (1, 2), (2, 3)])
+    c4 = build_graph(4, [(0, 1), (1, 2), (2, 3), (3, 0)])
+    split = build_graph(5, [(0, 1), (2, 3), (3, 4)])
+    for label, g, u, v, W in (("P4/path_to_star", p4, 1, 2, 1 << 3),
+                              ("C4/empty", c4, 0, 1, 0),
+                              ("Y_10_2/matching_to_path", y_n2q(10, 2).graph, 1, 3, 1 << 2),
+                              ("disconnected", split, 3, 2, 0)):
+        out[f"ROTATION/{label}"] = lambda g=g, u=u, v=v, W=W: rotation_increases_lambda(g, u, v, W)
     out["X_MASS/T_40_3"] = lambda: verify("X_MASS", t_n2q(40, 3).graph, {})
     bc = balogh_clemen_g2(452, 2, 1, 0).graph
     for s in (1, 2):
