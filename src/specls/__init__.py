@@ -51,8 +51,8 @@ from .spectral import (
     compare_lambda,
     perron_enclosure,
     rayleigh_lower_bound,
-    rotation_increases_lambda,
 )
+from .theorems import rotation_increases_lambda
 from .triangles import (
     BipartiteDistance,
     bipartite_distance,

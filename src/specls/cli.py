@@ -29,7 +29,7 @@ from .search import (
 )
 from .spectral import perron_enclosure
 from .theorems import check_embed_order, verify_by_id
-from .triangles import EXACT_CUT_LIMIT, bipartite_distance, tau3, triangle_count
+from .triangles import bipartite_distance, tau3, triangle_count
 from .verdicts import TheoremVerdict
 
 EXIT_OK = 0
@@ -45,7 +45,6 @@ def _add_flags(p: argparse.ArgumentParser, *flags: str) -> None:
         "--tol-floor": {"type": float, "default": 1e-12},
         "--seed": {"type": int, "default": 0},
         "--workers": {"type": int, "default": int(os.environ.get("SPECLS_WORKERS", "1"))},
-        "--exact-limit": {"type": int, "default": EXACT_CUT_LIMIT},
         "--csv": {"action": "store_true", "help": "emit verdicts as CSV"},
     }
     for flag in flags:
@@ -107,7 +106,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--input")
     p.add_argument("--tau3", action="store_true")
     p.add_argument("--epsilon", action="store_true")
-    _add_flags(p, "--exact-limit")
+    _add_flags(p)
 
     p = sub.add_parser("verify", help="run one theorem verifier")
     p.add_argument("theorem_id")
@@ -123,7 +122,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--exhaustive", action="store_true",
                    help="exhaustive run over all labeled graphs "
                    f"({'/'.join(EXHAUSTIVE_TARGETS)})")
-    _add_flags(p, "--workers", "--exact-limit", "--csv")
+    _add_flags(p, "--workers", "--csv")
 
     p = sub.add_parser("enumerate", help="dense labeled enumeration with count check")
     p.add_argument("--n", type=int, required=True)
@@ -188,11 +187,6 @@ def main(argv=None) -> int:
 
 
 def _dispatch(args, argv: list[str]) -> int:
-    if getattr(args, "exact_limit", 0) > EXACT_CUT_LIMIT:
-        raise ValueError(
-            f"--exact-limit {args.exact_limit} is above {EXACT_CUT_LIMIT}: an exact max cut "
-            f"examines 2^(n-1) bipartitions, so it is refused past n = {EXACT_CUT_LIMIT}"
-        )
     doc = ReportDocument(command=argv)
     doc.provenance = {k: getattr(args, k) for k in ("tol", "tol_floor", "seed") if hasattr(args, k)}
 
@@ -231,7 +225,7 @@ def _dispatch(args, argv: list[str]) -> int:
                 row["tau3"] = tau
                 row["cover"] = cover
             if args.epsilon:
-                d = bipartite_distance(g, args.exact_limit)
+                d = bipartite_distance(g)
                 row["epsilon"] = d.epsilon
                 row["epsilon_exact"] = d.exact
             doc.add("count", row)
@@ -265,8 +259,7 @@ def _dispatch(args, argv: list[str]) -> int:
                 return EXIT_COUNTEREXAMPLE
             return EXIT_INDETERMINATE if rep.ties else EXIT_OK
         verdicts: list[TheoremVerdict] = []
-        params = {"q": args.q, "s": args.s, "r": args.r, "k": args.k,
-                  "exact_limit": args.exact_limit}
+        params = {"q": args.q, "s": args.s, "r": args.r, "k": args.k}
         for label, g in _load_graphs(args):
             for v in verify_by_id(args.theorem_id, g, params):
                 verdicts.append(v)

@@ -29,13 +29,6 @@ MAX_VERTICES = 4096
 VertexMask = int
 
 
-def mask_of(vertices: Iterable[int]) -> VertexMask:
-    m = 0
-    for v in vertices:
-        m |= 1 << v
-    return m
-
-
 def bits(mask: VertexMask) -> Iterator[int]:
     """Yield the set bit positions of a mask in increasing order."""
     while mask:

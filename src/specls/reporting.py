@@ -1,8 +1,9 @@
 """Stable report documents: canonical JSON and CSV verdict tables.
 
-Reports round-trip losslessly through JSON and serialize byte-identically
-for identical inputs (sorted keys, fixed separators, no timestamps), which
-is what the determinism contract of the search harness rests on.
+A report's JSON carries every field of the document, and identical inputs
+serialize to identical bytes (sorted keys, fixed separators, no
+timestamps), which is what the determinism contract of the search harness
+rests on.
 """
 
 from __future__ import annotations
@@ -42,17 +43,6 @@ class ReportDocument:
 
     def to_json(self) -> str:
         return json.dumps(self.to_jsonable(), sort_keys=True, separators=(",", ":"))
-
-    @staticmethod
-    def from_json(text: str) -> "ReportDocument":
-        d = json.loads(text)
-        doc = ReportDocument(
-            command=d["command"],
-            items=d["items"],
-            provenance=d["provenance"],
-            tool_version=d["tool_version"],
-        )
-        return doc
 
 
 _MARGIN_PRIORITY = ("t_margin", "margin", "gap", "intra_margin", "edge_excess",

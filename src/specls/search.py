@@ -44,7 +44,7 @@ from .families import build_from_spec, l_nsalpha, y_n2q
 from .graph import Graph, complete_graph, from_matrix, from_slot_bits, is_complete_bipartite
 from .graph import remove_edge, slot_bits, slot_ends, toggle_edge
 from .graph6 import emit_graph6
-from .roots import FamilyPolynomial, family_lambda, signs_at_lambda
+from .roots import family_lambda, signs_at_lambda
 from .spectral import Ordering, _decide, certify_lambda_ge_frac, exact_lambda_sq, perron_enclosure
 from .theorems import bn_relation_poly, verify_by_id
 from .triangles import dense_triangle_count, triangle_count, triangle_workspace
@@ -636,11 +636,11 @@ def floyd_sample(rng: random.Random, universe: int, k: int) -> np.ndarray:
 def _y_reference(n: int, q: int) -> tuple[np.ndarray, Fraction, Fraction]:
     """Y_{n,2,q} for the random probe, built once per (n, q): its edges as a
     read-only sorted slot array, and a certified bracket of its lambda^2
-    (the exact family polynomial at q = 1, CW otherwise)."""
+    (the exact family polynomial that `y_n2q` records at q = 1, CW
+    otherwise)."""
     yc = y_n2q(n, q)
-    if q == 1:
-        tag = "Y_even" if n % 2 == 0 else "Y_odd"
-        y_lo, y_hi = family_lambda(FamilyPolynomial(tag, n), Fraction(1, 10**14))
+    if yc.predicted.lambda_poly is not None:
+        y_lo, y_hi = family_lambda(yc.predicted.lambda_poly, Fraction(1, 10**14))
     else:
         ycert = perron_enclosure(yc.graph, 1e-10)
         y_lo, y_hi = Fraction(ycert.lambda_lo), Fraction(ycert.lambda_hi)

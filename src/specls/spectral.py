@@ -41,8 +41,7 @@ from typing import Callable, Iterator, Optional, Sequence, Union
 
 import numpy as np
 
-from .graph import Graph, adjacency_matrix, bits, is_complete_bipartite, is_connected
-from .verdicts import TheoremVerdict
+from .graph import Graph, adjacency_matrix, is_complete_bipartite
 
 _EPS = sys.float_info.epsilon
 _MAX_ITER = 200_000
@@ -369,55 +368,3 @@ def certify_lambda_ge_sqrt(g: Graph, k: Fraction) -> Optional[bool]:
 
 def certify_lambda_le_sqrt(g: Graph, k: Fraction) -> Optional[bool]:
     return _as_bool(_decide(_at_most(k), g))
-
-
-# ---------------------------------------------------------------------------
-# Neighborhood rotation (the strict lambda-increasing edge move).
-# ---------------------------------------------------------------------------
-
-
-def rotation_increases_lambda(g: Graph, u: int, v: int, W: int) -> TheoremVerdict:
-    """Rotate the edges {v,w} for w in W onto u and certify the strict
-    lambda increase, provided the Perron weights satisfy x_u >= x_v."""
-    if not (0 <= u < g.n and 0 <= v < g.n) or u == v:
-        raise ValueError("u, v must be distinct vertices")
-    allowed = g.rows[v] & ~g.rows[u] & ~(1 << u) & ~(1 << v)
-    if W & ~allowed:
-        raise ValueError("W must lie in N(v) \\ N(u), excluding u and v")
-    params = {"u": u, "v": v, "W": W}
-    if not is_connected(g):
-        return TheoremVerdict(
-            "ROTATION", False, None, {}, None, "graph is disconnected", params
-        )
-    if W == 0:
-        return TheoremVerdict(
-            "ROTATION",
-            False,
-            False,
-            {"note": "empty rotation leaves the graph unchanged"},
-            {"degenerate": True},
-            None,
-            params,
-        )
-    cert = perron_enclosure(g, 1e-10)
-    margin = cert.perron[u] - cert.perron[v]
-    slack = 4.0 * cert.residual + cert.width
-    hyp = bool(margin >= -slack)
-    rows = list(g.rows)
-    for w in bits(W):
-        rows[v] &= ~(1 << w)
-        rows[w] &= ~(1 << v)
-        rows[u] |= 1 << w
-        rows[w] |= 1 << u
-    g2 = Graph(g.n, tuple(rows), g.m)
-    order = compare_lambda(g2, g)
-    concl = certified(order, Ordering.GREATER)
-    return TheoremVerdict(
-        "ROTATION",
-        hyp,
-        concl,
-        {"perron_margin": margin, "perron_slack": slack},
-        None,
-        None if concl is not None else f"comparison returned {order.value}",
-        params,
-    )

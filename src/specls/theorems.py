@@ -15,6 +15,11 @@ lemmas (X_MASS and the structural audit) read one enclosure's vector. A
 verifier never claims a counterexample unless the hypothesis is certified
 true and the conclusion certified false.
 
+FAR_BIP_SUPERSAT, TRI_EFFI and the structural audit read the cut of
+`triangles.bipartite_distance` by one rule, `_on_cut`: each claim is that
+some bipartition satisfies it, so the cut's partition proves it by
+satisfying it, and refutes it by failing only when the cut is exact.
+
 WILF and NIKIFOROV_M share one clique-threshold body. The structural audit
 lists its eight gated lemmas as rows (id, conclusion, margins) and builds
 them all by one expression under the standing gate. `verify_by_id` looks a
@@ -40,7 +45,7 @@ from .families import (
     t_n2q,
     y_n2q,
 )
-from .graph import Graph, bits, components, cut_stats, induced, is_complete_bipartite
+from .graph import Graph, bits, components, cut_stats, induced, is_complete_bipartite, is_connected
 from .morphism import are_isomorphic
 from .roots import sign_at_lambda
 from .spectral import (
@@ -56,7 +61,7 @@ from .spectral import (
     compare_lambda,
     perron_enclosure,
 )
-from .triangles import EXACT_CUT_LIMIT, bipartite_distance, degree_square_sum, tau3
+from .triangles import BipartiteDistance, bipartite_distance, degree_square_sum, tau3
 from .triangles import triangle_count
 from .verdicts import TheoremVerdict
 
@@ -78,6 +83,13 @@ def _verdict(
     its conclusion is undecided (None); a refusal has both undecided."""
     reason = why if hyp is None or concl is None else None
     return TheoremVerdict(theorem_id, hyp, concl, margins, witness, reason, params)
+
+
+def _on_cut(dist: BipartiteDistance, satisfied: bool) -> Optional[bool]:
+    """A claim that some bipartition satisfies, tested on the cut of `dist`:
+    proved when that partition satisfies it, refuted when it fails on the
+    exact max cut, and open when it fails on a local-search cut."""
+    return True if satisfied else False if dist.exact else None
 
 
 def is_turan2(g: Graph) -> bool:
@@ -302,22 +314,21 @@ def check_moon_moser(g: Graph) -> TheoremVerdict:
                     None, {"n": n, "m": m})
 
 
-def check_far_supersat(g: Graph, exact_limit: int = EXACT_CUT_LIMIT) -> TheoremVerdict:
+def check_far_supersat(g: Graph) -> TheoremVerdict:
     n, m = g.n, g.m
     t = triangle_count(g)
-    params = {"n": n, "m": m}
-    dist = bipartite_distance(g, exact_limit)
-    if not dist.exact:
-        return _verdict("FAR_BIP_SUPERSAT", None, None, {}, None, params,
-                        why="epsilon only bounded heuristically at this size")
+    dist = bipartite_distance(g)
     eps = dist.epsilon
+    # the bound grows with epsilon, the fewest intra edges over all partitions,
+    # so a partition whose intra edges meet it proves it
     bound = Fraction(n, 6) * (Fraction(m + eps) - Fraction(n * n, 4))
-    return _verdict("FAR_BIP_SUPERSAT", True, Fraction(t) >= bound,
+    return _verdict("FAR_BIP_SUPERSAT", True, _on_cut(dist, Fraction(t) >= bound),
                     {"t_margin": Fraction(t) - bound, "epsilon": eps},
-                    {"partition_S": dist.witness.S}, params)
+                    {"partition_S": dist.witness.S}, {"n": n, "m": m},
+                    why="epsilon only bounded heuristically at this size")
 
 
-def check_tri_effi(g: Graph, k: int, exact_limit: int = EXACT_CUT_LIMIT) -> TheoremVerdict:
+def check_tri_effi(g: Graph, k: int) -> TheoremVerdict:
     n = g.n
     t = triangle_count(g)
     half = Fraction(n, 2)
@@ -339,10 +350,10 @@ def check_tri_effi(g: Graph, k: int, exact_limit: int = EXACT_CUT_LIMIT) -> Theo
     # a(n - a) = n^2/4 - (n/2 - a)^2 cross edges, so any partition that
     # reaches n^2/4 - 9k has the required sizes: the clause is max cut >= that.
     need_cross = Fraction(n * n, 4) - 9 * k
-    dist = bipartite_distance(g, exact_limit)
+    dist = bipartite_distance(g)
     cut = g.m - dist.epsilon
-    cii = cut >= need_cross if dist.exact else None
-    margins["cross_margin"] = cut - need_cross if dist.exact else "unknown"
+    cii = _on_cut(dist, cut >= need_cross)
+    margins["cross_margin"] = cut - need_cross
     return _verdict("TRI_EFFI", hyp, clauses_i_iii and cii, margins,
                     {"partition_S": dist.witness.S} if cii else None, {"n": n, "k": k},
                     why="lambda >= n/2 undecided" if hyp is None
@@ -585,16 +596,13 @@ def _component_star_or_c4(h: Graph, comp: int) -> bool:
     return k == 4 and sub.m == 4 and degs == [2, 2, 2, 2]
 
 
-def check_structural_lemmas(
-    g: Graph, q: int, exact_limit: int = EXACT_CUT_LIMIT
-) -> list[TheoremVerdict]:
+def check_structural_lemmas(g: Graph, q: int) -> list[TheoremVerdict]:
     """Audit the chain of structural facts used in the few-triangles regime.
 
     The standing hypothesis gate is: n >= 300q^2, certified
     lambda(G) >= lambda(Y_{n,2,q}), and t(G) < q*floor(n/2). The partition
-    (S,T) is the exact max cut when feasible, otherwise the local-search
-    cut; the conclusions are existential in the partition, so a satisfying
-    partition certifies them, and a non-exact failing one stays open.
+    (S,T) is the cut of `bipartite_distance`; the partition lemmas are
+    existential in the partition and read through `_on_cut`.
     """
     n = g.n
     t = triangle_count(g)
@@ -606,13 +614,10 @@ def check_structural_lemmas(
     # three-valued AND: a failed size or count gate decides, whatever lambda gives
     gate = n >= 300 * q * q and q >= 1 and t < q * (n // 2) and lam_ok
 
-    dist = bipartite_distance(g, exact_limit)
+    dist = bipartite_distance(g)
     w = dist.witness
     a, b = w.S.bit_count(), w.T.bit_count()
     intra = w.eS + w.eT
-
-    def existential(satisfied: bool) -> Optional[bool]:
-        return True if satisfied else False if dist.exact else None
 
     degs = g.degrees() or [0]
     min_margin = Fraction(min(degs)) - (Fraction(n, 2) - 4 * q)
@@ -628,7 +633,7 @@ def check_structural_lemmas(
         lhs = Fraction(2 * _floor_q(n), n)
         rhs = Fraction(120 * q * q, n * (n - 60 * q))
         d = lhs - rhs  # require d <= sqrt(a*b)
-        gap = (existential(d <= 0 or d * d <= a * b),
+        gap = (_on_cut(dist, d <= 0 or d * d <= a * b),
                {"lhs": lhs, "rhs_bound": rhs, "part_product": a * b}, None)
     below = None if order is None else certified(order, Ordering.LESS)
     comps_ok = all(
@@ -639,18 +644,18 @@ def check_structural_lemmas(
     # once the gate is decided (while it is undecided, the gate's stands)
     lemmas = [
         # |part size - n/2| < 3 sqrt(q), checked as (n/2 - a)^2 < 9q, exactly
-        ("PART_INTRA_LT_6Q", True, existential(
+        ("PART_INTRA_LT_6Q", True, _on_cut(dist,
             intra < 6 * q and Fraction(w.eST) > Fraction(n * n, 4) - 9 * q
             and (Fraction(n, 2) - a) ** 2 < 9 * q
         ), {"intra": intra, "cross": w.eST, "sizes": (a, b)}, None),
-        ("PART_INTRA_LE_Q", True, existential(intra <= q), {"intra_margin": q - intra}, None),
+        ("PART_INTRA_LE_Q", True, _on_cut(dist, intra <= q), {"intra_margin": q - intra}, None),
         ("MIN_DEGREE_HALF", True, min_margin >= 0 and (dmax <= 0 or dmax * dmax <= 4 * q),
          {"min_degree_margin": min_margin}, None),
         ("PERRON_ENTRY_FLOOR", True, entry_ok,
          {"min_entry": xmin, "bound": floor_bound, "slack": slack},
          "residual slack straddles the bound"),
         ("PART_PRODUCT_GAP", True, *gap),
-        ("PART_BALANCED", True, existential(abs(a - b) <= 1), {"imbalance": abs(a - b)}, None),
+        ("PART_BALANCED", True, _on_cut(dist, abs(a - b) <= 1), {"imbalance": abs(a - b)}, None),
         # lambda < lambda(Y) under the additional edge-deficit hypothesis
         ("LAMBDA_BELOW_Y", g.m <= _floor_q(n) + q - 1, below,
          {"edge_deficit": _floor_q(n) + q - 1 - g.m},
@@ -663,6 +668,41 @@ def check_structural_lemmas(
                  why=lam_how if gate is None else why)
         for theorem_id, also, concl, margins, why in lemmas
     ] + [check_x_mass(g, cert)]
+
+
+# ---------------------------------------------------------------------------
+# Neighborhood rotation (the strict lambda-increasing edge move).
+# ---------------------------------------------------------------------------
+
+
+def rotation_increases_lambda(g: Graph, u: int, v: int, W: int) -> TheoremVerdict:
+    """Rotate the edges {v,w} for w in W onto u and certify the strict
+    lambda increase, provided the Perron weights satisfy x_u >= x_v."""
+    if not (0 <= u < g.n and 0 <= v < g.n) or u == v:
+        raise ValueError("u, v must be distinct vertices")
+    allowed = g.rows[v] & ~g.rows[u] & ~(1 << u) & ~(1 << v)
+    if W & ~allowed:
+        raise ValueError("W must lie in N(v) \\ N(u), excluding u and v")
+    params = {"u": u, "v": v, "W": W}
+    if not is_connected(g):
+        return _verdict("ROTATION", False, None, {}, None, params, why="graph is disconnected")
+    if W == 0:
+        return _verdict("ROTATION", False, False,
+                        {"note": "empty rotation leaves the graph unchanged"},
+                        {"degenerate": True}, params)
+    cert = perron_enclosure(g, 1e-10)
+    margin = cert.perron[u] - cert.perron[v]
+    slack = 4.0 * cert.residual + cert.width
+    rows = list(g.rows)
+    for w in bits(W):
+        rows[v] &= ~(1 << w)
+        rows[w] &= ~(1 << v)
+        rows[u] |= 1 << w
+        rows[w] |= 1 << u
+    order = compare_lambda(Graph(g.n, tuple(rows), g.m), g)
+    return _verdict("ROTATION", bool(margin >= -slack), certified(order, Ordering.GREATER),
+                    {"perron_margin": margin, "perron_slack": slack}, None, params,
+                    why=f"comparison returned {order.value}")
 
 
 # ---------------------------------------------------------------------------
@@ -680,14 +720,14 @@ _VERIFIERS: dict[str, tuple[Callable[..., Any], dict[str, int]]] = {
     "SPEC_BC": (check_spec_bc, {"s": 1}),
     "BN_INEQ": (check_bn, {}),
     "MOON_MOSER": (check_moon_moser, {}),
-    "FAR_BIP_SUPERSAT": (check_far_supersat, {"exact_limit": EXACT_CUT_LIMIT}),
-    "TRI_EFFI": (check_tri_effi, {"k": 1, "exact_limit": EXACT_CUT_LIMIT}),
+    "FAR_BIP_SUPERSAT": (check_far_supersat, {}),
+    "TRI_EFFI": (check_tri_effi, {"k": 1}),
     "WILF": (check_wilf, {"r": 2}),
     "NIKIFOROV_M": (check_nikiforov_m, {"r": 2}),
     "NOSAL_NZ": (check_nosal_nz, {}),
     "DEG_SQ": (check_deg_sq, {}),
     "X_MASS": (check_x_mass, {}),
-    "STRUCTURAL": (check_structural_lemmas, {"q": 1, "exact_limit": EXACT_CUT_LIMIT}),
+    "STRUCTURAL": (check_structural_lemmas, {"q": 1}),
 }
 
 

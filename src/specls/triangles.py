@@ -20,10 +20,10 @@ else one made per call.
 
 The covering number tau3 is solved exactly by branch and bound on the
 triangle hypergraph. The distance to bipartiteness is edges minus max
-cut; the max cut is exact up to EXACT_CUT_LIMIT vertices, where every
-bipartition is evaluated as a sum of two half-cuts and a cross term, in
-numpy blocks of one matmul each, and beyond it a flagged local-search
-bound.
+cut. `bipartite_distance` picks the cut from n alone: up to
+EXACT_CUT_LIMIT vertices the exact max cut, where every bipartition is
+evaluated as a sum of two half-cuts and a cross term, in numpy blocks of
+one matmul each, and beyond it a local-search cut flagged not exact.
 """
 
 from __future__ import annotations
@@ -264,15 +264,12 @@ def _local_search_cut(g: Graph) -> tuple[int, VertexMask]:
     return best, best_mask
 
 
-def bipartite_distance(g: Graph, exact_limit: int = EXACT_CUT_LIMIT) -> BipartiteDistance:
-    """Minimum number of edge deletions leaving a bipartite graph,
-    i.e. m - maxcut; exact for n <= exact_limit, else a certified upper
-    bound from local search (flagged)."""
-    if g.n <= exact_limit:
-        cut, mask = max_cut_exact(g)
-        exact = True
-    else:
-        cut, mask = _local_search_cut(g)
-        exact = False
-    w = partition_witness(g, mask)
-    return BipartiteDistance(g.m - cut, w, exact)
+def bipartite_distance(g: Graph) -> BipartiteDistance:
+    """Minimum number of edge deletions leaving a bipartite graph, m - max cut.
+
+    The one choice of cut, made from n alone: the exact max cut for
+    n <= EXACT_CUT_LIMIT, else the local-search cut, flagged not exact (its
+    epsilon is then an upper bound only)."""
+    exact = g.n <= EXACT_CUT_LIMIT
+    cut, mask = (max_cut_exact if exact else _local_search_cut)(g)
+    return BipartiteDistance(g.m - cut, partition_witness(g, mask), exact)

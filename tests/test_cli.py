@@ -64,9 +64,10 @@ def test_count_epsilon_is_exact_at_24_vertices(capsys):
     ["verify", "STRUCTURAL", "--spec", "Turan:n=40,r=2"],
 ])
 def test_exact_limit_above_the_exact_cut_limit_is_a_usage_error(capsys, argv):
+    # the max cut is chosen from n alone, so no subcommand takes the flag
     code, out, err = run(capsys, *argv, "--exact-limit", "40")
     assert code == 2 and not out
-    assert "error: --exact-limit 40 is above 30" in err
+    assert "unrecognized arguments: --exact-limit" in err
 
 
 def test_verify_ok_and_csv(capsys):
@@ -78,21 +79,17 @@ def test_verify_ok_and_csv(capsys):
 
 
 def test_verify_indeterminate_exit(capsys):
-    # heuristic-only epsilon makes the supersaturation check indeterminate
-    code, out, _ = run(
-        capsys, "verify", "FAR_BIP_SUPERSAT", "--spec", "Turan:n=40,r=2",
-        "--exact-limit", "10",
-    )
+    # K_7 detection is past the exact clique limit, so WILF refuses
+    code, out, _ = run(capsys, "verify", "WILF", "--spec", "Turan:n=12,r=3", "--r", "6")
     assert code == 3
 
 
-def test_verify_tri_effi_honours_exact_limit(capsys):
-    code, out, _ = run(
-        capsys, "verify", "TRI_EFFI", "--spec", "T:n=8,q=1", "--exact-limit", "4", "--json",
-    )
+def test_verify_tri_effi_decides_above_the_exact_cut_limit(capsys):
+    # n = 40: the local-search cut of 400 reaches n^2/4 - 9k = 391
+    code, out, _ = run(capsys, "verify", "TRI_EFFI", "--spec", "Turan:n=40,r=2", "--json")
     verdict = json.loads(out)["items"][0]
-    assert verdict["margins"]["cross_margin"] == "unknown"
-    assert code == 3
+    assert verdict["conclusion_met"] is True and verdict["margins"]["cross_margin"] == "9/1"
+    assert code == 0
 
 
 def test_verify_exhaustive(capsys):
@@ -207,12 +204,12 @@ def test_workers_env_default(capsys, monkeypatch):
     assert code == 0
 
 
-SHARED_FLAGS = {"--tol", "--tol-floor", "--seed", "--workers", "--exact-limit", "--csv", "--json"}
+SHARED_FLAGS = {"--tol", "--tol-floor", "--seed", "--workers", "--csv", "--json"}
 FLAGS_READ = {
     "construct": {"--json"},
     "spectral": {"--tol", "--json"},
-    "count": {"--exact-limit", "--json"},
-    "verify": {"--workers", "--exact-limit", "--csv", "--json"},
+    "count": {"--json"},
+    "verify": {"--workers", "--csv", "--json"},
     "enumerate": {"--workers", "--json"},
     "search": {"--seed", "--workers", "--json"},
     "ratio-scan": {"--tol-floor", "--json"},
@@ -227,7 +224,7 @@ def test_each_subcommand_takes_only_the_shared_flags_it_reads():
     options = {name: {o for a in p._actions for o in a.option_strings}
                for name, p in subparsers.items()}
     assert {name: opts & SHARED_FLAGS for name, opts in options.items()} == FLAGS_READ
-    assert sum(map(len, FLAGS_READ.values())) == 18
+    assert sum(map(len, FLAGS_READ.values())) == 16
     assert "--s" not in options["search"]
 
 
@@ -251,7 +248,8 @@ def test_report_document_round_trip():
     doc.add("verdict", {"x": 1})
     doc.provenance = {"seed": 0}
     text = doc.to_json()
-    doc2 = ReportDocument.from_json(text)
+    d = json.loads(text)
+    doc2 = ReportDocument(d["command"], d["items"], d["provenance"], d["tool_version"])
     assert doc2.to_json() == text
 
 

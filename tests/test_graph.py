@@ -28,12 +28,18 @@ from specls.graph import (
     is_bipartite,
     is_complete_bipartite,
     is_connected,
-    mask_of,
     partition_witness,
     remove_edge,
     slot_bits,
     slot_ends,
 )
+
+
+def mask_of(vertices):
+    m = 0
+    for v in vertices:
+        m |= 1 << v
+    return m
 
 
 def random_graph(rng, n, p=0.5):

@@ -22,8 +22,8 @@ from specls.spectral import (
     exact_lambda_sq,
     perron_enclosure,
     rayleigh_lower_bound,
-    rotation_increases_lambda,
 )
+from specls.theorems import rotation_increases_lambda
 
 
 def random_graph(rng, n, p=0.5):

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import math
 import random
@@ -50,7 +51,7 @@ from specls.theorems import (
     is_turan2,
     verify_by_id,
 )
-from specls.triangles import EXACT_CUT_LIMIT, triangle_count
+from specls.triangles import triangle_count
 
 
 def random_graph(rng, n, p=0.5):
@@ -281,18 +282,59 @@ def test_far_supersat():
     for _ in range(100):
         g = random_graph(rng, rng.randrange(1, 9))
         assert check_far_supersat(g).conclusion_met
-    v = check_far_supersat(turan(40, 2).graph, exact_limit=20)
-    assert v.hypothesis_met is None  # epsilon only heuristic at this size
+    # n = 40: the local-search cut is a bipartition with no intra edge
+    v = check_far_supersat(turan(40, 2).graph)
+    assert (v.hypothesis_met, v.conclusion_met, v.margins["epsilon"]) == (True, True, 0)
 
 
-def test_verify_by_id_passes_exact_limit_to_structural():
-    # (TRI_EFFI: tests/test_cli.py::test_verify_tri_effi_honours_exact_limit)
-    # K_8 has no partition with at most q intra edges: certified only by
-    # the exact cut, left open by the local-search one
-    g = complete_graph(8)
-    limited = [v.to_jsonable() for v in verify_by_id("STRUCTURAL", g, {"q": 1, "exact_limit": 4})]
-    assert limited == [v.to_jsonable() for v in check_structural_lemmas(g, 1, exact_limit=4)]
-    assert limited != [v.to_jsonable() for v in check_structural_lemmas(g, 1)]
+def _gnp(n, p):
+    slots = edge_slots(n)
+    return build_graph(n, random.Random(1).sample(slots, round(p * len(slots))))
+
+
+_ABOVE_EXACT_CUT = {
+    "turan_40": lambda: turan(40, 2).graph,
+    "Y_300_1": lambda: y_n2q(300, 1).graph,
+    "T_300_1": lambda: t_n2q(300, 1).graph,
+    "Y_1200_2": lambda: y_n2q(1200, 2).graph,
+    "T_1200_2": lambda: t_n2q(1200, 2).graph,
+    "G_300_0.5": lambda: _gnp(300, 0.5),
+    "G_100_0.6": lambda: _gnp(100, 0.6),
+}
+
+
+@pytest.mark.parametrize("name", _ABOVE_EXACT_CUT)
+def test_found_cut_decides_far_and_tri_effi(name):
+    g = _ABOVE_EXACT_CUT[name]()
+    for check in (check_far_supersat, lambda g: check_tri_effi(g, 1)):
+        start = time.perf_counter()
+        v = check(g)
+        assert time.perf_counter() - start < 1.0, v.theorem_id
+        assert v.conclusion_met is not None, v
+
+
+def test_tri_effi_leaves_clause_ii_open_when_the_found_cut_falls_short():
+    # K_{20,20} less 12 cross edges {i, 20+i}, plus a 6-edge matching in each
+    # part: the found cut is 388, short of n^2/4 - 9k = 391
+    edges = [(i, 20 + j) for i in range(20) for j in range(20) if not i == j < 12]
+    edges += [(p + i, p + i + 1) for p in (0, 20) for i in range(0, 12, 2)]
+    g = build_graph(40, edges)
+    v = check_tri_effi(g, 1)
+    assert g.m == 400 and v.margins["cross_margin"] == 388 - 391
+    assert v.conclusion_met is None
+    assert v.indeterminate_reason == "exact max cut unavailable for clause (ii)"
+
+
+@pytest.mark.parametrize("exact,want", [(False, None), (True, False)])
+@pytest.mark.parametrize("theorem_id,raise_by", [("FAR_BIP_SUPERSAT", 1), ("TRI_EFFI", 10)])
+def test_a_failing_cut_refutes_only_when_exact(monkeypatch, theorem_id, raise_by, exact, want):
+    # on T_{40,2}, epsilon 1 puts FAR's bound above t = 0, and epsilon 10
+    # leaves TRI_EFFI a cut of 390 < 391
+    found = theorems.bipartite_distance
+    monkeypatch.setattr(theorems, "bipartite_distance", lambda g: dataclasses.replace(
+        found(g), epsilon=found(g).epsilon + raise_by, exact=exact))
+    v, = verify_by_id(theorem_id, turan(40, 2).graph, {})
+    assert v.hypothesis_met is True and v.conclusion_met is want
 
 
 def test_tri_effi():
@@ -451,7 +493,7 @@ def test_structural_lemmas_enclose_the_graph_once(monkeypatch):
 
 
 # (theorem id, params, the direct call they must reach); the documented
-# defaults are q = 1, s = 1, r = 2, k = 1 and exact_limit = EXACT_CUT_LIMIT
+# defaults are q = 1, s = 1, r = 2 and k = 1
 _DISPATCH = [
     ("MANTEL", {}, check_mantel),
     ("ER_RAD", {}, check_er_rad),
@@ -466,11 +508,9 @@ _DISPATCH = [
     ("SPEC_BC", {"s": 2}, lambda g: check_spec_bc(g, 2)),
     ("BN_INEQ", {}, check_bn),
     ("MOON_MOSER", {}, check_moon_moser),
-    ("FAR_BIP_SUPERSAT", {}, lambda g: check_far_supersat(g, EXACT_CUT_LIMIT)),
-    ("FAR_BIP_SUPERSAT", {"exact_limit": 4}, lambda g: check_far_supersat(g, 4)),
-    ("TRI_EFFI", {}, lambda g: check_tri_effi(g, 1, EXACT_CUT_LIMIT)),
-    ("TRI_EFFI", {"k": 2}, lambda g: check_tri_effi(g, 2, EXACT_CUT_LIMIT)),
-    ("TRI_EFFI", {"exact_limit": 4}, lambda g: check_tri_effi(g, 1, 4)),
+    ("FAR_BIP_SUPERSAT", {}, check_far_supersat),
+    ("TRI_EFFI", {}, lambda g: check_tri_effi(g, 1)),
+    ("TRI_EFFI", {"k": 2}, lambda g: check_tri_effi(g, 2)),
     ("WILF", {}, lambda g: check_wilf(g, 2)),
     ("WILF", {"r": 3}, lambda g: check_wilf(g, 3)),
     ("NIKIFOROV_M", {}, lambda g: check_nikiforov_m(g, 2)),
@@ -478,9 +518,8 @@ _DISPATCH = [
     ("NOSAL_NZ", {}, check_nosal_nz),
     ("DEG_SQ", {}, check_deg_sq),
     ("X_MASS", {}, check_x_mass),
-    ("STRUCTURAL", {}, lambda g: check_structural_lemmas(g, 1, EXACT_CUT_LIMIT)),
-    ("STRUCTURAL", {"q": 2}, lambda g: check_structural_lemmas(g, 2, EXACT_CUT_LIMIT)),
-    ("STRUCTURAL", {"exact_limit": 4}, lambda g: check_structural_lemmas(g, 1, 4)),
+    ("STRUCTURAL", {}, lambda g: check_structural_lemmas(g, 1)),
+    ("STRUCTURAL", {"q": 2}, lambda g: check_structural_lemmas(g, 2)),
     ("EMBED_ORDER", {}, None),
     ("ROTATION", {}, None),
     ("NOPE", {}, None),

@@ -12,7 +12,6 @@ from specls.graph import (
     complete_graph,
     cut_stats,
     empty_graph,
-    mask_of,
     partition_witness,
     remove_edge,
 )
@@ -29,6 +28,8 @@ from specls.triangles import (
     triangle_list,
     triangle_workspace,
 )
+
+from test_graph import mask_of
 
 
 def random_graph(rng, n, p=0.5):
@@ -285,7 +286,7 @@ def test_epsilon_monotone_under_deletion():
 
 def test_heuristic_mode_flags_upper_bound():
     g = turan(40, 2).graph
-    d = bipartite_distance(g, exact_limit=30)
+    d = bipartite_distance(g)  # n = 40 is above EXACT_CUT_LIMIT
     assert not d.exact
     assert d.epsilon >= 0  # upper bound only; for this graph it is exact anyway
     assert d.epsilon == 0

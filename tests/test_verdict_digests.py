@@ -76,15 +76,12 @@ def cases():
     small = t_n2q(24, 1).graph
     near_turan = add_edge(turan(40, 2).graph, 0, 1)
     out["STRUCTURAL/T_24_1/exact"] = lambda: verify("STRUCTURAL", small, {"q": 1})
-    out["STRUCTURAL/T_24_1/exact_limit=4"] = lambda: verify(
-        "STRUCTURAL", small, {"q": 1, "exact_limit": 4})
     out["STRUCTURAL/turan_40+edge/local"] = lambda: verify("STRUCTURAL", near_turan, {"q": 1})
     out["STRUCTURAL/turan_300/lambda_refused"] = lambda: structural_with_refused_lambda(
         turan(300, 2).graph, 1)
-    k12, t8, k40 = turan(12, 2).graph, t_n2q(8, 1).graph, turan(40, 2).graph
+    k12, k40 = turan(12, 2).graph, turan(40, 2).graph
     out["TRI_EFFI/turan_12"] = lambda: verify("TRI_EFFI", k12, {})
     out["TRI_EFFI/turan_12/k=2"] = lambda: verify("TRI_EFFI", k12, {"k": 2})
-    out["TRI_EFFI/T_8_1/exact_limit=4"] = lambda: verify("TRI_EFFI", t8, {"exact_limit": 4})
     out["TRI_EFFI/turan_40"] = lambda: verify("TRI_EFFI", k40, {})
     out["FAR_BIP_SUPERSAT/turan_40"] = lambda: verify("FAR_BIP_SUPERSAT", k40, {})
     for fam, build in (("Y", y_n2q), ("T", t_n2q)):
