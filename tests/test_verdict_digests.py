@@ -5,7 +5,8 @@ Each case is one verifier call on a fixed graph; its digest is taken over
 The graphs are the audit workload's seeded shapes (n = 10..18, densities
 0.3/0.5/0.7, seed 1) under every graph-level theorem id, plus the extremal
 families, the structural audit on both max-cut routes, the embedding order
-and the neighborhood rotation. After an intended byte change, rewrite the file with
+and the neighborhood rotation. After an intended byte change, rewrite the
+file with
 
     PYTHONPATH=src python tests/test_verdict_digests.py
 
