@@ -47,7 +47,8 @@ from .graph6 import emit_graph6
 from .roots import family_lambda, signs_at_lambda
 from .spectral import Ordering, _decide, certify_lambda_ge_frac, exact_lambda_sq, perron_enclosure
 from .theorems import bn_relation_poly, verify_by_id
-from .triangles import dense_triangle_count, triangle_count, triangle_workspace
+from .triangles import degree_triangle_floor, dense_triangle_count, triangle_count
+from .triangles import triangle_workspace
 from .verdicts import jsonable_value
 
 SHARDS = 32
@@ -633,11 +634,11 @@ def floyd_sample(rng: random.Random, universe: int, k: int) -> np.ndarray:
 
 
 @functools.lru_cache(maxsize=8)
-def _y_reference(n: int, q: int) -> tuple[np.ndarray, Fraction, Fraction]:
+def _y_reference(n: int, q: int) -> tuple[np.ndarray, int, Fraction, Fraction]:
     """Y_{n,2,q} for the random probe, built once per (n, q): its edges as a
-    read-only sorted slot array, and a certified bracket of its lambda^2
-    (the exact family polynomial that `y_n2q` records at q = 1, CW
-    otherwise)."""
+    read-only sorted slot array, its triangle count, and a certified
+    bracket of its lambda^2 (the exact family polynomial that `y_n2q`
+    records at q = 1, CW otherwise)."""
     yc = y_n2q(n, q)
     if yc.predicted.lambda_poly is not None:
         y_lo, y_hi = family_lambda(yc.predicted.lambda_poly, Fraction(1, 10**14))
@@ -646,17 +647,34 @@ def _y_reference(n: int, q: int) -> tuple[np.ndarray, Fraction, Fraction]:
         y_lo, y_hi = Fraction(ycert.lambda_lo), Fraction(ycert.lambda_hi)
     y_slots = graph_slots(yc.graph)
     y_slots.flags.writeable = False
-    return y_slots, y_lo * y_lo, y_hi * y_hi
+    return y_slots, triangle_count(yc.graph), y_lo * y_lo, y_hi * y_hi
 
 
 @functools.lru_cache(maxsize=2)
 def _flat_slots(n: int) -> tuple[np.ndarray, np.ndarray]:
     """The flat (row-major) entries i*n + j and j*n + i of each edge slot
-    {i, j} of an n x n matrix, read-only int64, in slot order."""
+    {i, j} of an n x n matrix, read-only int64, in slot order. An upper
+    entry e also gives the slot's ends: (i, j) = divmod(e, n)."""
     iu, jv = slot_ends(n)
     upper, lower = iu * n + jv, jv * n + iu
     upper.flags.writeable = lower.flags.writeable = False
     return upper, lower
+
+
+def _move_edge(A: np.ndarray, t: int, ab: tuple[int, int], cd: tuple[int, int]) -> int:
+    """Move the edge ab of the graph that the float32 matrix A holds to cd,
+    a non-edge or ab itself, in place, and return the triangle count after
+    the move from the count t before it:
+
+        t(G - ab + cd) = t(G) - codeg_G(a, b) + codeg_{G - ab}(c, d),
+
+    since the triangles through an edge are the common neighbours of its
+    ends. Each codegree is one row dot product, exact in float32 below 2^24."""
+    (a, b), (c, d) = ab, cd
+    t -= int(A[a] @ A[b])
+    A[a, b] = A[b, a] = 0.0
+    A[c, d] = A[d, c] = 1.0
+    return t + int(A[c] @ A[d])
 
 
 def run_random(job: SearchJob) -> SearchReport:
@@ -669,6 +687,29 @@ def run_random(job: SearchJob) -> SearchReport:
     sample is written into one float32 adjacency matrix that the job reuses,
     as is the triangle count's workspace, so a sample allocates no n x n
     array unless its lambda needs the CW rungs.
+
+    Triangles are proved where they can be and counted only where a proof
+    falls short; the report is the one that counting every
+    hypothesis-true sample gives.
+
+    - A hypothesis-true uniform sample has at least
+      ceil((sum(d^2) - n*m)/3) triangles (`degree_triangle_floor`). It is
+      counted at once when that floor is below q*floor(n/2), since it could
+      be a counterexample. A floor at or above the running minimum of the
+      counts cannot lower `min_triangles_given_hypothesis`, and the sample
+      is done. Otherwise the sample is counted at once when no
+      perturbation follows, and deferred, as its index and floor, when
+      one does.
+    - A perturbation Y - ab + cd is counted from t(Y), which `_y_reference`
+      keeps, by the codegree identity of `_move_edge`.
+    - After the perturbations, if some deferred floor is below the running
+      minimum, the rng state taken before the first uniform draw is
+      restored and the uniform samples are drawn again, in order, up to the
+      last such sample; each one whose floor is still below the running
+      minimum is counted. A sample with fewer triangles than the minimum
+      has a floor below it too, so the minimum that results is exact. The
+      job holds one rng state and one int per deferred sample, never a
+      state or a slot array per sample.
     """
     if job.target != "SPEC_LS_Y":
         raise ValueError(f"no random runner for target {job.target!r}")
@@ -680,7 +721,7 @@ def run_random(job: SearchJob) -> SearchReport:
     n_perturb = job.grid.get("perturbations", [0])[0]
     m = n * n // 4 + q
     bound = q * (n // 2)
-    y_slots, y_lo2, y_hi2 = _y_reference(n, q)
+    y_slots, y_t, y_lo2, y_hi2 = _y_reference(n, q)
     upper, lower = _flat_slots(n)
     ns = len(upper)
     A = np.zeros((n, n), np.float32)
@@ -695,21 +736,30 @@ def run_random(job: SearchJob) -> SearchReport:
         for half in (upper, lower):
             flat[half[slots]] = value
 
+    def put_uniform(idx: np.ndarray) -> None:  # into an A that holds no edge
+        for half in (upper, lower):
+            flat[np.take(half, idx, out=pos)] = 1.0
+
     hyp_true = 0
     min_t = None
     examined = 0
 
-    def eval_sample() -> None:  # the sample is the graph that A holds
-        nonlocal hyp_true, min_t, examined
+    def hypothesis() -> bool:  # is the sample that A holds hypothesis-true?
+        nonlocal hyp_true, examined
         examined += 1
         decided = _decide(above_y, A)
         if isinstance(decided, Ordering):
             report.ties += 1
-            return
-        if not decided:
-            return
-        hyp_true += 1
-        t = dense_triangle_count(A, walks)
+            return False
+        if decided:
+            hyp_true += 1
+        return decided
+
+    def lowers_min(floor: int) -> bool:
+        return min_t is None or floor < min_t
+
+    def record(t: int) -> None:  # the hypothesis-true sample that A holds has t triangles
+        nonlocal min_t
         min_t = t if min_t is None else min(min_t, t)
         if t < bound:
             g = from_matrix(A)
@@ -718,11 +768,16 @@ def run_random(job: SearchJob) -> SearchReport:
                 {"graph6": emit_graph6(g), "verdict": v.to_jsonable()}
             )
 
-    for _ in range(n_uniform):
-        idx = floyd_sample(rng, ns, m)
-        for half in (upper, lower):
-            flat[np.take(half, idx, out=pos)] = 1.0
-        eval_sample()
+    start = rng.getstate()
+    deferred: dict[int, int] = {}  # uniform sample index -> its triangle floor
+    for i in range(n_uniform):
+        put_uniform(floyd_sample(rng, ns, m))
+        if hypothesis():
+            floor = degree_triangle_floor(A)
+            if floor < bound or (lowers_min(floor) and not n_perturb):
+                record(dense_triangle_count(A, walks))
+            elif lowers_min(floor):
+                deferred[i] = floor
         A.fill(0.0)
     put(y_slots, 1.0)  # A holds Y from here on, between perturbations
     for _ in range(n_perturb):
@@ -731,11 +786,21 @@ def run_random(job: SearchJob) -> SearchReport:
             cand = rng.randrange(ns)
             if flat[upper[cand]] == 0.0 or cand == dropped:
                 break
-        put(dropped, 0.0)
-        put(cand, 1.0)
-        eval_sample()
+        t = _move_edge(A, y_t, divmod(int(upper[dropped]), n), divmod(int(upper[cand]), n))
+        if hypothesis():
+            record(t)
         put(cand, 0.0)
         put(dropped, 1.0)
+    last = max((i for i, floor in deferred.items() if lowers_min(floor)), default=-1)
+    if last >= 0:  # replay the uniform draws; A holds no edge between counts
+        A.fill(0.0)
+        rng.setstate(start)
+        for i in range(last + 1):
+            idx = floyd_sample(rng, ns, m)
+            if i in deferred and lowers_min(deferred[i]):
+                put_uniform(idx)
+                record(dense_triangle_count(A, walks))
+                A.fill(0.0)
     report.graphs_examined = examined
     report.counterexamples.sort(key=lambda c: c["graph6"])
     report.extremal_tracker = {

@@ -731,11 +731,19 @@ _VERIFIERS: dict[str, tuple[Callable[..., Any], dict[str, int]]] = {
 }
 
 
+_PARAM_NAMES = frozenset(name for _, defaults in _VERIFIERS.values() for name in defaults)
+
+
 def verify_by_id(theorem_id: str, g: Graph, params: dict) -> list[TheoremVerdict]:
     """Run one graph-level verifier; each of its parameters is read from
-    `params`, or else takes the table's default."""
+    `params`, or else takes the table's default. `params` may hold the
+    parameters of other verifiers (the CLI passes q, s, r and k to every
+    id), but a name that no verifier takes raises ValueError."""
     if theorem_id not in _VERIFIERS:
         raise ValueError(f"no graph-level verifier for theorem id {theorem_id!r}")
+    unknown = sorted(set(params) - _PARAM_NAMES)
+    if unknown:
+        raise ValueError(f"no verifier takes the parameters {unknown}")
     verify, defaults = _VERIFIERS[theorem_id]
     out = verify(g, **{name: params.get(name, default) for name, default in defaults.items()})
     return out if isinstance(out, list) else [out]

@@ -1,17 +1,20 @@
 """Property tests of the certified lambda decisions, of the Gray-code cut
-sweep and of the T_{n,2,q} recognizer against exact or exhaustive oracles
-on small graphs."""
+sweep, of the T_{n,2,q} recognizer and of the random probe's two triangle
+identities against exact or exhaustive oracles on small graphs."""
 
 from fractions import Fraction
 from math import ceil, floor
 
+import numpy as np
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from specls.families import embed_into_turan2, small_path, t_n2q, turan, y_n2q
-from specls.graph import adjacency_matrix, build_graph, complete_graph, cut_stats
+from specls.graph import add_edge, adjacency_matrix, build_graph, complete_graph, cut_stats
+from specls.graph import remove_edge
 from specls.morphism import ISO_LIMIT, are_isomorphic
 from specls.roots import lambda_interval_exact
+from specls.search import _move_edge
 from specls.spectral import (
     Ordering,
     _lambda_sq_rungs,
@@ -22,7 +25,8 @@ from specls.spectral import (
     compare_lambda,
 )
 from specls.theorems import check_tri_effi, is_t_n2q
-from specls.triangles import max_cut_exact
+from specls.triangles import degree_triangle_floor, dense_triangle_count, max_cut_exact
+from specls.triangles import triangle_count
 
 
 @st.composite
@@ -184,3 +188,47 @@ def near_t_n2q(draw):
 def test_t_n2q_recognizer_matches_exact_isomorphism(case):
     g, q = case
     assert is_t_n2q(g, q) == are_isomorphic(g, t_n2q(g.n, q).graph)
+
+
+@settings(max_examples=300, deadline=None)
+@given(g=random_graphs(14), dtype=st.sampled_from([np.float32, np.uint8]))
+@example(g=complete_graph(9), dtype=np.float32)  # every codegree is d_u + d_v - n: tight
+@example(g=K33, dtype=np.float32)
+def test_degree_floor_bounds_the_triangle_count(g, dtype):
+    # 3t >= sum(d^2) - n*m, and the floor is that bound rounded up
+    degs = g.degrees()
+    excess = sum(d * d for d in degs) - g.n * g.m
+    floor = degree_triangle_floor(adjacency_matrix(g, dtype))
+    assert 3 * floor >= excess > 3 * floor - 3
+    assert floor <= triangle_count(g)
+    if g.m == g.n * (g.n - 1) // 2:
+        assert floor == triangle_count(g)
+
+
+@st.composite
+def edge_moves(draw, max_n):
+    """(G, ab, cd): G is Y_{n,2,q} or a random graph with an edge ab, and cd
+    is ab or a non-edge of G."""
+    if draw(st.booleans()):
+        n = draw(st.integers(4, max_n))
+        g = y_n2q(n, draw(st.integers(1, (n + 1) // 4))).graph
+    else:
+        g = draw(random_graphs(max_n).filter(lambda g: g.m > 0))
+    ab = draw(st.sampled_from(sorted(g.edges())))
+    non_edges = [(i, j) for j in range(g.n) for i in range(j) if not g.has_edge(i, j)]
+    if not non_edges or draw(st.booleans()):
+        return g, ab, ab
+    return g, ab, draw(st.sampled_from(non_edges))
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=edge_moves(14))
+def test_moving_an_edge_counts_triangles_by_two_codegrees(case):
+    # t(G - ab + cd) = t(G) - codeg_G(a, b) + codeg_{G - ab}(c, d), and A
+    # holds G - ab + cd afterwards
+    g, ab, cd = case
+    A = adjacency_matrix(g, np.float32)
+    t = _move_edge(A, triangle_count(g), ab, cd)
+    moved = add_edge(remove_edge(g, *ab), *cd)
+    assert (A == adjacency_matrix(moved, np.float32)).all()
+    assert t == triangle_count(moved) == dense_triangle_count(A)

@@ -532,8 +532,9 @@ def test_y_reference_is_built_once_per_n_q_and_read_only(monkeypatch):
                     {"n": [20], "q": [2], "samples": [3], "perturbations": [2]}, seed=1)
     assert run_random(job).to_json() == run_random(job).to_json()
     assert built == [(20, 2)]
-    y_slots, _, _ = search._y_reference(20, 2)
+    y_slots, y_t, _, _ = search._y_reference(20, 2)
     assert y_slots.tolist() == graph_slots(real(20, 2).graph).tolist()
+    assert y_t == triangle_count(real(20, 2).graph) == 2 * 10
     with pytest.raises(ValueError):
         y_slots[0] = 0
     search._y_reference.cache_clear()
@@ -554,16 +555,126 @@ def test_y_reference_pins_little_memory():
     assert held < 5_000_000, held
 
 
+def _probe_job(spec: str) -> SearchJob:
+    n, q, samples, perturbations, seed = map(int, spec.split(","))
+    return SearchJob("SPEC_LS_Y", "random", {"n": [n], "q": [q], "samples": [samples],
+                                            "perturbations": [perturbations]}, seed=seed)
+
+
 def test_probe_reports_match_golden_digests():
     # sha256 of run_random(job).to_json() for jobs "n,q,samples,perturbations,seed":
     # 12,1,... reaches the CW rungs and ties, 60,2,... has a CW bracket of Y
     golden = json.loads((Path(__file__).parent / "golden" / "probe_digests.json").read_text())
     assert len(golden) == 3
     for spec, digest in golden.items():
-        n, q, samples, perturbations, seed = map(int, spec.split(","))
-        job = SearchJob("SPEC_LS_Y", "random", {"n": [n], "q": [q], "samples": [samples],
-                                                "perturbations": [perturbations]}, seed=seed)
+        job = _probe_job(spec)
         assert hashlib.sha256(run_random(job).to_json().encode()).hexdigest() == digest, spec
+
+
+def _counting_reference(job: SearchJob) -> search.SearchReport:
+    """The probe's report when every hypothesis-true sample is counted by a
+    fresh `dense_triangle_count`: the draws of `run_random`, in its order,
+    with each perturbation of Y built from a set of slots."""
+    n, q = job.grid["n"][0], job.grid["q"][0]
+    m, bound = n * n // 4 + q, q * (n // 2)
+    rng = random.Random(job.seed)
+    y_slots, _, lo2, hi2 = search._y_reference(n, q)
+    ends = edge_slots(n)
+    samples = [floyd_sample(rng, len(ends), m).tolist()
+               for _ in range(job.grid["samples"][0])]
+    y = set(y_slots.tolist())
+    for _ in range(job.grid["perturbations"][0]):
+        dropped = int(y_slots[rng.randrange(len(y_slots))])
+        while True:
+            cand = rng.randrange(len(ends))
+            if cand not in y or cand == dropped:
+                break
+        samples.append(sorted(y - {dropped} | {cand}))
+    report, counts = search.SearchReport(job), []
+    for slots in samples:
+        A = np.zeros((n, n), np.float32)
+        for s in slots:
+            i, j = ends[s]
+            A[i, j] = A[j, i] = 1.0
+        decided = spectral._decide(
+            lambda iv: True if iv[0] > hi2 else False if iv[1] < lo2 else None, A)
+        if isinstance(decided, spectral.Ordering):
+            report.ties += 1
+        elif decided:
+            counts.append(dense_triangle_count(A))
+            if counts[-1] < bound:
+                g = from_matrix(A)
+                v = search.verify_by_id("SPEC_LS_Y", g, {"q": q})[0]
+                report.counterexamples.append({"graph6": emit_graph6(g),
+                                               "verdict": v.to_jsonable()})
+    report.graphs_examined = len(samples)
+    report.counterexamples.sort(key=lambda c: c["graph6"])
+    report.extremal_tracker = {"hypothesis_true": len(counts),
+                               "min_triangles_given_hypothesis": min(counts, default=None),
+                               "required": bound}
+    return report
+
+
+@pytest.mark.parametrize("spec", ["300,1,10,1,1", "300,2,30,30,5", "12,1,50,50,3",
+                                  "60,2,50,50,1", "40,3,300,0,2", "30,1,150,80,7"])
+def test_run_random_matches_the_counting_reference(spec):
+    # the degree floor, the codegree identity and the replay leave the report
+    # of counting every hypothesis-true sample: uniform samples deferred and
+    # never counted (n = 300), counted at once (q = 3, no perturbations), ties
+    job = _probe_job(spec)
+    assert run_random(job).to_json() == _counting_reference(job).to_json()
+
+
+def test_replay_counts_the_uniform_samples_when_no_perturbation_is_hypothesis_true(
+        monkeypatch):
+    # the one perturbation is decided False, so the minimum comes from the
+    # uniform samples, counted after the perturbations by drawing them again
+    decided, counted_at = [], []
+    real_decide, real_count = search._decide, search.dense_triangle_count
+
+    def spy_decide(test, A, **kw):
+        decided.append(real_decide(test, A, **kw))
+        return decided[-1]
+
+    def spy_count(A, *args):
+        counted_at.append(len(decided))
+        return real_count(A, *args)
+
+    monkeypatch.setattr(search, "_decide", spy_decide)
+    monkeypatch.setattr(search, "dense_triangle_count", spy_count)
+    job = _probe_job("12,1,30,1,2")
+    rep = run_random(job)
+    assert decided[-1] is False and decided[:-1].count(True) == 30
+    assert counted_at and set(counted_at) == {31}  # every count comes in the replay
+    assert rep.extremal_tracker["min_triangles_given_hypothesis"] is not None
+    monkeypatch.undo()
+    assert rep.to_json() == _counting_reference(job).to_json()
+
+
+def test_probe_job_at_n_300_counts_no_triangles(monkeypatch):
+    # every uniform sample's degree floor (here at least 6 435) is above both
+    # q*floor(n/2) = 150 and the perturbation's count, so nothing is replayed
+    search._y_reference(300, 1)
+    calls = []
+    monkeypatch.setattr(search, "dense_triangle_count", lambda *a: calls.append(a) or 0)
+    rep = run_random(_probe_job("300,1,10,1,1"))
+    assert calls == [] and rep.extremal_tracker["hypothesis_true"] == 11
+
+
+def test_probe_job_holds_no_state_or_slots_per_sample():
+    # 2000 deferred samples: one int each, never a Python rng state (about
+    # 24 KB) or a slot array (401 int64) per sample
+    job = _probe_job("40,1,2000,2,5")
+    search._y_reference(40, 1)
+    search._flat_slots(40)
+    tracemalloc.start()
+    try:
+        rep = run_random(job)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rep.extremal_tracker["hypothesis_true"] > 1900
+    assert peak < 1_000_000, peak
 
 
 def test_probe_samples_reach_the_cw_rungs_through_one_float64_copy(monkeypatch):

@@ -296,6 +296,7 @@ _ABOVE_EXACT_CUT = {
     "turan_40": lambda: turan(40, 2).graph,
     "Y_300_1": lambda: y_n2q(300, 1).graph,
     "T_300_1": lambda: t_n2q(300, 1).graph,
+    "T_300_2": lambda: t_n2q(300, 2).graph,
     "Y_1200_2": lambda: y_n2q(1200, 2).graph,
     "T_1200_2": lambda: t_n2q(1200, 2).graph,
     "G_300_0.5": lambda: _gnp(300, 0.5),
@@ -542,6 +543,21 @@ def test_verify_by_id_dispatch(tid, params, direct):
     assert got == want
     if params:
         assert got != [v.to_jsonable() for v in verify_by_id(tid, g, {})]
+
+
+def test_verify_by_id_rejects_a_parameter_no_verifier_takes():
+    # a misspelt or retired name raises instead of silently falling back to
+    # a default; every verifier's name is accepted by every id, as the CLI
+    # passes q, s, r and k to each
+    g = t_n2q(10, 2).graph
+    for params in ({"exact_limit": 4, "typo_q": 9}, {"exact_limit": 4}, {"q": 1, "Q": 2}):
+        with pytest.raises(ValueError, match="no verifier takes"):
+            verify_by_id("FAR_BIP_SUPERSAT", g, params)
+    cli_params = {"q": 2, "s": 1, "r": 2, "k": 1}
+    for tid, (_, defaults) in theorems._VERIFIERS.items():
+        own = {name: cli_params[name] for name in defaults}
+        assert [v.to_jsonable() for v in verify_by_id(tid, g, cli_params)] == [
+            v.to_jsonable() for v in verify_by_id(tid, g, own)]
 
 
 def test_no_counterexamples_on_extremal_constructions():

@@ -69,11 +69,15 @@ def cases():
             out[f"audit/{name}/{tid}"] = lambda tid=tid, g=g: verify(tid, g, {})
         for tid in ("WILF", "NIKIFOROV_M"):
             out[f"audit/{name}/{tid}/r=3"] = lambda tid=tid, g=g: verify(tid, g, {"r": 3})
+    # at q = 1 the star and the matching are one edge, so Y and T are one
+    # graph; q = 2 tells them apart
     for fam, build in (("Y", y_n2q), ("T", t_n2q)):
-        plain = build(300, 1).graph
-        for label, g in (("plain", plain), ("relabelled", relabelled(plain, 7))):
-            for tid in ("SPEC_LS_Y", "SPEC_LS_T"):
-                out[f"{tid}/{fam}_300_1/{label}"] = lambda tid=tid, g=g: verify(tid, g, {"q": 1})
+        for q in (1, 2):
+            plain = build(300, q).graph
+            for label, g in (("plain", plain), ("relabelled", relabelled(plain, 7))):
+                for tid in ("SPEC_LS_Y", "SPEC_LS_T"):
+                    out[f"{tid}/{fam}_300_{q}/{label}"] = (
+                        lambda tid=tid, g=g, q=q: verify(tid, g, {"q": q}))
     small = t_n2q(24, 1).graph
     near_turan = add_edge(turan(40, 2).graph, 0, 1)
     out["STRUCTURAL/T_24_1/exact"] = lambda: verify("STRUCTURAL", small, {"q": 1})
@@ -86,9 +90,10 @@ def cases():
     out["TRI_EFFI/turan_40"] = lambda: verify("TRI_EFFI", k40, {})
     out["FAR_BIP_SUPERSAT/turan_40"] = lambda: verify("FAR_BIP_SUPERSAT", k40, {})
     for fam, build in (("Y", y_n2q), ("T", t_n2q)):
-        g = build(300, 1).graph
-        for tid in ("FAR_BIP_SUPERSAT", "TRI_EFFI"):
-            out[f"{tid}/{fam}_300_1"] = lambda tid=tid, g=g: verify(tid, g, {})
+        for q in (1, 2):
+            g = build(300, q).graph
+            for tid in ("FAR_BIP_SUPERSAT", "TRI_EFFI"):
+                out[f"{tid}/{fam}_300_{q}"] = lambda tid=tid, g=g: verify(tid, g, {})
     p4 = build_graph(4, [(0, 1), (1, 2), (2, 3)])
     c4 = build_graph(4, [(0, 1), (1, 2), (2, 3), (3, 0)])
     split = build_graph(5, [(0, 1), (2, 3), (3, 4)])
