@@ -44,7 +44,9 @@ def _add_flags(p: argparse.ArgumentParser, *flags: str) -> None:
         "--tol": {"type": float, "default": 1e-9},
         "--tol-floor": {"type": float, "default": 1e-12},
         "--seed": {"type": int, "default": 0},
-        "--workers": {"type": int, "default": int(os.environ.get("SPECLS_WORKERS", "1"))},
+        # a string default goes through `type`, so a bad SPECLS_WORKERS is a
+        # usage error of the subcommands that read --workers, and only theirs
+        "--workers": {"type": int, "default": os.environ.get("SPECLS_WORKERS", "1")},
         "--csv": {"action": "store_true", "help": "emit verdicts as CSV"},
     }
     for flag in flags:

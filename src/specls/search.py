@@ -14,16 +14,18 @@ costs a few array operations:
 
     t(G) = C(n,3) - f*(n-2) + cherries(F) - t(F)   for G = K_n - F.
 
-Full 2^C(n,2) scans (needed by the inequality and conjecture targets) run
-as fixed-size numpy chunks. Edge and triangle counts come exactly from bit
+Full 2^C(n,2) scans (needed by the inequality and conjecture targets)
+evaluate one block of masks per orbit of the last vertex's neighbourhood
+(`_orbit_scan`), as fixed-size numpy chunks, and map what they find to
+every relabelled block. Edge and triangle counts come exactly from bit
 operations on the masks; BOOK and NOSAL eigensolve only the masks that a
-Collatz-Wielandt bound cannot rule out, BN every mask. Anything within a
-float band of a bound is re-decided exactly by `roots.signs_at_lambda`:
-its own integer characteristic polynomial (one batched Faddeev-LeVerrier
-run per n) and a Sturm sign, searched once per distinct characteristic
-polynomial, so reported counterexamples and equality sets are certified,
-not floating-point guesses. Chunk boundaries and shard counts are
-constants, so reports are byte-identical for any worker count.
+Collatz-Wielandt bound cannot rule out, BN every mask it evaluates.
+Anything within a float band of a bound is re-decided exactly by
+`roots.signs_at_lambda`: its own integer characteristic polynomial (one
+batched Faddeev-LeVerrier run per n) and a Sturm sign, searched once per
+distinct characteristic polynomial, so reported counterexamples and
+equality sets are certified, not floating-point guesses. Shard, block and chunk boundaries depend on n
+alone, so reports are byte-identical for any worker count.
 """
 
 from __future__ import annotations
@@ -51,9 +53,9 @@ from .triangles import degree_triangle_floor, dense_triangle_count, triangle_cou
 from .triangles import triangle_workspace
 from .verdicts import jsonable_value
 
-SHARDS = 32
 _SCAN_CHUNK_BITS = 15
 _FLOAT_BAND = 1e-6
+_NEAR_BEST = 1e-9  # far above the spread of eigvalsh over isomorphic copies
 DEFAULT_CEILING = 200_000_000
 
 EXHAUSTIVE_TARGETS = ("LS", "BN", "BOOK", "NOSAL")
@@ -411,7 +413,17 @@ def _adjacency_batch(n: int, masks: np.ndarray) -> np.ndarray:
 
 def _cw_upper(A: np.ndarray, deg: np.ndarray) -> np.ndarray:
     """Collatz-Wielandt bounds u = max_i (Ax)_i / x_i >= lambda, one per
-    matrix, at the positive vector x = (A + I)^_CW_STEPS (deg + 1)."""
+    matrix, at the positive vector x = (A + I)^_CW_STEPS (deg + 1).
+
+    The prefilter that reads u in float64 is exact up to two roundings. x
+    and Ax are integer vectors below n^(_CW_STEPS + 2), far below 2^53, so
+    every product and sum that forms them is exact. Only the division
+    (Ax)_i / x_i rounds, and then u * u - u (or u * u), each by a relative
+    error of at most 2^-52. A mask is dropped only when that value is below
+    m < n^2 / 2, so u < n there, and for n <= 11 (masks stay below 2^62)
+    the roundings move it by less than 1e-12, far below the margin of 1/2
+    by which a dropped mask misses the band. The eigvalsh band itself has
+    no such bound yet."""
     x = deg + 1.0
     for _ in range(_CW_STEPS):
         x = np.einsum("bij,bj->bi", A, x) + x
@@ -423,75 +435,140 @@ def _graph_from_mask(n: int, mask: int) -> Graph:
     return from_slot_bits(n, np.right_shift(mask, np.arange(n * (n - 1) // 2)) & 1)
 
 
+def _bn_margins(n: int, masks: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Which of these masks have no isolated vertex, and BN's float margins
+    t - lambda(lambda^2 - m)/3 of all of them (every mask is eigensolved)."""
+    m, t, deg = _scan_chunk_stats(n, masks)
+    keep = deg.min(1) > 0 if n else np.zeros(len(masks), dtype=bool)
+    lam = np.linalg.eigvalsh(_adjacency_batch(n, masks))[:, -1]
+    return keep, t - lam * (lam * lam - m) / 3.0
+
+
 def _full_scan_shard(args: tuple) -> dict:
-    n, chunk_lo, chunk_hi, target = args
+    """The float tests of one scan target on the `count` masks from `base`
+    on, evaluated as one chunk: how many are examined, the suspect and
+    equality masks, and for BN the (margin, mask) pairs `near` of the
+    unflagged masks whose margin lies within _NEAR_BEST of their least."""
+    n, target, base, count = args
     if target not in ("BN", "BOOK", "NOSAL"):
         raise ValueError(f"unknown scan target {target!r}")
+    masks = np.arange(base, base + count, dtype=np.int64)
+    if target == "BN":
+        # min_strict_margin reads lambda of every graph
+        keep, margin = _bn_margins(n, masks)
+        flag = keep & (margin <= _FLOAT_BAND)
+        ok = keep & ~flag
+        near = []
+        if ok.any():
+            close = ok & (margin <= margin[ok].min() + _NEAR_BEST)
+            near = [(float(margin[i]), int(masks[i])) for i in np.flatnonzero(close)]
+        return {"examined": int(keep.sum()), "suspects": masks[flag].tolist(),
+                "equalities": [], "near": near}
+    m, t, deg = _scan_chunk_stats(n, masks)
+    # BOOK and NOSAL flag a graph only when its float gap lies within
+    # _FLOAT_BAND of the bound, after exact tests on m and t. A mask whose
+    # Collatz-Wielandt bound u >= lambda puts the gap below -1/2 (see
+    # `_cw_upper`) is dropped before the eigensolve: BOOK's gap lambda^2 -
+    # lambda - (m - 1) increases for lambda >= 1, which holds once m >= 1,
+    # and NOSAL's lambda^2 - m for lambda >= 0, so the true gap is below -1/2
+    # as well. eigvalsh is accurate to about 1e-13 at these sizes, so it
+    # could not have read such a gap inside the band. The suspect and
+    # equality sets are those an eigensolve of every mask gives.
+    if target == "BOOK":
+        keep = m >= 1
+        live = np.flatnonzero(keep & (2 * t <= m - 1))
+    else:
+        keep = t == 0
+        live = np.flatnonzero(keep & (m > 0))
+    A = _adjacency_batch(n, masks[live])
+    u = _cw_upper(A, deg[live])
+    reach = u * u - u >= m[live] - 1.5 if target == "BOOK" else u * u >= m[live] - 0.5
+    live, A = live[reach], A[reach]
+    lam = np.linalg.eigvalsh(A)[:, -1]
+    ml, tl = m[live], t[live]
+    if target == "BOOK":
+        hyp_gap = lam * lam - lam - (ml - 1)
+        suspects = masks[live[(hyp_gap >= -_FLOAT_BAND) & (2 * tl < ml - 1)]]
+        equalities = masks[live[(np.abs(hyp_gap) <= _FLOAT_BAND) & (2 * tl == ml - 1)]]
+    else:
+        suspects = masks[live[lam * lam >= ml - _FLOAT_BAND]]
+        equalities = masks[:0]
+    return {"examined": int(keep.sum()), "suspects": suspects.tolist(),
+            "equalities": equalities.tolist(), "near": []}
+
+
+def _orbit_images(n: int, reps: list[int]) -> list[int]:
+    """Every image of these representative masks under the relabellings of
+    vertices 0..n-2. A mask low | N_k << C(n-1, 2) with N_k = {0..k-1} has
+    the C(n-1, k) images sigma(low) | N << C(n-1, 2), one per k-set N,
+    where sigma takes 0..k-1 onto N and k..n-2 onto the rest, both in
+    order; sigma(low) moves the edge {a, b} of low to {sigma(a), sigma(b)}."""
+    r = max(n - 1, 0)
+    nl = r * (r - 1) // 2
+    i, j = slot_ends(r)
+    reps = np.array(reps, dtype=np.int64)
+    bits = (reps[:, None] >> np.arange(nl)) & 1
+    out: list[int] = []
+    for k in range(r + 1):
+        rows = bits[reps >> nl == (1 << k) - 1]
+        if not len(rows):
+            continue
+        for N in combinations(range(r), k):
+            sigma = np.array(N + tuple(v for v in range(r) if v not in N), dtype=np.int64)
+            a, b = sigma[i], sigma[j]
+            lo, hi = np.minimum(a, b), np.maximum(a, b)
+            to = hi * (hi - 1) // 2 + lo  # the slot of {sigma(i), sigma(j)}
+            out.extend(((rows << to).sum(1) | sum(1 << v for v in N) << nl).tolist())
+    return out
+
+
+def _orbit_scan(n: int, target: str, workers: int) -> tuple:
+    """`_full_scan_shard` over all 2^C(n,2) masks of n vertices, evaluated on
+    one block per orbit of the last vertex's neighbourhood.
+
+    A mask is low | N << C(n-1, 2): low is a graph on vertices 0..n-2 and N
+    the neighbourhood of vertex n-1, since the slots from C(n-1, 2) on are
+    the pairs (i, n-1). A relabelling of 0..n-2 that takes N onto N' maps
+    the block of masks with neighbourhood N one to one onto the block with
+    N' and keeps m, t, the degrees and lambda. So only the n blocks N_k =
+    {0..k-1} are evaluated, in pieces of at most 2^_SCAN_CHUNK_BITS masks;
+    a representative's examined count is taken C(n-1, k) times, and its
+    suspects and equalities are mapped to their images by `_orbit_images`.
+
+    Returns the examined count, the sorted suspect and equality masks, and
+    for BN the least (margin, mask) over the unflagged masks, or None. That
+    choice reads float margins, which differ between isomorphic copies in
+    the last bits, so every representative within _NEAR_BEST of the least
+    is mapped to all its images, which are eigensolved again, and the least
+    (margin, mask) among them is the one the labelled scan of every mask
+    would choose."""
+    r = max(n - 1, 0)
+    nl = r * (r - 1) // 2
     chunk = 1 << _SCAN_CHUNK_BITS
-    total = 1 << (n * (n - 1) // 2)
+    pieces = [
+        (n, target, ((1 << k) - 1) << nl | lo, min(chunk, (1 << nl) - lo))
+        for k in range(r + 1)
+        for lo in range(0, 1 << nl, chunk)
+    ]
     examined = 0
     suspects: list[int] = []
     equalities: list[int] = []
-    best = None  # (margin, mask)
-    for cbase in range(chunk_lo, chunk_hi):
-        base = cbase * chunk
-        if base >= total:
-            break
-        count = min(chunk, total - base)
-        masks = np.arange(base, base + count, dtype=np.int64)
-        m, t, deg = _scan_chunk_stats(n, masks)
-        if target == "BN":
-            # min_strict_margin reads lambda of every graph
-            keep = deg.min(1) > 0 if n else np.zeros(count, dtype=bool)
-            examined += int(keep.sum())
-            lam = np.linalg.eigvalsh(_adjacency_batch(n, masks))[:, -1]
-            rhs = lam * (lam * lam - m) / 3.0
-            margin = t - rhs
-            flag = keep & (margin <= _FLOAT_BAND)
-            suspects.extend(int(x) for x in masks[flag])
-            ok = keep & ~flag
-            if ok.any():
-                i = int(np.argmin(np.where(ok, margin, np.inf)))
-                cand = (float(margin[i]), int(masks[i]))
-                best = cand if best is None else min(best, cand)
-            continue
-        # BOOK and NOSAL flag a graph only when its float gap lies within
-        # _FLOAT_BAND of the bound, after exact tests on m and t. A mask whose
-        # Collatz-Wielandt bound u >= lambda puts the gap below -1/2 is dropped
-        # before the eigensolve: BOOK's gap lambda^2 - lambda - (m - 1)
-        # increases for lambda >= 1, which holds once m >= 1, and NOSAL's
-        # lambda^2 - m for lambda >= 0, so the true gap is below -1/2 as well.
-        # eigvalsh is accurate to about 1e-13 at these sizes, so it could not
-        # have read such a gap inside the band, and the rounding in u is far
-        # below the margin of 1/2. The suspect and equality sets are those an
-        # eigensolve of every mask gives.
-        if target == "BOOK":
-            keep = m >= 1
-            live = np.flatnonzero(keep & (2 * t <= m - 1))
-        else:
-            keep = t == 0
-            live = np.flatnonzero(keep & (m > 0))
-        examined += int(keep.sum())
-        A = _adjacency_batch(n, masks[live])
-        u = _cw_upper(A, deg[live])
-        near = u * u - u >= m[live] - 1.5 if target == "BOOK" else u * u >= m[live] - 0.5
-        live, A = live[near], A[near]
-        lam = np.linalg.eigvalsh(A)[:, -1]
-        ml, tl = m[live], t[live]
-        if target == "BOOK":
-            hyp_gap = lam * lam - lam - (ml - 1)
-            cex = (hyp_gap >= -_FLOAT_BAND) & (2 * tl < ml - 1)
-            suspects.extend(int(x) for x in masks[live[cex]])
-            eq = (np.abs(hyp_gap) <= _FLOAT_BAND) & (2 * tl == ml - 1)
-            equalities.extend(int(x) for x in masks[live[eq]])
-        else:
-            suspects.extend(int(x) for x in masks[live[lam * lam >= ml - _FLOAT_BAND]])
-    return {
-        "examined": examined,
-        "suspects": suspects,
-        "equalities": equalities,
-        "best": best,
-    }
+    near: list[tuple[float, int]] = []
+    for (_, _, base, _), res in zip(pieces, _pool_map(_full_scan_shard, pieces, workers)):
+        examined += comb(r, (base >> nl).bit_length()) * res["examined"]
+        suspects.extend(res["suspects"])
+        equalities.extend(res["equalities"])
+        near.extend(res["near"])
+    best = None
+    if near:
+        least = min(near)[0]
+        images = np.array(_orbit_images(n, [mask for margin, mask in near
+                                            if margin <= least + _NEAR_BEST]), dtype=np.int64)
+        keep, margin = _bn_margins(n, images)
+        ok = np.flatnonzero(keep & (margin > _FLOAT_BAND))
+        best = min((float(margin[i]), int(images[i])) for i in ok)
+    return (examined, sorted(_orbit_images(n, suspects)),
+            sorted(_orbit_images(n, equalities)), best)
 
 
 def core_is_book(g: Graph) -> bool:
@@ -512,28 +589,16 @@ def _run_full_scan(job: SearchJob, workers: int) -> SearchReport:
     eq_all: list[dict] = []
     best = None
     for n in sorted(job.grid.get("n", [])):
-        ns = n * (n - 1) // 2
-        total_masks = 1 << ns
+        total_masks = 1 << n * (n - 1) // 2  # the ceiling counts labelled graphs
         if total_masks > job.ceiling:
             raise ValueError(
                 f"n={n}: full scan would visit {total_masks} graphs > ceiling {job.ceiling}"
             )
-        chunk = 1 << _SCAN_CHUNK_BITS
-        nchunks = (total_masks + chunk - 1) // chunk
-        bounds = [(i * nchunks) // SHARDS for i in range(SHARDS + 1)]
-        shard_args = [
-            (n, bounds[i], bounds[i + 1], target)
-            for i in range(SHARDS)
-            if bounds[i] < bounds[i + 1]
-        ]
-        results = _pool_map(_full_scan_shard, shard_args, workers)
-        suspects = sorted(set(x for r in results for x in r["suspects"]))
-        equalities = sorted(set(x for r in results for x in r["equalities"]))
-        report.graphs_examined += sum(r["examined"] for r in results)
-        for r in results:
-            if r["best"] is not None:
-                cand = (r["best"][0], n, r["best"][1])
-                best = cand if best is None else min(best, cand)
+        examined, suspects, equalities, n_best = _orbit_scan(n, target, workers)
+        report.graphs_examined += examined
+        if n_best is not None:
+            cand = (n_best[0], n, n_best[1])
+            best = cand if best is None else min(best, cand)
         # every flagged graph is re-decided exactly, in one batched call per n
         flagged = [_graph_from_mask(n, mask) for mask in suspects + equalities]
         if target == "BN":

@@ -204,6 +204,20 @@ def test_workers_env_default(capsys, monkeypatch):
     assert code == 0
 
 
+def test_bad_workers_env_is_a_usage_error_only_where_workers_is_read(capsys, monkeypatch):
+    monkeypatch.setenv("SPECLS_WORKERS", "abc")
+    code, out, _ = run(capsys, "family-root", "Y_even", "--n", "6")
+    assert code == 0 and out
+    for argv in (["enumerate", "--n", "4", "--min-edges", "5"],
+                 ["verify", "LS", "--n", "4", "--exhaustive"]):
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and not out and "invalid int value: 'abc'" in err
+    code, out, _ = run(capsys, "enumerate", "--n", "4", "--min-edges", "5", "--workers", "2")
+    assert code == 0 and out
+    monkeypatch.setenv("SPECLS_WORKERS", "2")
+    assert build_parser().parse_args(["enumerate", "--n", "4", "--min-edges", "5"]).workers == 2
+
+
 SHARED_FLAGS = {"--tol", "--tol-floor", "--seed", "--workers", "--csv", "--json"}
 FLAGS_READ = {
     "construct": {"--json"},

@@ -152,8 +152,7 @@ def _unpruned_scan(n: int, target: str) -> tuple[list, list]:
 
 
 def _scan_all_chunks(n: int, target: str) -> dict:
-    nchunks = max(1, (1 << n * (n - 1) // 2) >> search._SCAN_CHUNK_BITS)
-    return search._full_scan_shard((n, 0, nchunks, target))
+    return search._full_scan_shard((n, target, 0, 1 << n * (n - 1) // 2))
 
 
 @pytest.mark.parametrize("target", ["BOOK", "NOSAL"])
@@ -177,9 +176,65 @@ def test_cw_prefilter_never_drops_a_book(k):
             a, b, *pages = rng.sample(range(n), k + 2)
             edges = [(a, b)] + [(a, p) for p in pages] + [(b, p) for p in pages]
             mask = sum(1 << index[min(e), max(e)] for e in edges)
-            chunk = mask >> search._SCAN_CHUNK_BITS
-            got = search._full_scan_shard((n, chunk, chunk + 1, "BOOK"))
+            chunk = mask >> search._SCAN_CHUNK_BITS << search._SCAN_CHUNK_BITS
+            size = min(1 << search._SCAN_CHUNK_BITS, (1 << len(index)) - chunk)
+            got = search._full_scan_shard((n, "BOOK", chunk, size))
             assert mask in got["equalities"]
+
+
+def _labelled_scan(n: int, target: str) -> tuple:
+    """The scan kernel over every labelled mask, chunk by chunk: the examined
+    count, the suspect and equality masks, and BN's least (margin, mask),
+    the first least margin of each chunk compared as tuples."""
+    total, chunk = 1 << n * (n - 1) // 2, 1 << search._SCAN_CHUNK_BITS
+    parts = [search._full_scan_shard((n, target, base, min(chunk, total - base)))
+             for base in range(0, total, chunk)]
+    near = [c for p in parts for c in p["near"]]
+    return (sum(p["examined"] for p in parts),
+            sorted(x for p in parts for x in p["suspects"]),
+            sorted(x for p in parts for x in p["equalities"]),
+            min(near, default=None))
+
+
+@pytest.mark.parametrize(
+    "n, target",
+    [(n, t) for t in ("BOOK", "NOSAL", "BN") for n in range(1, 7)]
+    + [(7, "BOOK"), (7, "NOSAL")],
+)
+def test_orbit_scan_equals_the_labelled_scan(n, target):
+    expected = _labelled_scan(n, target)
+    assert search._orbit_scan(n, target, 1) == expected
+    if n >= 4:  # the compared sets are not empty
+        assert expected[1] or expected[2] or expected[3]
+
+
+def test_orbit_images_relabel_the_low_graph_onto_each_neighbourhood():
+    # the path 0-1, 1-2 (slots 0 and 2 of 4 vertices) with vertex 4 joined
+    # to {0, 1}: sigma = (1, 3, 0, 2) for N = {1, 3} takes it to 1-3, 3-0
+    n = 5
+    index = {e: s for s, e in enumerate(edge_slots(n))}
+    rep = sum(1 << index[e] for e in [(0, 1), (1, 2), (0, 4), (1, 4)])
+    images = search._orbit_images(n, [rep])
+    assert len(images) == comb(4, 2) == len(set(images))
+    image = sum(1 << index[e] for e in [(1, 3), (0, 3), (1, 4), (3, 4)])
+    assert image in images
+    g = _graph_from_mask(n, rep)
+    assert all(are_isomorphic(g, _graph_from_mask(n, x)) for x in images)
+    assert sorted(x >> 6 for x in images) == sorted(
+        sum(1 << v for v in N) for N in combinations(range(4), 2))
+
+
+def test_book_scan_at_n_7_evaluates_one_block_per_neighbourhood_size(monkeypatch):
+    evaluated = []
+    kernel = search._full_scan_shard
+
+    def spy(args):
+        evaluated.append(args[3])
+        return kernel(args)
+
+    monkeypatch.setattr(search, "_full_scan_shard", spy)
+    run_exhaustive(SearchJob("BOOK", "exhaustive", {"n": [7]}), workers=1)
+    assert sum(evaluated) == 7 * 2**15 < 2**21
 
 
 def test_ls_exhaustive_counts_and_determinism():
