@@ -3,14 +3,18 @@ theorems and conjectures.
 
 Every graph here is a subset of the C(n,2) edge slots, in the order of the
 codec in `graph` (`slot_ends`, `slot_bits`, `from_slot_bits`), which is
-also the graph6 body order. One sharded complement walk (`_dense_dfs` over `_ls_shard`) serves both the
-LS exhaustive check and the `enumerate` count: graphs with at least
-min_edges edges correspond to subsets F of the edge-slot lattice of bounded
-size, walked in colex order in 32 shards (the patterns of the first five
-slots). Each shard expands its lattice one complement size at a time as
-numpy arrays, in bounded chunks, maintaining the complement statistics
-(edge count f, cherries, triangles) incrementally, so each visited graph
-costs a few array operations:
+also the graph6 body order. One sharded complement walk (`_dense_dfs`
+over `_ls_shard`) serves both the LS exhaustive check and the `enumerate`
+count: graphs with at least min_edges edges correspond to subsets F of the
+edge-slot lattice of bounded size. F splits as F' + star(N), F' on the
+slots of K_{n-1} and N the complement neighbourhood of vertex n-1, and the
+margin is a graph invariant, so only the F' are walked, in colex order in
+32 shards (the patterns of the first five slots), each with the stars
+{0..k-1}; the other neighbourhoods are relabellings of these. Each shard
+expands its lattice one size at a time as numpy arrays, in bounded chunks,
+maintaining the statistics of F' (edge count f, cherries, triangles)
+incrementally, so each walked F' and each star on it costs a few array
+operations:
 
     t(G) = C(n,3) - f*(n-2) + cherries(F) - t(F)   for G = K_n - F.
 
@@ -24,8 +28,9 @@ Anything within a float band of a bound is re-decided exactly by
 `roots.signs_at_lambda`: its own integer characteristic polynomial (one
 batched Faddeev-LeVerrier run per n) and a Sturm sign, searched once per
 distinct characteristic polynomial, so reported counterexamples and
-equality sets are certified, not floating-point guesses. Shard, block and chunk boundaries depend on n
-alone, so reports are byte-identical for any worker count.
+equality sets are certified, not floating-point guesses. Shard, block and
+chunk boundaries depend on n alone, so reports are byte-identical for any
+worker count.
 """
 
 from __future__ import annotations
@@ -166,23 +171,27 @@ def _popcount(x: np.ndarray, bits: int = 63) -> np.ndarray:
 
 
 class _Frontier:
-    """Complements of one size f, as rows in lexicographic order of their
+    """Complements F' of one size f, as rows in lexicographic order of their
     slot tuples. A row's children add one slot >= start, so a row that is
     itself a child added slot start - 1 to row up_idx of the frontier `up`;
-    the top row is the shard's prefix pattern `base`. d = cherries(F) -
-    t(F); deg (B, n) holds F's degrees and rows (B, n * words) its
+    the top row is the shard's prefix pattern `base`. d = cherries(F') -
+    t(F'). deg (B, r) holds F''s degrees, lo (B, r) the number of its edges
+    (u, v), u < v, at each lower end u, and rows (B, r * words) its
     neighbourhood bit rows, vertex w being bit w % _ROW_BITS of word
-    w // _ROW_BITS of the vertex's `words` columns."""
+    w // _ROW_BITS of the vertex's `words` columns. A frontier of the
+    largest size is never expanded and has no deg, lo or rows."""
 
-    def __init__(self, f: int, start: np.ndarray, d: np.ndarray, deg: np.ndarray,
-                 rows: np.ndarray, up: Optional["_Frontier"] = None,
-                 up_idx: Optional[np.ndarray] = None, base: tuple = ()):
-        self.f, self.start, self.d, self.deg, self.rows = f, start, d, deg, rows
+    def __init__(self, f: int, start: np.ndarray, d: np.ndarray, deg: Optional[np.ndarray],
+                 lo: Optional[np.ndarray], rows: Optional[np.ndarray],
+                 up: Optional["_Frontier"] = None, up_idx: Optional[np.ndarray] = None,
+                 base: tuple = ()):
+        self.f, self.start, self.d, self.deg, self.lo, self.rows = f, start, d, deg, lo, rows
         self.up, self.up_idx, self.base = up, up_idx, base
 
     def __getitem__(self, sl: slice) -> "_Frontier":
-        return _Frontier(self.f, self.start[sl], self.d[sl], self.deg[sl], self.rows[sl],
-                         self.up, None if self.up_idx is None else self.up_idx[sl], self.base)
+        return _Frontier(self.f, self.start[sl], self.d[sl], self.deg[sl], self.lo[sl],
+                         self.rows[sl], self.up,
+                         None if self.up_idx is None else self.up_idx[sl], self.base)
 
     def slots(self, i: int) -> tuple[int, ...]:
         tail = []
@@ -193,66 +202,96 @@ class _Frontier:
         return fr.base + tuple(reversed(tail))
 
 
-def _ls_shard(args: tuple) -> tuple:
-    """One complement-pattern shard of the dense triangle-count check.
+def _star_margins(fr: _Frontier, star: np.ndarray) -> np.ndarray:
+    """The margins of the representatives F' + star({0..k-1}) of fr's nodes,
+    one row per node and one column per k = 0..len(star) - 1: star[k] +
+    d(F') + S_k - E_k, where star[k] = const[f + k] + C(k, 2) and S_k - E_k
+    is the prefix sum of lo below k (see `_ls_shard`)."""
+    margin = fr.d[:, None] + star
+    if len(star) > 1:
+        margin[:, 1:] += np.cumsum(fr.lo[:, : len(star) - 1], axis=1)
+    return margin
 
-    The colex complement lattice under the shard's prefix pattern is walked
-    one size f at a time, in chunks of at most _WALK_CHUNK children: a child
-    that adds slot s = (u, v) to F has cherries + d_u + d_v and t(F) +
-    |N_F(u) & N_F(v)|. Each chunk is in lexicographic order of its slot
-    tuples, so its first least margin is its lexicographically smallest
-    one, and `best` compares those candidates as tuples. Complements of the
-    largest size kmax get margins only."""
+
+def _ls_shard(args: tuple) -> tuple:
+    """One prefix-pattern shard of the dense triangle-count check, evaluated
+    on one representative per orbit of the last vertex's complement
+    neighbourhood.
+
+    A complement F is F' + star(N): F' uses the first C(n-1, 2) slots, the
+    K_{n-1} lattice, and N = N_F(n-1), since the last n - 1 slots are the
+    pairs (i, n-1). The colex lattice of F' under the shard's prefix
+    pattern is walked one size f at a time, in chunks of at most
+    _WALK_CHUNK children: a child that adds slot s = (u, v) to F' has
+    cherries + d_u + d_v and t(F') + |N_F'(u) & N_F'(v)|. Each node F'
+    gives the representatives F' + star({0..k-1}), k <= min(n - 1, kmax -
+    f), with margin
+
+        const[f + k] + d(F') + S_k + C(k, 2) - E_k,
+
+    where S_k is the sum of deg_F'(i) over i < k and E_k the number of F'
+    edges inside {0..k-1}: the star adds deg_F'(i) cherries at each i < k
+    and C(k, 2) at n - 1, and closes a triangle on each F' edge inside
+    {0..k-1}. S_k - E_k counts the F' edges whose lower end is below k,
+    the prefix sums of `lo`.
+
+    Returns the nodes per size f, the negative representatives, and the
+    shard's least margin with every representative at it; a representative
+    is (F' slots, k)."""
     n, kmax, qmax, pattern = args
-    su, sv = slot_ends(n)
-    ns = len(su)
-    prefix = min(_SHARD_PREFIX_BITS, ns)
-    words = max(1, -(-n // _ROW_BITS))
+    r = max(n - 1, 0)
+    su, sv = slot_ends(r)
+    nl = len(su)
+    prefix = min(_SHARD_PREFIX_BITS, nl)
+    words = max(1, -(-r // _ROW_BITS))
     word_of = np.arange(words)
     # a complement of size f has margin const[f] + d:
     # t(G) = C(n,3) - f(n-2) + cherries(F) - t(F), less the LS requirement
-    floor_q = n * n // 4
+    ns, floor_q = n * (n - 1) // 2, n * n // 4
     const = [comb(n, 3) - f * (n - 2) - min(ns - f - floor_q, qmax) * (n // 2)
              for f in range(kmax + 1)]
-    counts = [0] * (kmax + 1)
-    bad: list[tuple[int, ...]] = []
-    best = (1 << 60, ())
+    # the part of a representative's margin that depends on f and k alone
+    star = [np.array([const[f + k] + comb(k, 2) for k in range(min(r, kmax - f) + 1)])
+            for f in range(kmax + 1)]
+    nodes = [0] * (kmax + 1)
+    bad: list[tuple[tuple[int, ...], int]] = []
+    least: list = [1 << 60, []]
     base = tuple(s for s in range(prefix) if pattern >> s & 1)
     f0 = len(base)
     if f0 > kmax:
-        return counts, bad, best
+        return nodes, bad, tuple(least)
 
-    def add_slots(deg: np.ndarray, rows: np.ndarray, u: np.ndarray, v: np.ndarray) -> None:
-        # add edge (u[i], v[i]) to row i of deg and rows, in place; both are
-        # fresh C-contiguous arrays, so ravel() gives views
-        at = np.arange(len(u)) * n
-        deg.ravel()[at + u] += 1
-        deg.ravel()[at + v] += 1
-        rows.ravel()[(at + u) * words + v // _ROW_BITS] |= np.left_shift(1, v % _ROW_BITS)
-        rows.ravel()[(at + v) * words + u // _ROW_BITS] |= np.left_shift(1, u % _ROW_BITS)
+    def add_slots(fr: _Frontier, u: np.ndarray, v: np.ndarray) -> None:
+        # add edge (u[i], v[i]) to row i of fr, in place; deg, lo and rows
+        # are fresh C-contiguous arrays, so ravel() gives views
+        at = np.arange(len(u)) * r
+        fr.deg.ravel()[at + u] += 1
+        fr.deg.ravel()[at + v] += 1
+        fr.lo.ravel()[at + u] += 1
+        fr.rows.ravel()[(at + u) * words + v // _ROW_BITS] |= np.left_shift(1, v % _ROW_BITS)
+        fr.rows.ravel()[(at + v) * words + u // _ROW_BITS] |= np.left_shift(1, u % _ROW_BITS)
 
     def pair_gain(fr: _Frontier, pidx: np.ndarray, u: np.ndarray, v: np.ndarray) -> np.ndarray:
-        # d_u + d_v - |N_F(u) & N_F(v)| for each child (row pidx[i], slot (u[i], v[i]))
-        at = pidx * n
+        # d_u + d_v - |N_F'(u) & N_F'(v)| for each child (row pidx[i], slot (u[i], v[i]))
+        at = pidx * r
         deg, rows = fr.deg.ravel(), fr.rows.ravel()
         ru = np.take(rows, (at + u)[:, None] * words + word_of)
         rv = np.take(rows, (at + v)[:, None] * words + word_of)
-        common = _popcount(ru & rv, min(n, _ROW_BITS)).sum(1)
+        common = _popcount(ru & rv, min(r, _ROW_BITS)).sum(1)
         return np.take(deg, at + u) + np.take(deg, at + v) - common
 
-    def visit(f: int, margin: np.ndarray, fr: _Frontier, pidx: np.ndarray,
-              s: np.ndarray) -> None:
-        # the complements fr.slots(pidx[i]) + (s[i],), of size f, in lex order
-        nonlocal best
-        counts[f] += len(margin)
-        for i in np.flatnonzero(margin < 0).tolist():
-            bad.append(fr.slots(int(pidx[i])) + (int(s[i]),))
-        i = int(np.argmin(margin))
-        if margin[i] <= best[0]:
-            best = min(best, (int(margin[i]), fr.slots(int(pidx[i])) + (int(s[i]),)))
+    def visit(fr: _Frontier) -> None:
+        margin = _star_margins(fr, star[fr.f])
+        nodes[fr.f] += len(margin)
+        bad.extend((fr.slots(i), k) for i, k in np.argwhere(margin < 0).tolist())
+        low = int(margin.min())
+        if low < least[0]:
+            least[:] = [low, []]
+        if low == least[0]:
+            least[1].extend((fr.slots(i), k) for i, k in np.argwhere(margin == low).tolist())
 
     def expand(fr: _Frontier) -> None:
-        nchild = ns - fr.start
+        nchild = nl - fr.start
         cum = np.cumsum(nchild)
         lo = 0
         while lo < len(cum):
@@ -268,29 +307,61 @@ def _ls_shard(args: tuple) -> tuple:
             u, v = np.take(su, s), np.take(sv, s)
             d = np.take(piece.d, pidx) + pair_gain(piece, pidx, u, v)
             f = fr.f + 1
-            visit(f, const[f] + d, piece, pidx, s)
-            if f < kmax:
-                deg = np.take(piece.deg, pidx, axis=0)
-                rows = np.take(piece.rows, pidx, axis=0)
-                add_slots(deg, rows, u, v)
-                expand(_Frontier(f, s + 1, d, deg, rows, piece, pidx))
+            if f == kmax:
+                visit(_Frontier(f, s + 1, d, None, None, None, piece, pidx))
+                continue
+            child = _Frontier(f, s + 1, d, *(np.take(a, pidx, axis=0)
+                                             for a in (piece.deg, piece.lo, piece.rows)),
+                              piece, pidx)
+            add_slots(child, u, v)
+            visit(child)
+            expand(child)
 
     top = _Frontier(f0, np.array([prefix]), np.zeros(1, dtype=np.int64),
-                    np.zeros((1, n), dtype=np.int32), np.zeros((1, n * words), dtype=np.int64),
-                    base=base)
+                    np.zeros((1, r), dtype=np.int32), np.zeros((1, r), dtype=np.int32),
+                    np.zeros((1, r * words), dtype=np.int64), base=base)
     for s in base:
         # the prefix edges, one at a time, by the same update as the walk
-        u, v, at = su[s : s + 1], sv[s : s + 1], np.zeros(1, dtype=np.int64)
-        top.d += pair_gain(top, at, u, v)
-        add_slots(top.deg, top.rows, u, v)
-    counts[f0] = 1
-    margin0 = const[f0] + int(top.d[0])
-    if margin0 < 0:
-        bad.append(base)
-    best = (margin0, base)
+        u, v = su[s : s + 1], sv[s : s + 1]
+        top.d += pair_gain(top, np.zeros(1, dtype=np.int64), u, v)
+        add_slots(top, u, v)
+    visit(top)
     if f0 < kmax:
         expand(top)
-    return counts, bad, best
+    return nodes, bad, tuple(least)
+
+
+def _relabellings(r: int, k: int):
+    """The relabellings sigma_N of vertices 0..r-1, one per k-set N in
+    lexicographic order: sigma_N takes 0..k-1 onto N and k..r-1 onto the
+    rest, both in order. Yields N and the slot map `to` of K_r: sigma_N
+    moves the edge {i, j} in slot s to {sigma(i), sigma(j)}, in slot to[s]."""
+    i, j = slot_ends(r)
+    for N in combinations(range(r), k):
+        sigma = np.array(N + tuple(v for v in range(r) if v not in N), dtype=np.int64)
+        a, b = sigma[i], sigma[j]
+        lo, hi = np.minimum(a, b), np.maximum(a, b)
+        yield N, hi * (hi - 1) // 2 + lo
+
+
+def _star_images(n: int, reps: list) -> list[tuple[int, ...]]:
+    """Every image of these representative complements F' + star({0..k-1}),
+    each given as (F' slots, k), under the relabellings of vertices 0..n-2:
+    the sorted slot tuples sigma_N(F') + star(N), one per k-set N
+    (`_relabellings`). star(N) is the slots C(n-1, 2) + i of the pairs
+    (i, n-1), i in N, which follow every slot of F'."""
+    r = max(n - 1, 0)
+    nl = r * (r - 1) // 2
+    groups: dict[tuple[int, int], list] = {}
+    for slots, k in reps:
+        groups.setdefault((len(slots), k), []).append(slots)
+    out: list[tuple[int, ...]] = []
+    for (f, k), group in groups.items():
+        F = np.array(group, dtype=np.int64).reshape(len(group), f)
+        for N, to in _relabellings(r, k):
+            tail = tuple(nl + v for v in N)
+            out.extend(tuple(row) + tail for row in np.sort(to[F], axis=1).tolist())
+    return out
 
 
 def _pool_map(fn: Callable, items: list, workers: int) -> list:
@@ -303,8 +374,12 @@ def _pool_map(fn: Callable, items: list, workers: int) -> list:
 
 def _dense_dfs(n: int, min_edges: int, qmax: int, workers: int, ceiling: int) -> tuple:
     """`_ls_shard` over every prefix pattern of the graphs with >= min_edges
-    edges, merged: visits per complement size f, the complements below the
-    LS bound for q <= qmax, and the least (margin, complement)."""
+    edges, merged: the complements per size f, those below the LS bound for
+    q <= qmax, and the least (margin, complement). A representative (F', k)
+    stands for its C(n-1, k) images (`_star_images`), all of size |F'| + k
+    and of its margin, one per k-set N = N_F(n-1), so the labelled
+    complements are counted, listed and compared as a walk of every one
+    would."""
     est = dense_enumeration_size(n, min_edges)
     if est > ceiling:
         raise ValueError(f"n={n}: enumeration would visit {est} graphs > ceiling {ceiling}")
@@ -312,24 +387,30 @@ def _dense_dfs(n: int, min_edges: int, qmax: int, workers: int, ceiling: int) ->
     kmax = ns - min_edges
     if kmax < 0:
         return [], [], None
-    prefix = min(_SHARD_PREFIX_BITS, ns)
+    r = max(n - 1, 0)
+    prefix = min(_SHARD_PREFIX_BITS, r * (r - 1) // 2)
     shards = [(n, kmax, qmax, p) for p in range(1 << prefix)]
     counts = [0] * (kmax + 1)
-    bad: list[tuple[int, ...]] = []
-    best = (1 << 60, ())
-    for cnts, b, bst in _pool_map(_ls_shard, shards, workers):
-        for i, c in enumerate(cnts):
-            counts[i] += c
+    bad: list[tuple[tuple[int, ...], int]] = []
+    least, ties = 1 << 60, []
+    for nodes, b, (low, reps) in _pool_map(_ls_shard, shards, workers):
+        for f, c in enumerate(nodes):
+            for k in range(min(r, kmax - f) + 1):
+                counts[f + k] += comb(r, k) * c
         bad.extend(b)
-        best = min(best, bst)
-    return counts, sorted(bad), best
+        if low < least:
+            least, ties = low, []
+        if low == least:
+            ties.extend(reps)
+    return counts, sorted(_star_images(n, bad)), (least, min(_star_images(n, ties)))
 
 
 def enumerate_dense(
     n: int, min_edges: int, ceiling: int = DEFAULT_CEILING, workers: int = 1
 ) -> list[int]:
-    """Visit every labeled n-vertex graph with >= min_edges edges once;
-    return the number visited per complement size f = C(n,2) - m."""
+    """Count the labeled n-vertex graphs with >= min_edges edges per
+    complement size f = C(n,2) - m, from one walked representative per
+    orbit of the last vertex's complement neighbourhood (`_dense_dfs`)."""
     # qmax = 0 makes every required count <= 0, so no complement is collected
     return _dense_dfs(n, min_edges, 0, workers, ceiling)[0]
 
@@ -400,13 +481,13 @@ def _scan_chunk_stats(n: int, masks: np.ndarray):
 
 
 def _adjacency_batch(n: int, masks: np.ndarray) -> np.ndarray:
-    """Float adjacency matrices of the graphs with these slot masks."""
+    """0/1 uint8 adjacency matrices of the graphs with these slot masks."""
     i, j = slot_ends(n)
     ns = len(i)
     entry = np.full((n, n), ns)  # the slot of each matrix entry; ns is a zero column
     entry[i, j] = entry[j, i] = np.arange(ns)
     shifts = np.append(np.arange(ns), 62)  # masks stay below 2^62
-    bits = ((masks[:, None] >> shifts) & 1).astype(np.float64)
+    bits = ((masks[:, None] >> shifts) & 1).astype(np.uint8)
     # a gather, not a matmul: BLAS would add its buffers to each worker's memory
     return np.take(bits, entry, axis=1)
 
@@ -415,15 +496,16 @@ def _cw_upper(A: np.ndarray, deg: np.ndarray) -> np.ndarray:
     """Collatz-Wielandt bounds u = max_i (Ax)_i / x_i >= lambda, one per
     matrix, at the positive vector x = (A + I)^_CW_STEPS (deg + 1).
 
-    The prefilter that reads u in float64 is exact up to two roundings. x
-    and Ax are integer vectors below n^(_CW_STEPS + 2), far below 2^53, so
-    every product and sum that forms them is exact. Only the division
-    (Ax)_i / x_i rounds, and then u * u - u (or u * u), each by a relative
-    error of at most 2^-52. A mask is dropped only when that value is below
-    m < n^2 / 2, so u < n there, and for n <= 11 (masks stay below 2^62)
-    the roundings move it by less than 1e-12, far below the margin of 1/2
-    by which a dropped mask misses the band. The eigvalsh band itself has
-    no such bound yet."""
+    The prefilter that reads u in float64 is exact up to two roundings. A
+    is a 0/1 uint8 batch and x an integer float64 vector; einsum casts both
+    to float64, which holds them exactly. x and Ax are integer vectors
+    below n^(_CW_STEPS + 2), far below 2^53, so every product and sum that
+    forms them is exact. Only the division (Ax)_i / x_i rounds, and then
+    u * u - u (or u * u), each by a relative error of at most 2^-52. A mask
+    is dropped only when that value is below m < n^2 / 2, so u < n there,
+    and for n <= 11 (masks stay below 2^62) the roundings move it by less
+    than 1e-12, far below the margin of 1/2 by which a dropped mask misses
+    the band. The eigvalsh band itself has no such bound yet."""
     x = deg + 1.0
     for _ in range(_CW_STEPS):
         x = np.einsum("bij,bj->bi", A, x) + x
@@ -437,10 +519,14 @@ def _graph_from_mask(n: int, mask: int) -> Graph:
 
 def _bn_margins(n: int, masks: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Which of these masks have no isolated vertex, and BN's float margins
-    t - lambda(lambda^2 - m)/3 of all of them (every mask is eigensolved)."""
+    t - lambda(lambda^2 - m)/3 of all of them (every mask is eigensolved).
+    At n = 0 the one graph is not kept, as at n = 1, and its 0 x 0 matrix
+    has no eigenvalue to solve for."""
+    if not n:
+        return np.zeros(len(masks), dtype=bool), np.zeros(len(masks))
     m, t, deg = _scan_chunk_stats(n, masks)
-    keep = deg.min(1) > 0 if n else np.zeros(len(masks), dtype=bool)
-    lam = np.linalg.eigvalsh(_adjacency_batch(n, masks))[:, -1]
+    keep = deg.min(1) > 0
+    lam = np.linalg.eigvalsh(_adjacency_batch(n, masks).astype(np.float64))[:, -1]
     return keep, t - lam * (lam * lam - m) / 3.0
 
 
@@ -480,19 +566,20 @@ def _full_scan_shard(args: tuple) -> dict:
     else:
         keep = t == 0
         live = np.flatnonzero(keep & (m > 0))
-    A = _adjacency_batch(n, masks[live])
-    u = _cw_upper(A, deg[live])
-    reach = u * u - u >= m[live] - 1.5 if target == "BOOK" else u * u >= m[live] - 0.5
-    live, A = live[reach], A[reach]
-    lam = np.linalg.eigvalsh(A)[:, -1]
-    ml, tl = m[live], t[live]
-    if target == "BOOK":
-        hyp_gap = lam * lam - lam - (ml - 1)
-        suspects = masks[live[(hyp_gap >= -_FLOAT_BAND) & (2 * tl < ml - 1)]]
-        equalities = masks[live[(np.abs(hyp_gap) <= _FLOAT_BAND) & (2 * tl == ml - 1)]]
-    else:
-        suspects = masks[live[lam * lam >= ml - _FLOAT_BAND]]
-        equalities = masks[:0]
+    suspects = equalities = masks[:0]
+    if len(live):  # no eigensolve on an empty batch, which n = 0 always gives
+        A = _adjacency_batch(n, masks[live])
+        u = _cw_upper(A, deg[live])
+        reach = u * u - u >= m[live] - 1.5 if target == "BOOK" else u * u >= m[live] - 0.5
+        live = live[reach]
+        lam = np.linalg.eigvalsh(A[reach].astype(np.float64))[:, -1]
+        ml, tl = m[live], t[live]
+        if target == "BOOK":
+            hyp_gap = lam * lam - lam - (ml - 1)
+            suspects = masks[live[(hyp_gap >= -_FLOAT_BAND) & (2 * tl < ml - 1)]]
+            equalities = masks[live[(np.abs(hyp_gap) <= _FLOAT_BAND) & (2 * tl == ml - 1)]]
+        else:
+            suspects = masks[live[lam * lam >= ml - _FLOAT_BAND]]
     return {"examined": int(keep.sum()), "suspects": suspects.tolist(),
             "equalities": equalities.tolist(), "near": []}
 
@@ -500,12 +587,10 @@ def _full_scan_shard(args: tuple) -> dict:
 def _orbit_images(n: int, reps: list[int]) -> list[int]:
     """Every image of these representative masks under the relabellings of
     vertices 0..n-2. A mask low | N_k << C(n-1, 2) with N_k = {0..k-1} has
-    the C(n-1, k) images sigma(low) | N << C(n-1, 2), one per k-set N,
-    where sigma takes 0..k-1 onto N and k..n-2 onto the rest, both in
-    order; sigma(low) moves the edge {a, b} of low to {sigma(a), sigma(b)}."""
+    the C(n-1, k) images sigma_N(low) | N << C(n-1, 2), one per k-set N
+    (`_relabellings`)."""
     r = max(n - 1, 0)
     nl = r * (r - 1) // 2
-    i, j = slot_ends(r)
     reps = np.array(reps, dtype=np.int64)
     bits = (reps[:, None] >> np.arange(nl)) & 1
     out: list[int] = []
@@ -513,11 +598,7 @@ def _orbit_images(n: int, reps: list[int]) -> list[int]:
         rows = bits[reps >> nl == (1 << k) - 1]
         if not len(rows):
             continue
-        for N in combinations(range(r), k):
-            sigma = np.array(N + tuple(v for v in range(r) if v not in N), dtype=np.int64)
-            a, b = sigma[i], sigma[j]
-            lo, hi = np.minimum(a, b), np.maximum(a, b)
-            to = hi * (hi - 1) // 2 + lo  # the slot of {sigma(i), sigma(j)}
+        for N, to in _relabellings(r, k):
             out.extend(((rows << to).sum(1) | sum(1 << v for v in N) << nl).tolist())
     return out
 

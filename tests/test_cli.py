@@ -318,6 +318,17 @@ def test_golden_verdict_schema(tmp_path):
     ).read_text()
 
 
+@pytest.mark.parametrize("target, examined", [("BOOK", 0), ("NOSAL", 1), ("BN", 0)])
+def test_full_scan_at_n_0_counts_the_empty_graph_as_at_n_1(capsys, target, examined):
+    reports = []
+    for n in ("0", "1"):
+        code, out, err = run(capsys, "search", "--target", target, "--mode", "exhaustive", "--n", n)
+        assert code == 0 and not err
+        reports.append(json.loads(out))
+    assert [r["graphs_examined"] for r in reports] == [examined, examined]
+    assert all(not r["counterexamples"] and r["detail"]["equality_set"] == [] for r in reports)
+
+
 def test_full_scan_ceiling(tmp_path):
     from specls.search import SearchJob, run_exhaustive
 

@@ -50,6 +50,55 @@ def test_enumerate_counts_tiny():
     assert enumerate_dense(4, 7) == []
 
 
+def test_enumerate_dense_counts_every_labelled_complement():
+    # the counts that a walk of every labelled complement gives, from n = 0
+    # (one empty graph, no last vertex) to 6, and min_edges past both ends
+    for n in range(7):
+        ns = n * (n - 1) // 2
+        for e in range(-2, ns + 2):
+            assert enumerate_dense(n, e) == [comb(ns, f) for f in range(ns - e + 1)], (n, e)
+
+
+def test_ls_walk_at_n_8_evaluates_one_representative_per_star_orbit(monkeypatch):
+    # the nodes F' of the K_7 lattice with |F'| <= 9, each with the stars
+    # {0..k-1}, k <= min(7, 9 - |F'|), in place of 11,698,223 complements
+    evaluated = []
+    kernel = search._star_margins
+
+    def spy(fr, star):
+        evaluated.append(kernel(fr, star).size)
+        return kernel(fr, star)
+
+    monkeypatch.setattr(search, "_star_margins", spy)
+    rep = run_exhaustive(SearchJob("LS", "exhaustive", {"n": [8], "q": [3]}), workers=1)
+    assert sum(evaluated) == 1_415_627
+    assert rep.graphs_examined == dense_enumeration_size(8, 19) == 11_698_223
+
+
+def test_every_star_representative_has_the_margin_of_its_complement(monkeypatch):
+    # each representative F' + star({0..k-1}) of every F' on K_5, rebuilt
+    # and counted from scratch; with kmax = 15 the stars reach k = 5, and
+    # they close triangles on the F' edges inside {0..k-1}
+    n, qmax = 6, 2
+    ns, nl = 15, 10
+    seen = []
+    kernel = search._star_margins
+
+    def spy(fr, star):
+        margin = kernel(fr, star)
+        for i, row in enumerate(margin.tolist()):
+            for k, got in enumerate(row):
+                comp = fr.slots(i) + tuple(range(nl, nl + k))
+                t = triangle_count(graph_from_complement(n, comp))
+                seen.append((got, t - min(ns - len(comp) - n * n // 4, qmax) * (n // 2)))
+        return margin
+
+    monkeypatch.setattr(search, "_star_margins", spy)
+    _dense_dfs(n, 0, qmax, 1, 10**6)
+    assert len(seen) == (1 << nl) * n  # 2^10 nodes, each with k = 0..5
+    assert all(got == want for got, want in seen)
+
+
 def test_enumerate_ceiling():
     with pytest.raises(ValueError):
         enumerate_dense(8, 17, ceiling=1000)
@@ -198,7 +247,7 @@ def _labelled_scan(n: int, target: str) -> tuple:
 
 @pytest.mark.parametrize(
     "n, target",
-    [(n, t) for t in ("BOOK", "NOSAL", "BN") for n in range(1, 7)]
+    [(n, t) for t in ("BOOK", "NOSAL", "BN") for n in range(7)]
     + [(7, "BOOK"), (7, "NOSAL")],
 )
 def test_orbit_scan_equals_the_labelled_scan(n, target):
