@@ -193,13 +193,15 @@ class _Frontier:
                          self.rows[sl], self.up,
                          None if self.up_idx is None else self.up_idx[sl], self.base)
 
-    def slots(self, i: int) -> tuple[int, ...]:
-        tail = []
+    def slot_rows(self, idx: np.ndarray) -> np.ndarray:
+        """The sorted F' slots of rows idx, as a (len(idx), f) int64 array."""
+        cols = []
         fr = self
         while fr.up is not None:
-            tail.append(int(fr.start[i]) - 1)
-            i, fr = int(fr.up_idx[i]), fr.up
-        return fr.base + tuple(reversed(tail))
+            cols.append(np.take(fr.start, idx) - 1)
+            idx, fr = np.take(fr.up_idx, idx), fr.up
+        cols += [np.full(len(idx), s, dtype=np.int64) for s in reversed(fr.base)]
+        return np.array(cols[::-1], dtype=np.int64).reshape(self.f, len(idx)).T
 
 
 def _star_margins(fr: _Frontier, star: np.ndarray) -> np.ndarray:
@@ -235,9 +237,12 @@ def _ls_shard(args: tuple) -> tuple:
     {0..k-1}. S_k - E_k counts the F' edges whose lower end is below k,
     the prefix sums of `lo`.
 
-    Returns the nodes per size f, the negative representatives, and the
-    shard's least margin with every representative at it; a representative
-    is (F' slots, k)."""
+    Returns the labelled complements per size, each representative counting
+    C(n-1, k) times; the negative representatives, as (F' slot rows, k)
+    groups; and the shard's least margin, with the least image
+    (`_least_star_image`) of some of the representatives at it (or None)
+    and the groups of the others, at most _WALK_CHUNK rows. With qmax None
+    only the counts are taken."""
     n, kmax, qmax, pattern = args
     r = max(n - 1, 0)
     su, sv = slot_ends(r)
@@ -245,21 +250,27 @@ def _ls_shard(args: tuple) -> tuple:
     prefix = min(_SHARD_PREFIX_BITS, nl)
     words = max(1, -(-r // _ROW_BITS))
     word_of = np.arange(words)
-    # a complement of size f has margin const[f] + d:
-    # t(G) = C(n,3) - f(n-2) + cherries(F) - t(F), less the LS requirement
-    ns, floor_q = n * (n - 1) // 2, n * n // 4
-    const = [comb(n, 3) - f * (n - 2) - min(ns - f - floor_q, qmax) * (n // 2)
-             for f in range(kmax + 1)]
-    # the part of a representative's margin that depends on f and k alone
-    star = [np.array([const[f + k] + comb(k, 2) for k in range(min(r, kmax - f) + 1)])
-            for f in range(kmax + 1)]
-    nodes = [0] * (kmax + 1)
-    bad: list[tuple[tuple[int, ...], int]] = []
-    least: list = [1 << 60, []]
+    # the stars {0..k-1} of a node of size f, with their C(r, k) images each
+    stars = [range(min(r, kmax - f) + 1) for f in range(kmax + 1)]
+    weight = [[comb(r, k) for k in ks] for ks in stars]
+    if qmax is not None:
+        # a complement of size f has margin const[f] + d:
+        # t(G) = C(n,3) - f(n-2) + cherries(F) - t(F), less the LS requirement
+        ns, floor_q = n * (n - 1) // 2, n * n // 4
+        const = [comb(n, 3) - f * (n - 2) - min(ns - f - floor_q, qmax) * (n // 2)
+                 for f in range(kmax + 1)]
+        # the part of a representative's margin that depends on f and k alone
+        star = [np.array([const[f + k] + comb(k, 2) for k in ks]) for f, ks in enumerate(stars)]
+    counts = [0] * (kmax + 1)
+    bad: list[tuple[np.ndarray, int]] = []
+    # the least margin, the least image of the representatives at it taken
+    # so far, and those not yet taken, as (F' slot rows, k) groups, with
+    # their row count: they are taken once they exceed _WALK_CHUNK rows
+    least: list = [1 << 60, None, [], 0]
     base = tuple(s for s in range(prefix) if pattern >> s & 1)
     f0 = len(base)
     if f0 > kmax:
-        return nodes, bad, tuple(least)
+        return counts, bad, (least[0], None, [])
 
     def add_slots(fr: _Frontier, u: np.ndarray, v: np.ndarray) -> None:
         # add edge (u[i], v[i]) to row i of fr, in place; deg, lo and rows
@@ -280,15 +291,33 @@ def _ls_shard(args: tuple) -> tuple:
         common = _popcount(ru & rv, min(r, _ROW_BITS)).sum(1)
         return np.take(deg, at + u) + np.take(deg, at + v) - common
 
+    def by_star(fr: _Frontier, hit: np.ndarray, least_only: bool = False) -> list:
+        # the (F' slot rows, k) groups of the representatives where hit is
+        # set; with least_only, of the k = 0 ones only the first, whose image
+        # is the least: k = 0 relabels nothing, and fr's rows are in
+        # lexicographic order
+        groups = []
+        for k in np.flatnonzero(hit.any(axis=0)).tolist():
+            pick = np.flatnonzero(hit[:, k])
+            groups.append((fr.slot_rows(pick[:1] if least_only and k == 0 else pick), k))
+        return groups
+
     def visit(fr: _Frontier) -> None:
+        for k, w in enumerate(weight[fr.f]):
+            counts[fr.f + k] += w * len(fr.d)
+        if qmax is None:
+            return
         margin = _star_margins(fr, star[fr.f])
-        nodes[fr.f] += len(margin)
-        bad.extend((fr.slots(i), k) for i, k in np.argwhere(margin < 0).tolist())
+        bad.extend(by_star(fr, margin < 0))
         low = int(margin.min())
         if low < least[0]:
-            least[:] = [low, []]
+            least[:] = [low, None, [], 0]
         if low == least[0]:
-            least[1].extend((fr.slots(i), k) for i, k in np.argwhere(margin == low).tolist())
+            ties = by_star(fr, margin == low, least_only=True)
+            least[2] += ties
+            least[3] += sum(len(F) for F, k in ties)
+            if least[3] > _WALK_CHUNK:
+                least[1:] = [_least_star_image(n, least[2], least[1]), [], 0]
 
     def expand(fr: _Frontier) -> None:
         nchild = nl - fr.start
@@ -328,7 +357,7 @@ def _ls_shard(args: tuple) -> tuple:
     visit(top)
     if f0 < kmax:
         expand(top)
-    return nodes, bad, tuple(least)
+    return counts, bad, tuple(least[:3])
 
 
 def _relabellings(r: int, k: int):
@@ -344,24 +373,34 @@ def _relabellings(r: int, k: int):
         yield N, hi * (hi - 1) // 2 + lo
 
 
-def _star_images(n: int, reps: list) -> list[tuple[int, ...]]:
-    """Every image of these representative complements F' + star({0..k-1}),
-    each given as (F' slots, k), under the relabellings of vertices 0..n-2:
-    the sorted slot tuples sigma_N(F') + star(N), one per k-set N
-    (`_relabellings`). star(N) is the slots C(n-1, 2) + i of the pairs
-    (i, n-1), i in N, which follow every slot of F'."""
+def _star_images(n: int, F: np.ndarray, k: int):
+    """The images of the representative complements F' + star({0..k-1}), F'
+    the rows of the slot array F, under the relabellings of vertices 0..n-2:
+    one per k-set N (`_relabellings`), yields star(N) and the rows
+    sigma_N(F'), sorted. star(N) is the slots C(n-1, 2) + i of the pairs
+    (i, n-1), i in N, which follow every slot of F', so an image's sorted
+    slot tuple is its row followed by star(N)."""
     r = max(n - 1, 0)
     nl = r * (r - 1) // 2
-    groups: dict[tuple[int, int], list] = {}
-    for slots, k in reps:
-        groups.setdefault((len(slots), k), []).append(slots)
-    out: list[tuple[int, ...]] = []
-    for (f, k), group in groups.items():
-        F = np.array(group, dtype=np.int64).reshape(len(group), f)
-        for N, to in _relabellings(r, k):
-            tail = tuple(nl + v for v in N)
-            out.extend(tuple(row) + tail for row in np.sort(to[F], axis=1).tolist())
-    return out
+    for N, to in _relabellings(r, k):
+        yield tuple(nl + v for v in N), np.sort(to[F], axis=1)
+
+
+def _least_star_image(n: int, groups: list, least: Optional[tuple] = None) -> Optional[tuple]:
+    """The least of `least` and the sorted slot tuples of the images of the
+    representatives F' + star({0..k-1}), F' the rows of F, over the (F, k)
+    in groups (`_star_images`), found without listing the images: one
+    lexicographic sort per size, k and relabelling."""
+    by_size: dict[tuple[int, int], list] = {}
+    for F, k in groups:
+        by_size.setdefault((F.shape[1], k), []).append(F)
+    for (f, k), Fs in by_size.items():
+        for tail, rows in _star_images(n, np.concatenate(Fs), k):
+            row = rows[np.lexsort(rows.T[::-1])[0]] if rows.shape[1] else rows[0]
+            image = tuple(row.tolist()) + tail
+            if least is None or image < least:
+                least = image
+    return least
 
 
 def _pool_map(fn: Callable, items: list, workers: int) -> list:
@@ -372,14 +411,15 @@ def _pool_map(fn: Callable, items: list, workers: int) -> list:
         return pool.map(fn, items)
 
 
-def _dense_dfs(n: int, min_edges: int, qmax: int, workers: int, ceiling: int) -> tuple:
+def _dense_dfs(n: int, min_edges: int, qmax: Optional[int], workers: int,
+               ceiling: int) -> tuple:
     """`_ls_shard` over every prefix pattern of the graphs with >= min_edges
     edges, merged: the complements per size f, those below the LS bound for
     q <= qmax, and the least (margin, complement). A representative (F', k)
     stands for its C(n-1, k) images (`_star_images`), all of size |F'| + k
     and of its margin, one per k-set N = N_F(n-1), so the labelled
     complements are counted, listed and compared as a walk of every one
-    would."""
+    would. With qmax None only the counts are taken."""
     est = dense_enumeration_size(n, min_edges)
     if est > ceiling:
         raise ValueError(f"n={n}: enumeration would visit {est} graphs > ceiling {ceiling}")
@@ -391,18 +431,21 @@ def _dense_dfs(n: int, min_edges: int, qmax: int, workers: int, ceiling: int) ->
     prefix = min(_SHARD_PREFIX_BITS, r * (r - 1) // 2)
     shards = [(n, kmax, qmax, p) for p in range(1 << prefix)]
     counts = [0] * (kmax + 1)
-    bad: list[tuple[tuple[int, ...], int]] = []
-    least, ties = 1 << 60, []
-    for nodes, b, (low, reps) in _pool_map(_ls_shard, shards, workers):
-        for f, c in enumerate(nodes):
-            for k in range(min(r, kmax - f) + 1):
-                counts[f + k] += comb(r, k) * c
-        bad.extend(b)
+    bad: list[tuple[int, ...]] = []
+    least, images, ties = 1 << 60, [], []
+    for c, groups, (low, image, reps) in _pool_map(_ls_shard, shards, workers):
+        counts = [a + b for a, b in zip(counts, c)]
+        for F, k in groups:
+            for tail, rows in _star_images(n, F, k):
+                bad.extend(tuple(row) + tail for row in rows.tolist())
         if low < least:
-            least, ties = low, []
+            least, images, ties = low, [], []
         if low == least:
-            ties.extend(reps)
-    return counts, sorted(_star_images(n, bad)), (least, min(_star_images(n, ties)))
+            images += [] if image is None else [image]
+            ties += reps
+    if not (images or ties):
+        return counts, sorted(bad), None
+    return counts, sorted(bad), (least, _least_star_image(n, ties, min(images, default=None)))
 
 
 def enumerate_dense(
@@ -411,8 +454,7 @@ def enumerate_dense(
     """Count the labeled n-vertex graphs with >= min_edges edges per
     complement size f = C(n,2) - m, from one walked representative per
     orbit of the last vertex's complement neighbourhood (`_dense_dfs`)."""
-    # qmax = 0 makes every required count <= 0, so no complement is collected
-    return _dense_dfs(n, min_edges, 0, workers, ceiling)[0]
+    return _dense_dfs(n, min_edges, None, workers, ceiling)[0]
 
 
 def _run_ls_exhaustive(job: SearchJob, workers: int) -> SearchReport:

@@ -86,9 +86,10 @@ def test_every_star_representative_has_the_margin_of_its_complement(monkeypatch)
 
     def spy(fr, star):
         margin = kernel(fr, star)
+        slots = fr.slot_rows(np.arange(len(margin))).tolist()
         for i, row in enumerate(margin.tolist()):
             for k, got in enumerate(row):
-                comp = fr.slots(i) + tuple(range(nl, nl + k))
+                comp = tuple(slots[i]) + tuple(range(nl, nl + k))
                 t = triangle_count(graph_from_complement(n, comp))
                 seen.append((got, t - min(ns - len(comp) - n * n // 4, qmax) * (n // 2)))
         return margin
@@ -164,6 +165,32 @@ def test_complement_walk_across_row_words(monkeypatch):
     expected = _dense_dfs(7, 14, 6, 1, 10**6)
     monkeypatch.setattr(search, "_ROW_BITS", 2)
     assert _dense_dfs(7, 14, 6, 1, 10**6) == expected
+
+
+def test_least_margin_ties_are_taken_in_bounded_memory():
+    # with 3 complement edges at n = 20 the least margin is that of the
+    # 581,400 3-matchings, whose least image is kept, not every one listed
+    tracemalloc.start()
+    try:
+        counts, bad, best = _dense_dfs(20, 187, 9, 1, 10**7)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert counts == [comb(190, f) for f in range(4)]
+    assert bad == []
+    assert best == (comb(20, 3) - 3 * 18 - 9 * 10, (0, 5, 14))
+    assert peak < 20_000_000, peak
+
+
+def test_least_margin_ties_taken_in_small_batches(monkeypatch):
+    # the tied representatives are taken at every visit (0) or every 16
+    # rows, many times per shard; at n = 2 the least is the empty complement
+    cases = [(2, 0, 0), (5, 5, 1), (7, 14, 6)]
+    expected = [_dense_dfs(n, e, q, 1, 10**6) for n, e, q in cases]
+    assert expected[0] == ([1, 1], [], (0, ()))
+    for chunk in (0, 16):
+        monkeypatch.setattr(search, "_WALK_CHUNK", chunk)
+        assert [_dense_dfs(n, e, q, 1, 10**6) for n, e, q in cases] == expected
 
 
 def test_enumerate_dense_beyond_one_word_of_slots():
