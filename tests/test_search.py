@@ -341,6 +341,25 @@ def test_scan_report_bytes_golden():
         assert digest == golden[name], name
 
 
+@pytest.mark.parametrize("sign", [-1, 0, 1])
+def test_forced_sign_scan_reports_match_golden_digests(monkeypatch, sign):
+    # every claim holds at n <= 7, so no true sign reaches the counterexample
+    # entries: one forced sign for every flagged graph reaches each entry.
+    # BOOK flags no graph with 2t < m - 1 at n <= 7, so its counterexample
+    # entries are reached only with the float band widened to 1.
+    golden = json.loads((Path(__file__).parent / "golden" / "scan_digests.json").read_text())
+    monkeypatch.setattr(search, "signs_at_lambda", lambda graphs, qs: [sign] * len(graphs))
+
+    def digest(target: str) -> str:
+        rep = run_exhaustive(SearchJob(target, "exhaustive", {"n": [5]}), workers=1)
+        return hashlib.sha256(rep.to_json().encode()).hexdigest()
+
+    for target in ("BN", "BOOK", "NOSAL"):
+        assert digest(target) == golden[f"{target} n=5 sign={sign:+d}"], target
+    monkeypatch.setattr(search, "_FLOAT_BAND", 1.0)
+    assert digest("BOOK") == golden[f"BOOK n=5 band=1 sign={sign:+d}"]
+
+
 def test_full_scan_runs_one_sturm_search_per_distinct_charpoly(monkeypatch):
     batches, searches = [], []
     charpoly_exact, sign_at_largest_root = roots.charpoly_exact, roots.sign_at_largest_root
