@@ -236,7 +236,8 @@ def _dispatch(args, argv: list[str]) -> int:
 
     if args.cmd == "verify":
         aliases = {"BN": "BN_INEQ", "NOSAL": "NOSAL_NZ", "BOOK_COUNT": "BOOK"}
-        args.theorem_id = aliases.get(args.theorem_id, args.theorem_id)
+        if not (args.exhaustive and args.theorem_id in EXHAUSTIVE_TARGETS):
+            args.theorem_id = aliases.get(args.theorem_id, args.theorem_id)
         if args.theorem_id == "EMBED_ORDER":
             if args.n is None:
                 raise ValueError("EMBED_ORDER needs --n and --q")

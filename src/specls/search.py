@@ -21,16 +21,16 @@ operations:
 Full 2^C(n,2) scans (needed by the inequality and conjecture targets)
 evaluate one block of masks per orbit of the last vertex's neighbourhood
 (`_orbit_scan`), as fixed-size numpy chunks, and map what they find to
-every relabelled block. Edge and triangle counts come exactly from bit
-operations on the masks; BOOK and NOSAL eigensolve only the masks that a
-Collatz-Wielandt bound cannot rule out, BN every mask it evaluates.
-Anything within a float band of a bound is re-decided exactly by
-`roots.signs_at_lambda`: its own integer characteristic polynomial (one
-batched Faddeev-LeVerrier run per n) and a Sturm sign, searched once per
-distinct characteristic polynomial, so reported counterexamples and
-equality sets are certified, not floating-point guesses. Shard, block and
-chunk boundaries depend on n alone, so reports are byte-identical for any
-worker count.
+every relabelled block. Each target is one row of `_SCAN_TARGETS`: an
+exact hypothesis on the edge and triangle counts and degrees, which bit
+operations on the masks give, and a claim stated once on the sign of an
+integer polynomial at lambda. Masks whose float value of it lies within a
+band of breaking the claim are flagged; one batched
+`roots.signs_at_lambda` call (a Faddeev-LeVerrier run per n and a Sturm
+sign per distinct characteristic polynomial) decides them, so reported
+counterexamples and equality sets are certified, not floating-point
+guesses. Shard, block and chunk boundaries depend on n alone, so reports
+are byte-identical for any worker count.
 """
 
 from __future__ import annotations
@@ -53,7 +53,7 @@ from .graph import remove_edge, slot_bits, slot_ends, toggle_edge
 from .graph6 import emit_graph6
 from .roots import family_lambda, signs_at_lambda
 from .spectral import Ordering, _decide, certify_lambda_ge_frac, exact_lambda_sq, perron_enclosure
-from .theorems import bn_relation_poly, verify_by_id
+from .theorems import verify_by_id
 from .triangles import degree_triangle_floor, dense_triangle_count, triangle_count
 from .triangles import triangle_workspace
 from .verdicts import jsonable_value
@@ -62,9 +62,6 @@ _SCAN_CHUNK_BITS = 15
 _FLOAT_BAND = 1e-6
 _NEAR_BEST = 1e-9  # far above the spread of eigvalsh over isomorphic copies
 DEFAULT_CEILING = 200_000_000
-
-EXHAUSTIVE_TARGETS = ("LS", "BN", "BOOK", "NOSAL")
-
 
 @dataclass
 class SearchJob:
@@ -543,11 +540,12 @@ def _cw_upper(A: np.ndarray, deg: np.ndarray) -> np.ndarray:
     to float64, which holds them exactly. x and Ax are integer vectors
     below n^(_CW_STEPS + 2), far below 2^53, so every product and sum that
     forms them is exact. Only the division (Ax)_i / x_i rounds, and then
-    u * u - u (or u * u), each by a relative error of at most 2^-52. A mask
-    is dropped only when that value is below m < n^2 / 2, so u < n there,
-    and for n <= 11 (masks stay below 2^62) the roundings move it by less
-    than 1e-12, far below the margin of 1/2 by which a dropped mask misses
-    the band. The eigvalsh band itself has no such bound yet."""
+    the gap at u (u * u - u - (m - 1) or u * u - m), each step by a relative
+    error of at most 2^-52. A mask is dropped only when that gap is below
+    -1/2, with m < n^2 / 2, so u < n there, and for n <= 11 (masks stay
+    below 2^62) the roundings move it by less than 1e-12, far below the
+    margin of 1/2 by which a dropped mask misses the band. The eigvalsh
+    band itself has no such bound yet."""
     x = deg + 1.0
     for _ in range(_CW_STEPS):
         x = np.einsum("bij,bj->bi", A, x) + x
@@ -559,89 +557,134 @@ def _graph_from_mask(n: int, mask: int) -> Graph:
     return from_slot_bits(n, np.right_shift(mask, np.arange(n * (n - 1) // 2)) & 1)
 
 
-def _bn_margins(n: int, masks: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Which of these masks have no isolated vertex, and BN's float margins
-    t - lambda(lambda^2 - m)/3 of all of them (every mask is eigensolved).
-    At n = 0 the one graph is not kept, as at n = 1, and its 0 x 0 matrix
-    has no eigenvalue to solve for."""
-    if not n:
-        return np.zeros(len(masks), dtype=bool), np.zeros(len(masks))
+@dataclass(frozen=True)
+class _ScanTarget:
+    """One full-scan target, its claim stated once as `violated(s, m, t)` and
+    `tight(s, m, t)`, s (an int) the sign of the integer polynomial `poly(m,
+    t)` at lambda and m, t ints or arrays: the exact stage reads them on the
+    true sign, the kernel on each sign that the float `gap(lam, m, t)`, a
+    positive multiple of `poly`, allows (`_may_break`). `hypothesis(m, t,
+    deg)` is exact; `counterexample` and `equality` map (g, m, t) to report
+    fields besides the graph6; `least` tracks the least strict margin -gap,
+    with no CW prefilter (`_evaluate`)."""
+
+    hypothesis: Callable
+    violated: Callable
+    tight: Callable
+    gap: Callable
+    poly: Callable
+    counterexample: Callable
+    equality: Optional[Callable]
+    least: bool
+
+
+_SCAN_TARGETS = {
+    # t >= lambda(lambda^2 - m)/3 without isolated vertices; m > 0 keeps out n = 0, as n = 1
+    "BN": _ScanTarget(
+        hypothesis=lambda m, t, deg: (m > 0) & deg.all(1),
+        violated=lambda s, m, t: s > 0,
+        tight=lambda s, m, t: s == 0,
+        gap=lambda lam, m, t: lam * (lam * lam - m) / 3.0 - t,
+        poly=lambda m, t: [-3 * t, -m, 0, 1],
+        counterexample=lambda g, m, t: {"verdict": verify_by_id("BN_INEQ", g, {})[0].to_jsonable()},
+        equality=lambda g, m, t: {"complete_bipartite": is_complete_bipartite(g)},
+        least=True,
+    ),
+    # lambda^2 - lambda >= m - 1, i.e. lambda >= (1 + sqrt(4m - 3))/2, forces 2t >= m - 1
+    "BOOK": _ScanTarget(
+        hypothesis=lambda m, t, deg: m >= 1,
+        violated=lambda s, m, t: s >= 0 and 2 * t < m - 1,
+        tight=lambda s, m, t: s == 0 and 2 * t == m - 1,
+        gap=lambda lam, m, t: lam * lam - lam - (m - 1),
+        poly=lambda m, t: [-(m - 1), -1, 1],
+        counterexample=lambda g, m, t: {"verdict": {
+            "m": m, "t": t, "claim": "lambda >= (1+sqrt(4m-3))/2 certified exactly",
+            "needed_t": f"{m - 1}/2"}},
+        equality=lambda g, m, t: {"m": m, "core_is_book": core_is_book(g)},
+        least=False,
+    ),
+    # lambda <= sqrt(m) on triangle-free graphs
+    "NOSAL": _ScanTarget(
+        hypothesis=lambda m, t, deg: t == 0,
+        violated=lambda s, m, t: s > 0 and m > 0,
+        tight=lambda s, m, t: False,
+        gap=lambda lam, m, t: lam * lam - m,
+        poly=lambda m, t: [-m, 0, 1],
+        counterexample=lambda g, m, t: {
+            "verdict": verify_by_id("NOSAL_NZ", g, {})[0].to_jsonable(),
+            "note": "triangle-free graph with lambda > sqrt(m)"},
+        equality=None,
+        least=False,
+    ),
+}
+
+EXHAUSTIVE_TARGETS = ("LS", *_SCAN_TARGETS)
+
+
+def _may_break(row: _ScanTarget, m: np.ndarray, t: np.ndarray, gap: np.ndarray) -> np.ndarray:
+    """Where the claim may break at a sign the gap allows; 0 allows every sign."""
+    out = np.zeros(len(m), dtype=bool)
+    for s in (-1, 0, 1):
+        allowed = np.abs(gap) <= _FLOAT_BAND if s == 0 else s * gap >= -_FLOAT_BAND
+        out |= allowed & (row.violated(s, m, t) | row.tight(s, m, t))
+    return out
+
+
+def _evaluate(n: int, target: str, masks: np.ndarray) -> dict:
+    """The float tests of one scan target on these masks: how many meet its
+    hypothesis (`examined`), the `flagged` (mask, m, t), and for a `least`
+    row the unflagged (margin, mask) within _NEAR_BEST of the least (`near`).
+
+    Only masks that meet the hypothesis and may break the claim are
+    eigensolved. Unless the row tracks its least margin, a mask whose
+    Collatz-Wielandt bound u >= lambda puts the gap below -1/2 (see
+    `_cw_upper`) is dropped first. For a gap nondecreasing in lambda
+    (BOOK's once m >= 1, NOSAL's) and a claim that holds where s < 0, the
+    true gap is below -1/2 too, which eigvalsh, accurate to about 1e-13
+    here, could not read inside the band: the flagged masks are those an
+    eigensolve of every mask gives."""
+    row = _SCAN_TARGETS[target]
     m, t, deg = _scan_chunk_stats(n, masks)
-    keep = deg.min(1) > 0
-    lam = np.linalg.eigvalsh(_adjacency_batch(n, masks).astype(np.float64))[:, -1]
-    return keep, t - lam * (lam * lam - m) / 3.0
+    keep = row.hypothesis(m, t, deg)
+    live = np.flatnonzero(keep & _may_break(row, m, t, np.zeros(1)))
+    A = _adjacency_batch(n, masks[live])
+    if len(live) and not row.least:
+        reach = row.gap(_cw_upper(A, deg[live]), m[live], t[live]) >= -0.5
+        live, A = live[reach], A[reach]
+    # no eigensolve on an empty batch, which n = 0 always gives
+    lam = np.linalg.eigvalsh(A.astype(np.float64))[:, -1] if len(live) else np.zeros(0)
+    masks, m, t = masks[live], m[live], t[live]
+    gap = row.gap(lam, m, t)
+    flag = _may_break(row, m, t, gap)
+    margin, ok = -gap[~flag], masks[~flag]
+    close = margin <= margin.min(initial=np.inf) + _NEAR_BEST
+    return {"examined": int(keep.sum()),
+            "flagged": list(zip(*(a[flag].tolist() for a in (masks, m, t)))),
+            "near": list(zip(margin[close].tolist(), ok[close].tolist())) if row.least else []}
 
 
 def _full_scan_shard(args: tuple) -> dict:
-    """The float tests of one scan target on the `count` masks from `base`
-    on, evaluated as one chunk: how many are examined, the suspect and
-    equality masks, and for BN the (margin, mask) pairs `near` of the
-    unflagged masks whose margin lies within _NEAR_BEST of their least."""
+    """`_evaluate` on the `count` masks from `base` on, as one chunk."""
     n, target, base, count = args
-    if target not in ("BN", "BOOK", "NOSAL"):
-        raise ValueError(f"unknown scan target {target!r}")
-    masks = np.arange(base, base + count, dtype=np.int64)
-    if target == "BN":
-        # min_strict_margin reads lambda of every graph
-        keep, margin = _bn_margins(n, masks)
-        flag = keep & (margin <= _FLOAT_BAND)
-        ok = keep & ~flag
-        near = []
-        if ok.any():
-            close = ok & (margin <= margin[ok].min() + _NEAR_BEST)
-            near = [(float(margin[i]), int(masks[i])) for i in np.flatnonzero(close)]
-        return {"examined": int(keep.sum()), "suspects": masks[flag].tolist(),
-                "equalities": [], "near": near}
-    m, t, deg = _scan_chunk_stats(n, masks)
-    # BOOK and NOSAL flag a graph only when its float gap lies within
-    # _FLOAT_BAND of the bound, after exact tests on m and t. A mask whose
-    # Collatz-Wielandt bound u >= lambda puts the gap below -1/2 (see
-    # `_cw_upper`) is dropped before the eigensolve: BOOK's gap lambda^2 -
-    # lambda - (m - 1) increases for lambda >= 1, which holds once m >= 1,
-    # and NOSAL's lambda^2 - m for lambda >= 0, so the true gap is below -1/2
-    # as well. eigvalsh is accurate to about 1e-13 at these sizes, so it
-    # could not have read such a gap inside the band. The suspect and
-    # equality sets are those an eigensolve of every mask gives.
-    if target == "BOOK":
-        keep = m >= 1
-        live = np.flatnonzero(keep & (2 * t <= m - 1))
-    else:
-        keep = t == 0
-        live = np.flatnonzero(keep & (m > 0))
-    suspects = equalities = masks[:0]
-    if len(live):  # no eigensolve on an empty batch, which n = 0 always gives
-        A = _adjacency_batch(n, masks[live])
-        u = _cw_upper(A, deg[live])
-        reach = u * u - u >= m[live] - 1.5 if target == "BOOK" else u * u >= m[live] - 0.5
-        live = live[reach]
-        lam = np.linalg.eigvalsh(A[reach].astype(np.float64))[:, -1]
-        ml, tl = m[live], t[live]
-        if target == "BOOK":
-            hyp_gap = lam * lam - lam - (ml - 1)
-            suspects = masks[live[(hyp_gap >= -_FLOAT_BAND) & (2 * tl < ml - 1)]]
-            equalities = masks[live[(np.abs(hyp_gap) <= _FLOAT_BAND) & (2 * tl == ml - 1)]]
-        else:
-            suspects = masks[live[lam * lam >= ml - _FLOAT_BAND]]
-    return {"examined": int(keep.sum()), "suspects": suspects.tolist(),
-            "equalities": equalities.tolist(), "near": []}
+    return _evaluate(n, target, np.arange(base, base + count, dtype=np.int64))
 
 
-def _orbit_images(n: int, reps: list[int]) -> list[int]:
-    """Every image of these representative masks under the relabellings of
-    vertices 0..n-2. A mask low | N_k << C(n-1, 2) with N_k = {0..k-1} has
-    the C(n-1, k) images sigma_N(low) | N << C(n-1, 2), one per k-set N
-    (`_relabellings`)."""
+def _orbit_images(n: int, reps: list[tuple]) -> list[tuple]:
+    """Every image of these representatives (mask, *invariants) under the
+    relabellings of vertices 0..n-2, with the invariants. A mask low | N_k
+    << C(n-1, 2) with N_k = {0..k-1} has the C(n-1, k) images sigma_N(low)
+    | N << C(n-1, 2), one per k-set N (`_relabellings`)."""
     r = max(n - 1, 0)
     nl = r * (r - 1) // 2
-    reps = np.array(reps, dtype=np.int64)
-    bits = (reps[:, None] >> np.arange(nl)) & 1
-    out: list[int] = []
+    out: list[tuple] = []
     for k in range(r + 1):
-        rows = bits[reps >> nl == (1 << k) - 1]
-        if not len(rows):
+        block = [rep for rep in reps if rep[0] >> nl == (1 << k) - 1]
+        if not block:
             continue
+        rows = (np.array([rep[0] for rep in block], dtype=np.int64)[:, None] >> np.arange(nl)) & 1
         for N, to in _relabellings(r, k):
-            out.extend(((rows << to).sum(1) | sum(1 << v for v in N) << nl).tolist())
+            images = ((rows << to).sum(1) | sum(1 << v for v in N) << nl).tolist()
+            out.extend((x, *rep[1:]) for x, rep in zip(images, block))
     return out
 
 
@@ -656,15 +699,14 @@ def _orbit_scan(n: int, target: str, workers: int) -> tuple:
     N' and keeps m, t, the degrees and lambda. So only the n blocks N_k =
     {0..k-1} are evaluated, in pieces of at most 2^_SCAN_CHUNK_BITS masks;
     a representative's examined count is taken C(n-1, k) times, and its
-    suspects and equalities are mapped to their images by `_orbit_images`.
+    flagged (mask, m, t) are mapped to their images by `_orbit_images`.
 
-    Returns the examined count, the sorted suspect and equality masks, and
-    for BN the least (margin, mask) over the unflagged masks, or None. That
-    choice reads float margins, which differ between isomorphic copies in
-    the last bits, so every representative within _NEAR_BEST of the least
-    is mapped to all its images, which are eigensolved again, and the least
-    (margin, mask) among them is the one the labelled scan of every mask
-    would choose."""
+    Returns the examined count, the sorted flagged (mask, m, t), and for a
+    row that tracks it the least (margin, mask) over the unflagged masks,
+    or None. Float margins differ between isomorphic copies in the last
+    bits, so every representative within _NEAR_BEST of the least has all
+    its images evaluated again, and the least (margin, mask) among them is
+    the one the labelled scan of every mask would choose."""
     r = max(n - 1, 0)
     nl = r * (r - 1) // 2
     chunk = 1 << _SCAN_CHUNK_BITS
@@ -674,24 +716,18 @@ def _orbit_scan(n: int, target: str, workers: int) -> tuple:
         for lo in range(0, 1 << nl, chunk)
     ]
     examined = 0
-    suspects: list[int] = []
-    equalities: list[int] = []
+    flagged: list[tuple[int, int, int]] = []
     near: list[tuple[float, int]] = []
     for (_, _, base, _), res in zip(pieces, _pool_map(_full_scan_shard, pieces, workers)):
         examined += comb(r, (base >> nl).bit_length()) * res["examined"]
-        suspects.extend(res["suspects"])
-        equalities.extend(res["equalities"])
+        flagged.extend(res["flagged"])
         near.extend(res["near"])
     best = None
     if near:
-        least = min(near)[0]
-        images = np.array(_orbit_images(n, [mask for margin, mask in near
-                                            if margin <= least + _NEAR_BEST]), dtype=np.int64)
-        keep, margin = _bn_margins(n, images)
-        ok = np.flatnonzero(keep & (margin > _FLOAT_BAND))
-        best = min((float(margin[i]), int(images[i])) for i in ok)
-    return (examined, sorted(_orbit_images(n, suspects)),
-            sorted(_orbit_images(n, equalities)), best)
+        cut = min(near)[0] + _NEAR_BEST
+        images = _orbit_images(n, [(mask,) for margin, mask in near if margin <= cut])
+        best = min(_evaluate(n, target, np.array(images, dtype=np.int64)[:, 0])["near"])
+    return examined, sorted(_orbit_images(n, flagged)), best
 
 
 def core_is_book(g: Graph) -> bool:
@@ -708,80 +744,42 @@ def core_is_book(g: Graph) -> bool:
 
 def _run_full_scan(job: SearchJob, workers: int) -> SearchReport:
     report = SearchReport(job)
-    target = job.target
-    eq_all: list[dict] = []
-    best = None
+    row = _SCAN_TARGETS[job.target]
+    flagged, bests = [], []
     for n in sorted(job.grid.get("n", [])):
         total_masks = 1 << n * (n - 1) // 2  # the ceiling counts labelled graphs
         if total_masks > job.ceiling:
             raise ValueError(
                 f"n={n}: full scan would visit {total_masks} graphs > ceiling {job.ceiling}"
             )
-        examined, suspects, equalities, n_best = _orbit_scan(n, target, workers)
+        examined, n_flagged, n_best = _orbit_scan(n, job.target, workers)
         report.graphs_examined += examined
         if n_best is not None:
-            cand = (n_best[0], n, n_best[1])
-            best = cand if best is None else min(best, cand)
-        # every flagged graph is re-decided exactly, in one batched call per n
-        flagged = [_graph_from_mask(n, mask) for mask in suspects + equalities]
-        if target == "BN":
-            signs = signs_at_lambda(flagged, [bn_relation_poly(g) for g in flagged])
-            for g, s in zip(flagged, signs):
-                if s > 0:  # t < lambda(lambda^2 - m)/3
-                    v = verify_by_id("BN_INEQ", g, {})[0]
-                    report.counterexamples.append(
-                        {"graph6": emit_graph6(g), "verdict": v.to_jsonable()}
-                    )
-                elif s == 0:
-                    eq_all.append(
-                        {"n": n, "graph6": emit_graph6(g),
-                         "complete_bipartite": is_complete_bipartite(g)}
-                    )
-        elif target == "BOOK":
-            # lambda >= (1 + sqrt(4m - 3))/2  <=>  lambda^2 - lambda - (m - 1) >= 0
-            signs = signs_at_lambda(flagged, [[-(g.m - 1), -1, 1] for g in flagged])
-            cut = len(suspects)
-            for g, s in zip(flagged[:cut], signs[:cut]):
-                if s >= 0:
-                    t = triangle_count(g)
-                    report.counterexamples.append(
-                        {"graph6": emit_graph6(g),
-                         "verdict": {"m": g.m, "t": t,
-                                     "claim": "lambda >= (1+sqrt(4m-3))/2 certified exactly",
-                                     "needed_t": f"{g.m - 1}/2"}}
-                    )
-            for g, s in zip(flagged[cut:], signs[cut:]):
-                if s == 0:
-                    eq_all.append(
-                        {"n": n, "graph6": emit_graph6(g), "m": g.m,
-                         "core_is_book": core_is_book(g)}
-                    )
-        elif target == "NOSAL":
-            signs = signs_at_lambda(flagged, [[-g.m, 0, 1] for g in flagged])
-            for g, s in zip(flagged, signs):
-                if s > 0:
-                    v = verify_by_id("NOSAL_NZ", g, {})[0]
-                    report.counterexamples.append(
-                        {"graph6": emit_graph6(g), "verdict": v.to_jsonable(),
-                         "note": "triangle-free graph with lambda > sqrt(m)"}
-                    )
+            bests.append((n_best[0], n, n_best[1]))
+        flagged += [(n, _graph_from_mask(n, mask), m, t) for mask, m, t in n_flagged]
+    # every flagged graph is re-decided exactly, in one batched call
+    signs = signs_at_lambda([f[1] for f in flagged], [row.poly(m, t) for _, _, m, t in flagged])
+    equalities = report.detail["equality_set"] = []
+    for (n, g, m, t), s in zip(flagged, signs):
+        if row.violated(s, m, t):
+            report.counterexamples.append({"graph6": emit_graph6(g), **row.counterexample(g, m, t)})
+        if row.tight(s, m, t):
+            equalities.append({"n": n, "graph6": emit_graph6(g), **row.equality(g, m, t)})
     report.counterexamples.sort(key=lambda c: c["graph6"])
-    eq_all.sort(key=lambda e: (e["n"], e["graph6"]))
-    report.detail["equality_set"] = eq_all
-    if best is not None:
+    equalities.sort(key=lambda e: (e["n"], e["graph6"]))
+    if bests:
+        margin, n, mask = min(bests)
         report.extremal_tracker = {
-            "min_strict_margin": best[0],
-            "graph6": emit_graph6(_graph_from_mask(best[1], best[2])),
-        }
+            "min_strict_margin": margin, "graph6": emit_graph6(_graph_from_mask(n, mask))}
     return report
 
 
 def run_exhaustive(job: SearchJob, workers: int = 1) -> SearchReport:
-    if job.target == "LS":
-        return _run_ls_exhaustive(job, workers)
-    if job.target in ("BN", "BOOK", "NOSAL"):
+    if job.target in _SCAN_TARGETS:
         return _run_full_scan(job, workers)
-    raise ValueError(f"no exhaustive runner for target {job.target!r}")
+    if job.target != "LS":
+        raise ValueError(f"no exhaustive runner for target {job.target!r}")
+    return _run_ls_exhaustive(job, workers)
 
 
 # ---------------------------------------------------------------------------

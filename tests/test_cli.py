@@ -100,6 +100,18 @@ def test_verify_exhaustive(capsys):
     assert rep["graphs_examined"] > 0 and not rep["counterexamples"]
 
 
+@pytest.mark.parametrize("target", ["BN", "BOOK", "NOSAL"])
+def test_verify_exhaustive_runs_the_full_scan_of_its_target(capsys, target):
+    code, out, _ = run(capsys, "verify", target, "--exhaustive", "--n", "5", "--json")
+    assert code == 0
+    verified = json.loads(out)["items"]
+    code, out, _ = run(capsys, "search", "--target", target, "--mode", "exhaustive",
+                       "--n", "5", "--json")
+    assert code == 0
+    assert verified == json.loads(out)["items"]
+    assert verified[0]["job"]["target"] == target
+
+
 def test_verify_bad_file(capsys, tmp_path):
     p = tmp_path / "bad.g6"
     p.write_text("thisisnotgraph6!!!\n")

@@ -15,7 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from specls import roots, search, spectral
+from specls import roots, search, spectral, theorems
 from specls.families import book_join, build_from_spec, y_n2q
 from specls.graph6 import emit_graph6, parse_graph6
 from specls.morphism import are_isomorphic
@@ -207,8 +207,10 @@ def test_popcount_table():
     assert got.tolist() == [v.bit_count() for v in small]
 
 
-def _unpruned_scan(n: int, target: str) -> tuple[list, list]:
-    """The BOOK/NOSAL float tests with an eigensolve of every mask."""
+def _unpruned_scan(n: int, target: str) -> tuple[list, tuple]:
+    """The BOOK/NOSAL/BN float tests with an eigensolve of every mask: the
+    flagged (mask, m, t), and BN's least (margin, mask) of the unflagged
+    masks without isolated vertices."""
     slots = edge_slots(n)
     masks = np.arange(1 << len(slots))
     A = np.zeros((len(masks), n, n))
@@ -217,28 +219,37 @@ def _unpruned_scan(n: int, target: str) -> tuple[list, list]:
     m = A.sum((1, 2)) / 2
     t = np.rint(np.einsum("bij,bjk,bki->b", A, A, A) / 6)
     lam = np.linalg.eigvalsh(A)[:, -1]
+    least = None
     if target == "BOOK":
         gap = lam * lam - lam - (m - 1)
         suspects = (m >= 1) & (gap >= -1e-6) & (2 * t < m - 1)
-        equalities = (m >= 1) & (np.abs(gap) <= 1e-6) & (2 * t == m - 1)
+        flagged = suspects | (m >= 1) & (np.abs(gap) <= 1e-6) & (2 * t == m - 1)
+    elif target == "NOSAL":
+        flagged = (t == 0) & (lam * lam >= m - 1e-6) & (m > 0)
     else:
-        suspects = (t == 0) & (lam * lam >= m - 1e-6) & (m > 0)
-        equalities = np.zeros(len(masks), dtype=bool)
-    return masks[suspects].tolist(), masks[equalities].tolist()
+        keep = (A.sum(1) > 0).all(1) & (m > 0)
+        margin = t - lam * (lam * lam - m) / 3
+        flagged = keep & (margin <= 1e-6)
+        ok = keep & ~flagged
+        least = min(zip(margin[ok].tolist(), masks[ok].tolist()), default=None)
+    return list(zip(*(a[flagged].astype(int).tolist() for a in (masks, m, t)))), least
 
 
 def _scan_all_chunks(n: int, target: str) -> dict:
     return search._full_scan_shard((n, target, 0, 1 << n * (n - 1) // 2))
 
 
-@pytest.mark.parametrize("target", ["BOOK", "NOSAL"])
+@pytest.mark.parametrize("target", ["BOOK", "NOSAL", "BN"])
 @pytest.mark.parametrize("n", range(1, 7))
 def test_cw_prefilter_keeps_every_flagged_mask(n, target):
+    # BN runs no prefilter, but eigensolves only the masks that meet its
+    # hypothesis; its least unflagged margin is read off those
     got = _scan_all_chunks(n, target)
-    suspects, equalities = _unpruned_scan(n, target)
-    assert (got["suspects"], got["equalities"]) == (suspects, equalities)
-    if target == "NOSAL" and n >= 2:  # complete bipartite graphs have lambda^2 = m
-        assert suspects
+    flagged, least = _unpruned_scan(n, target)
+    assert got["flagged"] == flagged
+    assert min(got["near"], default=None) == least
+    assert bool(flagged) == (n >= 2)  # K_2 is tight for each target
+    assert (least is None) == (target != "BN" or n < 3)
 
 
 @pytest.mark.parametrize("k", range(1, 6))
@@ -255,20 +266,19 @@ def test_cw_prefilter_never_drops_a_book(k):
             chunk = mask >> search._SCAN_CHUNK_BITS << search._SCAN_CHUNK_BITS
             size = min(1 << search._SCAN_CHUNK_BITS, (1 << len(index)) - chunk)
             got = search._full_scan_shard((n, "BOOK", chunk, size))
-            assert mask in got["equalities"]
+            assert (mask, 2 * k + 1, k) in got["flagged"]
 
 
 def _labelled_scan(n: int, target: str) -> tuple:
     """The scan kernel over every labelled mask, chunk by chunk: the examined
-    count, the suspect and equality masks, and BN's least (margin, mask),
-    the first least margin of each chunk compared as tuples."""
+    count, the flagged (mask, m, t), and BN's least (margin, mask), the
+    first least margin of each chunk compared as tuples."""
     total, chunk = 1 << n * (n - 1) // 2, 1 << search._SCAN_CHUNK_BITS
     parts = [search._full_scan_shard((n, target, base, min(chunk, total - base)))
              for base in range(0, total, chunk)]
     near = [c for p in parts for c in p["near"]]
     return (sum(p["examined"] for p in parts),
-            sorted(x for p in parts for x in p["suspects"]),
-            sorted(x for p in parts for x in p["equalities"]),
+            sorted(x for p in parts for x in p["flagged"]),
             min(near, default=None))
 
 
@@ -281,7 +291,7 @@ def test_orbit_scan_equals_the_labelled_scan(n, target):
     expected = _labelled_scan(n, target)
     assert search._orbit_scan(n, target, 1) == expected
     if n >= 4:  # the compared sets are not empty
-        assert expected[1] or expected[2] or expected[3]
+        assert expected[1] or expected[2]
 
 
 def test_orbit_images_relabel_the_low_graph_onto_each_neighbourhood():
@@ -290,7 +300,7 @@ def test_orbit_images_relabel_the_low_graph_onto_each_neighbourhood():
     n = 5
     index = {e: s for s, e in enumerate(edge_slots(n))}
     rep = sum(1 << index[e] for e in [(0, 1), (1, 2), (0, 4), (1, 4)])
-    images = search._orbit_images(n, [rep])
+    images = [x for x, in search._orbit_images(n, [(rep,)])]
     assert len(images) == comb(4, 2) == len(set(images))
     image = sum(1 << index[e] for e in [(1, 3), (0, 3), (1, 4), (3, 4)])
     assert image in images
@@ -358,6 +368,45 @@ def test_forced_sign_scan_reports_match_golden_digests(monkeypatch, sign):
         assert digest(target) == golden[f"{target} n=5 sign={sign:+d}"], target
     monkeypatch.setattr(search, "_FLOAT_BAND", 1.0)
     assert digest("BOOK") == golden[f"BOOK n=5 band=1 sign={sign:+d}"]
+
+
+def test_a_scan_target_is_one_table_row(monkeypatch):
+    # a false claim, lambda^2 <= m on every graph, which K_3 breaks (lambda =
+    # 2, m = 3), against eigvalsh plus the exact sign on every labelled graph
+    monkeypatch.setitem(search._SCAN_TARGETS, "SQ", search._ScanTarget(
+        hypothesis=lambda m, t, deg: m >= 0,
+        violated=lambda s, m, t: s > 0,
+        tight=lambda s, m, t: s == 0,
+        gap=lambda lam, m, t: lam * lam - m,
+        poly=lambda m, t: [-m, 0, 1],
+        counterexample=lambda g, m, t: {"m": m, "t": t},
+        equality=lambda g, m, t: {},
+        least=False,
+    ))
+    for n in range(1, 6):
+        graphs = [_graph_from_mask(n, mask) for mask in range(1 << n * (n - 1) // 2)]
+        lam = np.linalg.eigvalsh(np.array([adjacency_matrix(g) for g in graphs], float))[:, -1]
+        near = [g for g, x in zip(graphs, lam) if x * x - g.m > -0.01]  # the rest hold
+        signs = roots.signs_at_lambda(near, [[-g.m, 0, 1] for g in near])
+        bad = sorted((emit_graph6(g), g.m, triangle_count(g)) for g, s in zip(near, signs) if s > 0)
+        tight = sorted(emit_graph6(g) for g, s in zip(near, signs) if s == 0)
+        rep = run_exhaustive(SearchJob("SQ", "exhaustive", {"n": [n]}), workers=1)
+        assert [(c["graph6"], c["m"], c["t"]) for c in rep.counterexamples] == bad
+        assert [e["graph6"] for e in rep.detail["equality_set"]] == tight
+        assert bool(bad) == (n >= 3) and tight
+
+
+def test_full_scans_count_no_triangles_of_flagged_graphs(monkeypatch):
+    # each flagged mask carries the kernel's exact (m, t) to the exact stage
+    calls = []
+    for module in (search, theorems):
+        count = module.triangle_count
+        monkeypatch.setattr(module, "triangle_count",
+                            lambda g, count=count: calls.append(g) or count(g))
+    for target, n in (("BOOK", 7), ("BN", 6)):
+        rep = run_exhaustive(SearchJob(target, "exhaustive", {"n": [n]}), workers=1)
+        assert rep.detail["equality_set"]
+    assert calls == []
 
 
 def test_full_scan_runs_one_sturm_search_per_distinct_charpoly(monkeypatch):
