@@ -29,15 +29,20 @@ class Graph6Error(ValueError):
 
 
 def emit_graph6(g: Graph) -> str:
-    n = g.n
+    return emit_graph6_rows(g.n, slot_bits(g)[None])[0]
+
+
+def emit_graph6_rows(n: int, bits: np.ndarray) -> list[str]:
+    """The graph6 strings of the n-vertex graphs whose slot vectors are the
+    rows of the 0/1 array `bits`, in one numpy step."""
     if n <= 62:
         head = [n + 63]
     else:
         head = [126, ((n >> 12) & 63) + 63, ((n >> 6) & 63) + 63, (n & 63) + 63]
-    bits = slot_bits(g)
-    groups = np.append(bits, np.zeros(-len(bits) % 6, np.uint8)).reshape(-1, 6)
-    body = groups @ (1 << _SHIFTS) + 63
-    return (bytes(head) + body.astype(np.uint8).tobytes()).decode("ascii")
+    padded = np.pad(bits, ((0, 0), (0, -bits.shape[1] % 6)))
+    body = padded.reshape(len(bits), padded.shape[1] // 6, 6) @ (1 << _SHIFTS) + 63
+    codes = np.hstack([np.tile(head, (len(bits), 1)), body]).astype(np.uint8)
+    return [s.decode("ascii") for s in codes.view(f"S{codes.shape[1]}").ravel()]
 
 
 def parse_graph6(text: str) -> Graph:

@@ -20,17 +20,18 @@ operations:
 
 Full 2^C(n,2) scans (needed by the inequality and conjecture targets)
 evaluate one block of masks per orbit of the last vertex's neighbourhood
-(`_orbit_scan`), as fixed-size numpy chunks, and map what they find to
-every relabelled block. Each target is one row of `_SCAN_TARGETS`: an
-exact hypothesis on the edge and triangle counts and degrees, which bit
-operations on the masks give, and a claim stated once on the sign of an
-integer polynomial at lambda. Masks whose float value of it lies within a
-band of breaking the claim are flagged; one batched
-`roots.signs_at_lambda` call (a Faddeev-LeVerrier run per n and a Sturm
-sign per distinct characteristic polynomial) decides them, so reported
-counterexamples and equality sets are certified, not floating-point
-guesses. Shard, block and chunk boundaries depend on n alone, so reports
-are byte-identical for any worker count.
+(`_orbit_scan`), as fixed-size numpy chunks. Each target is one row of
+`_SCAN_TARGETS`: an exact hypothesis on the edge and triangle counts and
+degrees, which bit operations on the masks give, and a claim stated once
+on the sign of an integer polynomial at lambda. Masks whose float value of
+it lies within a band of breaking the claim are flagged, after a
+Collatz-Wielandt bound read off the mask bits drops most of them; one
+batched `roots.signs_at_lambda` call (a Faddeev-LeVerrier run per n and a
+Sturm sign per distinct characteristic polynomial) decides the flagged
+representatives, so reported counterexamples and equality sets are
+certified, not floating-point guesses. Only the violated and tight ones
+are mapped to every relabelled block. Shard, block and chunk boundaries
+depend on n alone, so reports are byte-identical for any worker count.
 """
 
 from __future__ import annotations
@@ -50,7 +51,7 @@ import numpy as np
 from .families import build_from_spec, l_nsalpha, y_n2q
 from .graph import Graph, complete_graph, from_matrix, from_slot_bits, is_complete_bipartite
 from .graph import remove_edge, slot_bits, slot_ends, toggle_edge
-from .graph6 import emit_graph6
+from .graph6 import emit_graph6, emit_graph6_rows
 from .roots import family_lambda, signs_at_lambda
 from .spectral import Ordering, _decide, certify_lambda_ge_frac, exact_lambda_sq, perron_enclosure
 from .theorems import verify_by_id
@@ -531,30 +532,44 @@ def _adjacency_batch(n: int, masks: np.ndarray) -> np.ndarray:
     return np.take(bits, entry, axis=1)
 
 
-def _cw_upper(A: np.ndarray, deg: np.ndarray) -> np.ndarray:
-    """Collatz-Wielandt bounds u = max_i (Ax)_i / x_i >= lambda, one per
-    matrix, at the positive vector x = (A + I)^_CW_STEPS (deg + 1).
+def _cw_upper(n: int, masks: np.ndarray, deg: np.ndarray) -> np.ndarray:
+    """Collatz-Wielandt bounds u = max_i (Ax)_i / x_i >= lambda of these
+    masks' graphs, at the positive vector x = (A + I)^_CW_STEPS (deg + 1).
 
-    The prefilter that reads u in float64 is exact up to two roundings. A
-    is a 0/1 uint8 batch and x an integer float64 vector; einsum casts both
-    to float64, which holds them exactly. x and Ax are integer vectors
-    below n^(_CW_STEPS + 2), far below 2^53, so every product and sum that
-    forms them is exact. Only the division (Ax)_i / x_i rounds, and then
-    the gap at u (u * u - u - (m - 1) or u * u - m), each step by a relative
+    The prefilter that reads u in float64 is exact up to two roundings. x
+    and Ax are formed in int32 straight from the mask bits, one slot's bit
+    vector at a time; x <= n^(_CW_STEPS + 1) and Ax < n^(_CW_STEPS + 2),
+    at most 11^4 since masks stay below 2^62, so every product and sum is
+    exact. Only the division (Ax)_i / x_i rounds, in float64, and then the
+    gap at u (u * u - u - (m - 1) or u * u - m), each step by a relative
     error of at most 2^-52. A mask is dropped only when that gap is below
-    -1/2, with m < n^2 / 2, so u < n there, and for n <= 11 (masks stay
-    below 2^62) the roundings move it by less than 1e-12, far below the
-    margin of 1/2 by which a dropped mask misses the band. The eigvalsh
-    band itself has no such bound yet."""
-    x = deg + 1.0
+    -1/2, with m < n^2 / 2, so u < n there, and for n <= 11 the roundings
+    move it by less than 1e-12, far below the margin of 1/2 by which a
+    dropped mask misses the band. The eigvalsh band itself has no such
+    bound yet."""
+    def times_a(x: np.ndarray) -> np.ndarray:  # row v of x holds vertex v of every mask
+        y = np.zeros_like(x)
+        for s, (i, j) in enumerate(edge_slots(n)):
+            bit = ((masks >> s) & 1).astype(np.int32)
+            y[i] += bit * x[j]
+            y[j] += bit * x[i]
+        return y
+
+    x = deg.T.astype(np.int32) + 1
     for _ in range(_CW_STEPS):
-        x = np.einsum("bij,bj->bi", A, x) + x
-    return (np.einsum("bij,bj->bi", A, x) / x).max(1)
+        x = times_a(x) + x
+    return (times_a(x) / x).max(0)
 
 
 def _graph_from_mask(n: int, mask: int) -> Graph:
     """The graph whose edge set is this slot mask (bit s for slot s)."""
     return from_slot_bits(n, np.right_shift(mask, np.arange(n * (n - 1) // 2)) & 1)
+
+
+def _graph6_of_masks(n: int, masks: list[int]) -> list[str]:
+    """`emit_graph6` of the graphs with these slot masks, in one numpy step."""
+    bits = np.array(masks, dtype=np.int64)[:, None] >> np.arange(n * (n - 1) // 2) & 1
+    return emit_graph6_rows(n, bits)
 
 
 @dataclass(frozen=True)
@@ -565,8 +580,10 @@ class _ScanTarget:
     true sign, the kernel on each sign that the float `gap(lam, m, t)`, a
     positive multiple of `poly`, allows (`_may_break`). `hypothesis(m, t,
     deg)` is exact; `counterexample` and `equality` map (g, m, t) to report
-    fields besides the graph6; `least` tracks the least strict margin -gap,
-    with no CW prefilter (`_evaluate`)."""
+    fields besides the graph6. `equality` must be an isomorphism invariant:
+    it runs once per flagged representative, `counterexample` once per
+    image. `least` tracks the least strict margin -gap, with no CW
+    prefilter (`_evaluate`)."""
 
     hypothesis: Callable
     violated: Callable
@@ -647,10 +664,9 @@ def _evaluate(n: int, target: str, masks: np.ndarray) -> dict:
     m, t, deg = _scan_chunk_stats(n, masks)
     keep = row.hypothesis(m, t, deg)
     live = np.flatnonzero(keep & _may_break(row, m, t, np.zeros(1)))
-    A = _adjacency_batch(n, masks[live])
     if len(live) and not row.least:
-        reach = row.gap(_cw_upper(A, deg[live]), m[live], t[live]) >= -0.5
-        live, A = live[reach], A[reach]
+        live = live[row.gap(_cw_upper(n, masks[live], deg[live]), m[live], t[live]) >= -0.5]
+    A = _adjacency_batch(n, masks[live])
     # no eigensolve on an empty batch, which n = 0 always gives
     lam = np.linalg.eigvalsh(A.astype(np.float64))[:, -1] if len(live) else np.zeros(0)
     masks, m, t = masks[live], m[live], t[live]
@@ -697,16 +713,16 @@ def _orbit_scan(n: int, target: str, workers: int) -> tuple:
     the pairs (i, n-1). A relabelling of 0..n-2 that takes N onto N' maps
     the block of masks with neighbourhood N one to one onto the block with
     N' and keeps m, t, the degrees and lambda. So only the n blocks N_k =
-    {0..k-1} are evaluated, in pieces of at most 2^_SCAN_CHUNK_BITS masks;
-    a representative's examined count is taken C(n-1, k) times, and its
-    flagged (mask, m, t) are mapped to their images by `_orbit_images`.
+    {0..k-1} are evaluated, in pieces of at most 2^_SCAN_CHUNK_BITS masks,
+    and a representative's examined count is taken C(n-1, k) times.
 
-    Returns the examined count, the sorted flagged (mask, m, t), and for a
-    row that tracks it the least (margin, mask) over the unflagged masks,
-    or None. Float margins differ between isomorphic copies in the last
-    bits, so every representative within _NEAR_BEST of the least has all
-    its images evaluated again, and the least (margin, mask) among them is
-    the one the labelled scan of every mask would choose."""
+    Returns the examined count, the sorted flagged representatives (mask,
+    m, t), whose images `_orbit_images` gives, and for a row that tracks it
+    the least (margin, mask) over the unflagged masks, or None. Float
+    margins differ between isomorphic copies in the last bits, so every
+    representative within _NEAR_BEST of the least has all its images
+    evaluated again, and the least (margin, mask) among them is the one
+    the labelled scan of every mask would choose."""
     r = max(n - 1, 0)
     nl = r * (r - 1) // 2
     chunk = 1 << _SCAN_CHUNK_BITS
@@ -727,7 +743,7 @@ def _orbit_scan(n: int, target: str, workers: int) -> tuple:
         cut = min(near)[0] + _NEAR_BEST
         images = _orbit_images(n, [(mask,) for margin, mask in near if margin <= cut])
         best = min(_evaluate(n, target, np.array(images, dtype=np.int64)[:, 0])["near"])
-    return examined, sorted(_orbit_images(n, flagged)), best
+    return examined, flagged, best
 
 
 def core_is_book(g: Graph) -> bool:
@@ -745,26 +761,35 @@ def core_is_book(g: Graph) -> bool:
 def _run_full_scan(job: SearchJob, workers: int) -> SearchReport:
     report = SearchReport(job)
     row = _SCAN_TARGETS[job.target]
-    flagged, bests = [], []
+    reps, bests = [], []
     for n in sorted(job.grid.get("n", [])):
         total_masks = 1 << n * (n - 1) // 2  # the ceiling counts labelled graphs
         if total_masks > job.ceiling:
             raise ValueError(
                 f"n={n}: full scan would visit {total_masks} graphs > ceiling {job.ceiling}"
             )
-        examined, n_flagged, n_best = _orbit_scan(n, job.target, workers)
+        examined, n_reps, n_best = _orbit_scan(n, job.target, workers)
         report.graphs_examined += examined
         if n_best is not None:
             bests.append((n_best[0], n, n_best[1]))
-        flagged += [(n, _graph_from_mask(n, mask), m, t) for mask, m, t in n_flagged]
-    # every flagged graph is re-decided exactly, in one batched call
-    signs = signs_at_lambda([f[1] for f in flagged], [row.poly(m, t) for _, _, m, t in flagged])
+        reps += [(n, _graph_from_mask(n, mask), mask, m, t) for mask, m, t in n_reps]
+    # one batched exact decision per flagged representative holds for its images
+    signs = signs_at_lambda([g for _, g, *_ in reps], [row.poly(m, t) for *_, m, t in reps])
+    hit: dict[int, list] = {}
+    for (n, g, mask, m, t), s in zip(reps, signs):
+        bad, tight = row.violated(s, m, t), row.tight(s, m, t)
+        if bad or tight:
+            eq = row.equality(g, m, t) if tight else None
+            hit.setdefault(n, []).append((mask, m, t, bad, eq))
     equalities = report.detail["equality_set"] = []
-    for (n, g, m, t), s in zip(flagged, signs):
-        if row.violated(s, m, t):
-            report.counterexamples.append({"graph6": emit_graph6(g), **row.counterexample(g, m, t)})
-        if row.tight(s, m, t):
-            equalities.append({"n": n, "graph6": emit_graph6(g), **row.equality(g, m, t)})
+    for n, block in hit.items():
+        images = _orbit_images(n, block)
+        for g6, (mask, m, t, bad, eq) in zip(_graph6_of_masks(n, [x[0] for x in images]), images):
+            if bad:  # a verdict per image: its float margins are the image's own
+                counterexample = row.counterexample(_graph_from_mask(n, mask), m, t)
+                report.counterexamples.append({"graph6": g6, **counterexample})
+            if eq is not None:
+                equalities.append({"n": n, "graph6": g6, **eq})
     report.counterexamples.sort(key=lambda c: c["graph6"])
     equalities.sort(key=lambda e: (e["n"], e["graph6"]))
     if bests:

@@ -269,6 +269,42 @@ def test_cw_prefilter_never_drops_a_book(k):
             assert (mask, 2 * k + 1, k) in got["flagged"]
 
 
+def _einsum_cw_upper(A: np.ndarray, deg: np.ndarray) -> np.ndarray:
+    """The Collatz-Wielandt bound as an einsum over a uint8 adjacency batch,
+    in float64: the reference for `search._cw_upper`."""
+    x = deg + 1.0
+    for _ in range(search._CW_STEPS):
+        x = np.einsum("bij,bj->bi", A, x) + x
+    return (np.einsum("bij,bj->bi", A, x) / x).max(1)
+
+
+def _mask_samples(n: int, rng: random.Random, count: int) -> np.ndarray:
+    """Every slot mask of n vertices up to 2^10 masks, else `count` random ones."""
+    ns = n * (n - 1) // 2
+    if ns <= 10:
+        return np.arange(1 << ns, dtype=np.int64)
+    return np.array([rng.getrandbits(ns) for _ in range(count)], dtype=np.int64)
+
+
+@pytest.mark.parametrize("n", range(1, 12))
+def test_cw_bound_from_the_mask_bits_equals_the_einsum(n):
+    # both form the same exact integers x and Ax and divide once in float64
+    masks = _mask_samples(n, random.Random(n), 20_000)
+    deg = search._scan_chunk_stats(n, masks)[2]
+    got = search._cw_upper(n, masks, deg)
+    assert got.dtype == np.float64
+    assert (got == _einsum_cw_upper(search._adjacency_batch(n, masks), deg)).all()
+
+
+@pytest.mark.parametrize("n", range(12))
+def test_graph6_of_masks_equals_emit_graph6(n):
+    masks = _mask_samples(n, random.Random(100 + n), 500).tolist()
+    got = search._graph6_of_masks(n, masks)
+    assert got == [emit_graph6(_graph_from_mask(n, mask)) for mask in masks]
+    assert search._graph6_of_masks(n, []) == []
+    assert [parse_graph6(s) for s in got] == [_graph_from_mask(n, mask) for mask in masks]
+
+
 def _labelled_scan(n: int, target: str) -> tuple:
     """The scan kernel over every labelled mask, chunk by chunk: the examined
     count, the flagged (mask, m, t), and BN's least (margin, mask), the
@@ -289,7 +325,8 @@ def _labelled_scan(n: int, target: str) -> tuple:
 )
 def test_orbit_scan_equals_the_labelled_scan(n, target):
     expected = _labelled_scan(n, target)
-    assert search._orbit_scan(n, target, 1) == expected
+    examined, reps, best = search._orbit_scan(n, target, 1)
+    assert (examined, sorted(search._orbit_images(n, reps)), best) == expected
     if n >= 4:  # the compared sets are not empty
         assert expected[1] or expected[2]
 
@@ -321,6 +358,39 @@ def test_book_scan_at_n_7_evaluates_one_block_per_neighbourhood_size(monkeypatch
     monkeypatch.setattr(search, "_full_scan_shard", spy)
     run_exhaustive(SearchJob("BOOK", "exhaustive", {"n": [7]}), workers=1)
     assert sum(evaluated) == 7 * 2**15 < 2**21
+
+
+def test_full_scans_decide_each_flagged_orbit_once(monkeypatch):
+    # the exact stage reads one graph per flagged representative, and the
+    # kernel builds adjacency matrices only for the CW survivors
+    batches, built, rows = [], [], []
+    signs, from_mask = search.signs_at_lambda, search._graph_from_mask
+    adjacency = search._adjacency_batch
+    monkeypatch.setattr(search, "signs_at_lambda",
+                        lambda graphs, qs: batches.append(len(graphs)) or signs(graphs, qs))
+    monkeypatch.setattr(search, "_graph_from_mask",
+                        lambda n, mask: built.append(mask) or from_mask(n, mask))
+    monkeypatch.setattr(search, "_adjacency_batch",
+                        lambda n, masks: rows.append(len(masks)) or adjacency(n, masks))
+    rep = run_exhaustive(SearchJob("BOOK", "exhaustive", {"n": [7]}), workers=1)
+    assert (batches, len(built), sum(rows)) == ([235], 235, 4842)
+    assert len(rep.detail["equality_set"]) > 235
+    batches.clear()
+    run_exhaustive(SearchJob("NOSAL", "exhaustive", {"n": [7]}), workers=1)
+    assert batches == [364]
+
+
+@pytest.mark.parametrize("target", ["BN", "BOOK"])
+def test_equality_fields_hold_on_each_image(target):
+    # a representative's equality fields are carried to its images, so they
+    # must be those of each image's own graph
+    row = search._SCAN_TARGETS[target]
+    rep = run_exhaustive(SearchJob(target, "exhaustive", {"n": list(range(7))}), workers=1)
+    assert len(rep.detail["equality_set"]) > 50
+    for entry in rep.detail["equality_set"]:
+        g = parse_graph6(entry["graph6"])
+        fields = {k: v for k, v in entry.items() if k not in ("n", "graph6")}
+        assert g.n == entry["n"] and fields == row.equality(g, g.m, triangle_count(g))
 
 
 def test_ls_exhaustive_counts_and_determinism():
