@@ -19,19 +19,23 @@ operations:
     t(G) = C(n,3) - f*(n-2) + cherries(F) - t(F)   for G = K_n - F.
 
 Full 2^C(n,2) scans (needed by the inequality and conjecture targets)
-evaluate one block of masks per orbit of the last vertex's neighbourhood
-(`_orbit_scan`), as fixed-size numpy chunks. Each target is one row of
-`_SCAN_TARGETS`: an exact hypothesis on the edge and triangle counts and
-degrees, which bit operations on the masks give, and a claim stated once
-on the sign of an integer polynomial at lambda. Masks whose float value of
-it lies within a band of breaking the claim are flagged, after a
-Collatz-Wielandt bound read off the mask bits drops most of them; one
-batched `roots.signs_at_lambda` call (a Faddeev-LeVerrier run per n and a
-Sturm sign per distinct characteristic polynomial) decides the flagged
-representatives, so reported counterexamples and equality sets are
+evaluate one mask per orbit of the relabellings of 0..n-2 (`_orbit_scan`):
+the blocks whose last vertex is joined to {0..k-1}, and in each the least
+graph of every orbit of the relabellings that fix {0..k-1}, labelled by
+min-propagation over adjacent transpositions (`_block_labels`). These are
+the rooted graphs, 5,096 at n = 7, read as numpy chunks. Each target is
+one row of `_SCAN_TARGETS`: an exact hypothesis on the edge and triangle
+counts and degrees, which bit operations on the masks give, and a claim
+stated once on the sign of an integer polynomial at lambda. Masks whose
+float value of it lies within a band of breaking the claim are flagged,
+after a Collatz-Wielandt bound read off the mask bits drops most of them;
+one batched `roots.signs_at_lambda` call (a Faddeev-LeVerrier run per n
+and a Sturm sign per distinct characteristic polynomial) decides the
+flagged representatives, so reported counterexamples and equality sets are
 certified, not floating-point guesses. Only the violated and tight ones
-are mapped to every relabelled block. Shard, block and chunk boundaries
-depend on n alone, so reports are byte-identical for any worker count.
+are expanded, to their orbits and then to every relabelled block. Shard,
+block and chunk boundaries depend on n alone, so reports are
+byte-identical for any worker count.
 """
 
 from __future__ import annotations
@@ -647,10 +651,11 @@ def _may_break(row: _ScanTarget, m: np.ndarray, t: np.ndarray, gap: np.ndarray) 
     return out
 
 
-def _evaluate(n: int, target: str, masks: np.ndarray) -> dict:
-    """The float tests of one scan target on these masks: how many meet its
-    hypothesis (`examined`), the `flagged` (mask, m, t), and for a `least`
-    row the unflagged (margin, mask) within _NEAR_BEST of the least (`near`).
+def _evaluate(n: int, target: str, masks: np.ndarray, weight: np.ndarray | int = 1) -> dict:
+    """The float tests of one scan target on these masks: the total weight
+    of those that meet its hypothesis (`examined`), the `flagged` (mask, m,
+    t), and for a `least` row the unflagged (margin, mask) within _NEAR_BEST
+    of the least (`near`).
 
     Only masks that meet the hypothesis and may break the claim are
     eigensolved. Unless the row tracks its least margin, a mask whose
@@ -674,15 +679,86 @@ def _evaluate(n: int, target: str, masks: np.ndarray) -> dict:
     flag = _may_break(row, m, t, gap)
     margin, ok = -gap[~flag], masks[~flag]
     close = margin <= margin.min(initial=np.inf) + _NEAR_BEST
-    return {"examined": int(keep.sum()),
+    return {"examined": int(np.sum(keep * weight)),
             "flagged": list(zip(*(a[flag].tolist() for a in (masks, m, t)))),
             "near": list(zip(margin[close].tolist(), ok[close].tolist())) if row.least else []}
 
 
-def _full_scan_shard(args: tuple) -> dict:
-    """`_evaluate` on the `count` masks from `base` on, as one chunk."""
-    n, target, base, count = args
-    return _evaluate(n, target, np.arange(base, base + count, dtype=np.int64))
+def _transposed(x: np.ndarray, r: int, i: int) -> np.ndarray:
+    """The graphs on vertices 0..r-1 with these slot masks, vertices i and
+    i + 1 swapped, in place, by two delta swaps: the slots of {j, i} and
+    {j, i + 1} lie i apart for j < i, those of {i, j} and {i + 1, j} one
+    apart for j > i + 1, and {i, i + 1} stays."""
+    for shift, ends in ((i, [(j, i) for j in range(i)]),
+                        (1, [(i, j) for j in range(i + 2, r)])):
+        sel = sum(1 << b * (b - 1) // 2 + a for a, b in ends)
+        if sel:
+            swap = x >> shift
+            swap ^= x
+            swap &= sel
+            x ^= swap
+            swap <<= shift
+            x ^= swap
+    return x
+
+
+def _block_labels(r: int, k: int) -> np.ndarray:
+    """The least member of each low graph's orbit, over all 2^C(r, 2) graphs
+    on vertices 0..r-1 (`lab[low]`), under the relabellings that fix N_k =
+    {0..k-1} setwise, S_k x S_{r-k}. These are generated by the adjacent
+    transpositions (i, i + 1), i != k - 1, each an involution.
+
+    Every label starts as the graph itself and only ever takes the value of
+    another label of its orbit: the least of its own and its image's under
+    each generator in turn, then lab[lab] (pointer jumping). So lab[x] <= x
+    and lab[x] stays in x's orbit. A round that lowers no label is a
+    fixpoint: lab is equal at x and at every generator image of x, so it is
+    constant on the orbit, which generator images connect; the orbit
+    minimum mu has lab[mu] <= mu in the orbit, so lab[mu] = mu, and that
+    constant is mu. The labels and one generator image are held, in int32
+    below 2^31 graphs."""
+    size = 1 << r * (r - 1) // 2
+    dtype = np.int32 if size <= 1 << 31 else np.int64
+    lab = np.arange(size, dtype=dtype)
+    lowered = True
+    while lowered:
+        lowered = False
+        for i in range(r - 1):
+            if i != k - 1:
+                image = np.take(lab, _transposed(np.arange(size, dtype=dtype), r, i))
+                lowered |= bool((image < lab).any())
+                np.minimum(lab, image, out=lab)
+        image = np.take(lab, lab)
+        lowered |= bool((image < lab).any())
+        lab = image
+    return lab
+
+
+def _full_scan_piece(args: tuple) -> dict:
+    """`_evaluate` on block k, the masks low | N_k << C(n-1, 2): on one
+    least low graph per orbit (`_block_labels`), in chunks of at most
+    2^_SCAN_CHUNK_BITS, each weighted by its orbit's size times C(n-1, k).
+    Each flagged (mask, m, t) and near (margin, mask) representative ends
+    with the sorted masks of its orbit."""
+    n, target, k = args
+    r = max(n - 1, 0)
+    high = ((1 << k) - 1) << r * (r - 1) // 2
+    lab = _block_labels(r, k)
+    low = np.flatnonzero(lab == np.arange(len(lab), dtype=lab.dtype))
+    weight = np.bincount(lab)[low] * comb(r, k)
+    out: dict = {"examined": 0, "flagged": [], "near": []}
+    for lo in range(0, len(low), 1 << _SCAN_CHUNK_BITS):
+        part = slice(lo, lo + (1 << _SCAN_CHUNK_BITS))
+        res = _evaluate(n, target, low[part] | high, weight[part])
+        for key, value in res.items():
+            out[key] += value
+
+    def orbit(rep: int) -> tuple:
+        return tuple((np.flatnonzero(lab == rep ^ high) | high).tolist())
+
+    out["flagged"] = [(*f, orbit(f[0])) for f in out["flagged"]]
+    out["near"] = [(*f, orbit(f[1])) for f in out["near"]]
+    return out
 
 
 def _orbit_images(n: int, reps: list[tuple]) -> list[tuple]:
@@ -705,45 +781,54 @@ def _orbit_images(n: int, reps: list[tuple]) -> list[tuple]:
 
 
 def _orbit_scan(n: int, target: str, workers: int) -> tuple:
-    """`_full_scan_shard` over all 2^C(n,2) masks of n vertices, evaluated on
-    one block per orbit of the last vertex's neighbourhood.
+    """The scan of all 2^C(n,2) masks of n vertices, evaluated on one mask
+    per orbit of the relabellings of vertices 0..n-2 (`_full_scan_piece`).
 
     A mask is low | N << C(n-1, 2): low is a graph on vertices 0..n-2 and N
     the neighbourhood of vertex n-1, since the slots from C(n-1, 2) on are
     the pairs (i, n-1). A relabelling of 0..n-2 that takes N onto N' maps
     the block of masks with neighbourhood N one to one onto the block with
     N' and keeps m, t, the degrees and lambda. So only the n blocks N_k =
-    {0..k-1} are evaluated, in pieces of at most 2^_SCAN_CHUNK_BITS masks,
-    and a representative's examined count is taken C(n-1, k) times.
+    {0..k-1} are read. The relabellings that fix N_k map block k onto
+    itself, and they too keep m, t, the degrees and lambda, so within it
+    only the low graphs equal to their label are read: `_block_labels`
+    labels each one by its orbit's least member, so there is one per orbit.
+    A representative's examined count is taken once per orbit member and
+    per k-set, its orbit's size times C(n-1, k) times.
 
     Returns the examined count, the sorted flagged representatives (mask,
-    m, t), whose images `_orbit_images` gives, and for a row that tracks it
-    the least (margin, mask) over the unflagged masks, or None. Float
-    margins differ between isomorphic copies in the last bits, so every
-    representative within _NEAR_BEST of the least has all its images
-    evaluated again, and the least (margin, mask) among them is the one
-    the labelled scan of every mask would choose."""
-    r = max(n - 1, 0)
-    nl = r * (r - 1) // 2
-    chunk = 1 << _SCAN_CHUNK_BITS
-    pieces = [
-        (n, target, ((1 << k) - 1) << nl | lo, min(chunk, (1 << nl) - lo))
-        for k in range(r + 1)
-        for lo in range(0, 1 << nl, chunk)
-    ]
+    m, t, orbit), the orbit being the masks of its block that it stands
+    for, whose images `_orbit_images` gives, and for a row that tracks it
+    the least (margin, mask) over the unflagged masks, or None.
+
+    Whether a mask is flagged rests on its float gap, which differs between
+    isomorphic copies in the last bits, so a representative's flag need not
+    be every member's. What the report keeps of the flagged masks is the
+    exactly violated or tight ones, and the exact sign is an isomorphism
+    invariant: such a mask has its true gap on the claim's wrong side or at
+    0, so its float gap lies within the band in every copy, the CW
+    prefilter keeps it, and every violated or tight image is an image of a
+    violated or tight representative. Likewise, every representative within
+    _NEAR_BEST of the least margin has all its orbit's images evaluated
+    again: the least unflagged mask of the labelled scan has a margin
+    within the spread (far below _NEAR_BEST) of its representative's, so
+    its orbit is among them, and the least (margin, mask) of the images is
+    the one the labelled scan of every mask would choose."""
+    pieces = [(n, target, k) for k in range(max(n - 1, 0) + 1)]
     examined = 0
-    flagged: list[tuple[int, int, int]] = []
-    near: list[tuple[float, int]] = []
-    for (_, _, base, _), res in zip(pieces, _pool_map(_full_scan_shard, pieces, workers)):
-        examined += comb(r, (base >> nl).bit_length()) * res["examined"]
+    flagged: list[tuple] = []
+    near: list[tuple] = []
+    for res in _pool_map(_full_scan_piece, pieces, workers):
+        examined += res["examined"]
         flagged.extend(res["flagged"])
         near.extend(res["near"])
     best = None
     if near:
         cut = min(near)[0] + _NEAR_BEST
-        images = _orbit_images(n, [(mask,) for margin, mask in near if margin <= cut])
+        images = _orbit_images(n, [(x,) for margin, _, orbit in near if margin <= cut
+                                   for x in orbit])
         best = min(_evaluate(n, target, np.array(images, dtype=np.int64)[:, 0])["near"])
-    return examined, flagged, best
+    return examined, sorted(flagged), best
 
 
 def core_is_book(g: Graph) -> bool:
@@ -772,15 +857,15 @@ def _run_full_scan(job: SearchJob, workers: int) -> SearchReport:
         report.graphs_examined += examined
         if n_best is not None:
             bests.append((n_best[0], n, n_best[1]))
-        reps += [(n, _graph_from_mask(n, mask), mask, m, t) for mask, m, t in n_reps]
+        reps += [(n, _graph_from_mask(n, mask), m, t, orbit) for mask, m, t, orbit in n_reps]
     # one batched exact decision per flagged representative holds for its images
-    signs = signs_at_lambda([g for _, g, *_ in reps], [row.poly(m, t) for *_, m, t in reps])
+    signs = signs_at_lambda([g for _, g, *_ in reps], [row.poly(m, t) for _, _, m, t, _ in reps])
     hit: dict[int, list] = {}
-    for (n, g, mask, m, t), s in zip(reps, signs):
+    for (n, g, m, t, orbit), s in zip(reps, signs):
         bad, tight = row.violated(s, m, t), row.tight(s, m, t)
         if bad or tight:
             eq = row.equality(g, m, t) if tight else None
-            hit.setdefault(n, []).append((mask, m, t, bad, eq))
+            hit.setdefault(n, []).extend((mask, m, t, bad, eq) for mask in orbit)
     equalities = report.detail["equality_set"] = []
     for n, block in hit.items():
         images = _orbit_images(n, block)

@@ -6,7 +6,7 @@ import subprocess
 import sys
 import tracemalloc
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, permutations
 from math import comb
 from pathlib import Path
 
@@ -38,7 +38,7 @@ from specls.search import (
 from specls.graph import add_edge, adjacency_matrix, build_graph, complete_graph, empty_graph
 from specls.graph import from_matrix
 from specls.graph import remove_edge
-from specls.graph import is_complete_bipartite
+from specls.graph import is_complete_bipartite, slot_ends
 from specls.triangles import _triangle_count_bit_rows, dense_triangle_count, triangle_count
 
 
@@ -236,7 +236,7 @@ def _unpruned_scan(n: int, target: str) -> tuple[list, tuple]:
 
 
 def _scan_all_chunks(n: int, target: str) -> dict:
-    return search._full_scan_shard((n, target, 0, 1 << n * (n - 1) // 2))
+    return search._evaluate(n, target, np.arange(1 << n * (n - 1) // 2, dtype=np.int64))
 
 
 @pytest.mark.parametrize("target", ["BOOK", "NOSAL", "BN"])
@@ -265,7 +265,7 @@ def test_cw_prefilter_never_drops_a_book(k):
             mask = sum(1 << index[min(e), max(e)] for e in edges)
             chunk = mask >> search._SCAN_CHUNK_BITS << search._SCAN_CHUNK_BITS
             size = min(1 << search._SCAN_CHUNK_BITS, (1 << len(index)) - chunk)
-            got = search._full_scan_shard((n, "BOOK", chunk, size))
+            got = search._evaluate(n, "BOOK", np.arange(chunk, chunk + size, dtype=np.int64))
             assert (mask, 2 * k + 1, k) in got["flagged"]
 
 
@@ -310,7 +310,7 @@ def _labelled_scan(n: int, target: str) -> tuple:
     count, the flagged (mask, m, t), and BN's least (margin, mask), the
     first least margin of each chunk compared as tuples."""
     total, chunk = 1 << n * (n - 1) // 2, 1 << search._SCAN_CHUNK_BITS
-    parts = [search._full_scan_shard((n, target, base, min(chunk, total - base)))
+    parts = [search._evaluate(n, target, np.arange(base, min(base + chunk, total), dtype=np.int64))
              for base in range(0, total, chunk)]
     near = [c for p in parts for c in p["near"]]
     return (sum(p["examined"] for p in parts),
@@ -324,9 +324,13 @@ def _labelled_scan(n: int, target: str) -> tuple:
     + [(7, "BOOK"), (7, "NOSAL")],
 )
 def test_orbit_scan_equals_the_labelled_scan(n, target):
+    # each flagged representative is the least mask of its orbit in its
+    # block; the orbit, then `_orbit_images`, give every labelled image
     expected = _labelled_scan(n, target)
     examined, reps, best = search._orbit_scan(n, target, 1)
-    assert (examined, sorted(search._orbit_images(n, reps)), best) == expected
+    assert all(mask == orbit[0] == min(orbit) for mask, m, t, orbit in reps)
+    images = search._orbit_images(n, [(x, m, t) for mask, m, t, orbit in reps for x in orbit])
+    assert (examined, sorted(images), best) == expected
     if n >= 4:  # the compared sets are not empty
         assert expected[1] or expected[2]
 
@@ -347,17 +351,56 @@ def test_orbit_images_relabel_the_low_graph_onto_each_neighbourhood():
         sum(1 << v for v in N) for N in combinations(range(4), 2))
 
 
+def _block_representatives(n: int) -> list:
+    """The least low graphs of block k, per k = 0..n-1, as `_block_labels` gives them."""
+    r = max(n - 1, 0)
+    labels = [search._block_labels(r, k) for k in range(r + 1)]
+    return [np.flatnonzero(lab == np.arange(len(lab))) for lab in labels]
+
+
+@pytest.mark.parametrize("n", range(1, 8))
+def test_block_representatives_are_the_rooted_graphs(n):
+    # a block k graph up to the relabellings fixing {0..k-1} is a graph on
+    # n vertices rooted at n - 1 up to isomorphism: OEIS A000666
+    count = sum(len(reps) for reps in _block_representatives(n))
+    assert count == [1, 2, 6, 20, 90, 544, 5096][n - 1]
+
+
+@pytest.mark.parametrize("n", range(1, 8))
+def test_block_orbits_cover_every_labelled_graph_once(n):
+    # each representative's orbit under every relabelling that fixes
+    # {0..k-1}, listed test-side: it is the least member, and the orbits
+    # times their C(n-1, k) neighbourhoods add up to every labelled graph
+    r = max(n - 1, 0)
+    i, j = slot_ends(r)
+    total = 0
+    for k, reps in enumerate(_block_representatives(n)):
+        sigma = np.array([a + b for a in permutations(range(k))
+                          for b in permutations(range(k, r))], dtype=np.int64)
+        # the slot of {sigma(i), sigma(j)} for each relabelling sigma and slot {i, j}
+        lo, hi = np.minimum(sigma[:, i], sigma[:, j]), np.maximum(sigma[:, i], sigma[:, j])
+        to = hi * (hi - 1) // 2 + lo
+        bits = reps[:, None] >> np.arange(len(i)) & 1
+        images = (bits[:, None, :] << to[None]).sum(2)
+        assert (images.min(1) == reps).all()
+        total += comb(r, k) * sum(len(set(row)) for row in images.tolist())
+    assert total == 2 ** comb(n, 2)
+
+
 def test_book_scan_at_n_7_evaluates_one_block_per_neighbourhood_size(monkeypatch):
+    # one mask per orbit of each block's stabiliser: the rooted graphs on 7
+    # vertices (OEIS A000666), not the 7 * 2^15 masks of the blocks
     evaluated = []
-    kernel = search._full_scan_shard
+    kernel = search._evaluate
 
-    def spy(args):
-        evaluated.append(args[3])
-        return kernel(args)
+    def spy(n, target, masks, weight=1):
+        evaluated.append(len(masks))
+        return kernel(n, target, masks, weight)
 
-    monkeypatch.setattr(search, "_full_scan_shard", spy)
-    run_exhaustive(SearchJob("BOOK", "exhaustive", {"n": [7]}), workers=1)
-    assert sum(evaluated) == 7 * 2**15 < 2**21
+    monkeypatch.setattr(search, "_evaluate", spy)
+    rep = run_exhaustive(SearchJob("BOOK", "exhaustive", {"n": [7]}), workers=1)
+    assert sum(evaluated) == 5096 < 7 * 2**15
+    assert len(evaluated) == 7 and rep.graphs_examined == 2**21 - 1
 
 
 def test_full_scans_decide_each_flagged_orbit_once(monkeypatch):
@@ -373,11 +416,12 @@ def test_full_scans_decide_each_flagged_orbit_once(monkeypatch):
     monkeypatch.setattr(search, "_adjacency_batch",
                         lambda n, masks: rows.append(len(masks)) or adjacency(n, masks))
     rep = run_exhaustive(SearchJob("BOOK", "exhaustive", {"n": [7]}), workers=1)
-    assert (batches, len(built), sum(rows)) == ([235], 235, 4842)
-    assert len(rep.detail["equality_set"]) > 235
+    assert (batches, len(built), sum(rows)) == ([15], 15, 115)
+    assert len(rep.detail["equality_set"]) == 602
     batches.clear()
+    rows.clear()
     run_exhaustive(SearchJob("NOSAL", "exhaustive", {"n": [7]}), workers=1)
-    assert batches == [364]
+    assert (batches, sum(rows)) == ([30], 89)
 
 
 @pytest.mark.parametrize("target", ["BN", "BOOK"])
@@ -391,6 +435,16 @@ def test_equality_fields_hold_on_each_image(target):
         g = parse_graph6(entry["graph6"])
         fields = {k: v for k, v in entry.items() if k not in ("n", "graph6")}
         assert g.n == entry["n"] and fields == row.equality(g, g.m, triangle_count(g))
+
+
+@pytest.mark.parametrize("target", ["BOOK", "NOSAL", "BN"])
+def test_full_scan_reports_are_byte_identical_for_any_worker_count(target):
+    jobs = [SearchJob(target, "exhaustive", {"n": list(range(7))})]
+    if target == "BOOK":
+        jobs.append(SearchJob(target, "exhaustive", {"n": [7]}))
+    for job in jobs:
+        outs = {run_exhaustive(job, workers=w).to_json() for w in (1, 2, 4)}
+        assert len(outs) == 1
 
 
 def test_ls_exhaustive_counts_and_determinism():
