@@ -26,7 +26,6 @@ from .graph import (
     build_graph,
     complement,
     complete_graph,
-    delete_vertex,
     empty_graph,
     from_matrix,
     from_rows,
@@ -50,7 +49,6 @@ from .spectral import (
     SpectralCertificate,
     compare_lambda,
     perron_enclosure,
-    rayleigh_lower_bound,
 )
 from .theorems import rotation_increases_lambda
 from .triangles import (

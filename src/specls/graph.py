@@ -224,12 +224,6 @@ def _compact(g: Graph, keep: list[int]) -> Graph:
     return Graph(len(keep), tuple(rows), m)
 
 
-def delete_vertex(g: Graph, v: int) -> Graph:
-    if not 0 <= v < g.n:
-        raise ValueError(f"vertex {v} out of range")
-    return _compact(g, [u for u in range(g.n) if u != v])
-
-
 def induced(g: Graph, S: VertexMask) -> Graph:
     if S & ~g.full_mask():
         raise ValueError("vertex set has bits outside 0..n-1")

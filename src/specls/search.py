@@ -23,19 +23,21 @@ evaluate one mask per orbit of the relabellings of 0..n-2 (`_orbit_scan`):
 the blocks whose last vertex is joined to {0..k-1}, and in each the least
 graph of every orbit of the relabellings that fix {0..k-1}, labelled by
 min-propagation over adjacent transpositions (`_block_labels`). These are
-the rooted graphs, 5,096 at n = 7, read as numpy chunks. Each target is
-one row of `_SCAN_TARGETS`: an exact hypothesis on the edge and triangle
-counts and degrees, which bit operations on the masks give, and a claim
-stated once on the sign of an integer polynomial at lambda. Masks whose
-float value of it lies within a band of breaking the claim are flagged,
-after a Collatz-Wielandt bound read off the mask bits drops most of them;
-one batched `roots.signs_at_lambda` call (a Faddeev-LeVerrier run per n
-and a Sturm sign per distinct characteristic polynomial) decides the
-flagged representatives, so reported counterexamples and equality sets are
-certified, not floating-point guesses. Only the violated and tight ones
-are expanded, to their orbits and then to every relabelled block. Shard,
-block and chunk boundaries depend on n alone, so reports are
-byte-identical for any worker count.
+the rooted graphs, 5,096 at n = 7, read as one numpy batch per block.
+Each target is one row of `_SCAN_TARGETS`: an exact hypothesis on the edge
+and triangle counts and degrees, which bit operations on the masks give,
+and a claim stated once on the sign of an integer polynomial at lambda.
+Masks whose float value of it lies within a band of breaking the claim are
+flagged: for BOOK and NOSAL the value at a Collatz-Wielandt bound u >=
+lambda read off the mask bits, which proves every other mask's claim, for
+BN the value at eigvalsh's lambda. One batched `roots.signs_at_lambda`
+call (a Faddeev-LeVerrier run per n and a Sturm sign per distinct
+characteristic polynomial) decides the flagged representatives, so
+reported counterexamples and equality sets are certified, not
+floating-point guesses. Only the violated and tight ones are expanded, to
+their orbits and then to every relabelled block. Shard, block and chunk
+boundaries depend on n alone, so reports are byte-identical for any worker
+count.
 """
 
 from __future__ import annotations
@@ -63,7 +65,6 @@ from .triangles import degree_triangle_floor, dense_triangle_count, triangle_cou
 from .triangles import triangle_workspace
 from .verdicts import jsonable_value
 
-_SCAN_CHUNK_BITS = 15
 _FLOAT_BAND = 1e-6
 _NEAR_BEST = 1e-9  # far above the spread of eigvalsh over isomorphic copies
 DEFAULT_CEILING = 200_000_000
@@ -89,10 +90,19 @@ class SearchJob:
 
     @staticmethod
     def from_jsonable(d: dict) -> "SearchJob":
-        return SearchJob(
-            d["target"], d["mode"], d.get("grid", {}), d.get("budget", 0),
-            d.get("seed", 0), d.get("ceiling", DEFAULT_CEILING),
-        )
+        """The job of a JSON job file; a field of the wrong type raises ValueError."""
+        if not isinstance(d, dict):
+            raise ValueError(f"a job is a JSON object, not {type(d).__name__}")
+        job = SearchJob(d.get("target"), d.get("mode"), d.get("grid", {}), d.get("budget", 0),
+                        d.get("seed", 0), d.get("ceiling", DEFAULT_CEILING))
+        kinds = dict(target=str, mode=str, grid=dict, budget=int, seed=int, ceiling=int)
+        for name, kind in kinds.items():
+            value = getattr(job, name)
+            if not isinstance(value, kind) or isinstance(value, bool):
+                raise ValueError(f"job field {name!r} must be a {kind.__name__}, not {value!r}")
+        if not all(isinstance(v, list) for v in job.grid.values()):
+            raise ValueError(f"job field 'grid' must map names to lists, not {job.grid!r}")
+        return job
 
 
 @dataclass
@@ -503,7 +513,7 @@ def _run_ls_exhaustive(job: SearchJob, workers: int) -> SearchReport:
 # ---------------------------------------------------------------------------
 
 
-_CW_STEPS = 2  # (A + I) power steps before the Collatz-Wielandt prefilter
+_CW_STEPS = 4  # (A + I) power steps before the Collatz-Wielandt bound
 
 
 def _scan_chunk_stats(n: int, masks: np.ndarray):
@@ -538,23 +548,24 @@ def _adjacency_batch(n: int, masks: np.ndarray) -> np.ndarray:
 
 def _cw_upper(n: int, masks: np.ndarray, deg: np.ndarray) -> np.ndarray:
     """Collatz-Wielandt bounds u = max_i (Ax)_i / x_i >= lambda of these
-    masks' graphs, at the positive vector x = (A + I)^_CW_STEPS (deg + 1).
+    masks' graphs, at the positive vector x = (A + I)^_CW_STEPS (deg + 1);
+    0 with no vertex.
 
-    The prefilter that reads u in float64 is exact up to two roundings. x
-    and Ax are formed in int32 straight from the mask bits, one slot's bit
-    vector at a time; x <= n^(_CW_STEPS + 1) and Ax < n^(_CW_STEPS + 2),
-    at most 11^4 since masks stay below 2^62, so every product and sum is
-    exact. Only the division (Ax)_i / x_i rounds, in float64, and then the
-    gap at u (u * u - u - (m - 1) or u * u - m), each step by a relative
-    error of at most 2^-52. A mask is dropped only when that gap is below
-    -1/2, with m < n^2 / 2, so u < n there, and for n <= 11 the roundings
-    move it by less than 1e-12, far below the margin of 1/2 by which a
-    dropped mask misses the band. The eigvalsh band itself has no such
-    bound yet."""
+    x and Ax are formed in int32 straight from the mask bits, one slot's
+    bit vector at a time; x <= n^(_CW_STEPS + 1) and Ax < n^(_CW_STEPS +
+    2), at most 11^6 < 2^31 since masks stay below 2^62, so every product
+    and sum is exact. Only the division (Ax)_i / x_i rounds, in float64,
+    and then a gap at u (BOOK's u * u - u - (m - 1), NOSAL's u * u - m),
+    each step by a relative error of at most 2^-52. Where that gap is below
+    -_FLOAT_BAND, u * u < m + u with m < n^2 / 2, so u < n, and for n <= 11
+    the roundings move the gap by less than 1e-12, far below the band: the
+    exact gap at u is negative there."""
+    ends = edge_slots(n)
+    bits = ((masks >> np.arange(len(ends))[:, None]) & 1).astype(np.int32)  # row s: slot s
+
     def times_a(x: np.ndarray) -> np.ndarray:  # row v of x holds vertex v of every mask
         y = np.zeros_like(x)
-        for s, (i, j) in enumerate(edge_slots(n)):
-            bit = ((masks >> s) & 1).astype(np.int32)
+        for bit, (i, j) in zip(bits, ends):
             y[i] += bit * x[j]
             y[j] += bit * x[i]
         return y
@@ -562,7 +573,7 @@ def _cw_upper(n: int, masks: np.ndarray, deg: np.ndarray) -> np.ndarray:
     x = deg.T.astype(np.int32) + 1
     for _ in range(_CW_STEPS):
         x = times_a(x) + x
-    return (times_a(x) / x).max(0)
+    return (times_a(x) / x).max(0, initial=0.0)
 
 
 def _graph_from_mask(n: int, mask: int) -> Graph:
@@ -586,8 +597,12 @@ class _ScanTarget:
     deg)` is exact; `counterexample` and `equality` map (g, m, t) to report
     fields besides the graph6. `equality` must be an isomorphism invariant:
     it runs once per flagged representative, `counterexample` once per
-    image. `least` tracks the least strict margin -gap, with no CW
-    prefilter (`_evaluate`)."""
+    image. A `least` row tracks the least strict margin -gap and reads the
+    gap at eigvalsh's lambda. Any other row is flagged from the
+    Collatz-Wielandt bound u >= lambda alone (`_evaluate`), so its claim
+    must hold at s = -1 (neither violated nor tight) and its gap must be
+    nondecreasing in lambda on the lambda >= 1 that graphs with an edge
+    have."""
 
     hypothesis: Callable
     violated: Callable
@@ -642,11 +657,14 @@ _SCAN_TARGETS = {
 EXHAUSTIVE_TARGETS = ("LS", *_SCAN_TARGETS)
 
 
-def _may_break(row: _ScanTarget, m: np.ndarray, t: np.ndarray, gap: np.ndarray) -> np.ndarray:
-    """Where the claim may break at a sign the gap allows; 0 allows every sign."""
+def _may_break(row: _ScanTarget, m: np.ndarray, t: np.ndarray, lo, hi) -> np.ndarray:
+    """Where the claim may break at a sign allowed by the bounds lo <= gap
+    <= hi: a sign s is allowed when its float region, gap <= 0 for s = -1,
+    0 for s = 0 and gap >= 0 for s = 1, widened by _FLOAT_BAND, meets [lo,
+    hi]. (0, 0) allows every sign."""
     out = np.zeros(len(m), dtype=bool)
     for s in (-1, 0, 1):
-        allowed = np.abs(gap) <= _FLOAT_BAND if s == 0 else s * gap >= -_FLOAT_BAND
+        allowed = (s > 0 or lo <= _FLOAT_BAND) & (s < 0 or hi >= -_FLOAT_BAND)
         out |= allowed & (row.violated(s, m, t) | row.tight(s, m, t))
     return out
 
@@ -657,27 +675,27 @@ def _evaluate(n: int, target: str, masks: np.ndarray, weight: np.ndarray | int =
     t), and for a `least` row the unflagged (margin, mask) within _NEAR_BEST
     of the least (`near`).
 
-    Only masks that meet the hypothesis and may break the claim are
-    eigensolved. Unless the row tracks its least margin, a mask whose
-    Collatz-Wielandt bound u >= lambda puts the gap below -1/2 (see
-    `_cw_upper`) is dropped first. For a gap nondecreasing in lambda
-    (BOOK's once m >= 1, NOSAL's) and a claim that holds where s < 0, the
-    true gap is below -1/2 too, which eigvalsh, accurate to about 1e-13
-    here, could not read inside the band: the flagged masks are those an
-    eigensolve of every mask gives."""
+    Only masks that meet the hypothesis and may break the claim at some
+    sign are read further. A `least` row (BN) bounds the gap on both sides
+    by its value at eigvalsh's lambda. Any other row bounds it above by the
+    gap at the Collatz-Wielandt bound u >= lambda (`_cw_upper`), since its
+    gap is nondecreasing in lambda and its claim holds where s < 0
+    (`_ScanTarget`): a mask left unflagged has a float gap at u below
+    -_FLOAT_BAND, so s = -1, and no eigenvalue of the row is trusted."""
     row = _SCAN_TARGETS[target]
     m, t, deg = _scan_chunk_stats(n, masks)
     keep = row.hypothesis(m, t, deg)
-    live = np.flatnonzero(keep & _may_break(row, m, t, np.zeros(1)))
-    if len(live) and not row.least:
-        live = live[row.gap(_cw_upper(n, masks[live], deg[live]), m[live], t[live]) >= -0.5]
-    A = _adjacency_batch(n, masks[live])
-    # no eigensolve on an empty batch, which n = 0 always gives
-    lam = np.linalg.eigvalsh(A.astype(np.float64))[:, -1] if len(live) else np.zeros(0)
+    live = np.flatnonzero(keep & _may_break(row, m, t, 0.0, 0.0))
     masks, m, t = masks[live], m[live], t[live]
-    gap = row.gap(lam, m, t)
-    flag = _may_break(row, m, t, gap)
-    margin, ok = -gap[~flag], masks[~flag]
+    if row.least:
+        A = _adjacency_batch(n, masks)
+        # no eigensolve on an empty batch, which n = 0 always gives
+        lam = np.linalg.eigvalsh(A.astype(np.float64))[:, -1] if len(live) else np.zeros(0)
+        lo = hi = row.gap(lam, m, t)
+    else:
+        lo, hi = -np.inf, row.gap(_cw_upper(n, masks, deg[live]), m, t)
+    flag = _may_break(row, m, t, lo, hi)
+    margin, ok = -hi[~flag], masks[~flag]
     close = margin <= margin.min(initial=np.inf) + _NEAR_BEST
     return {"examined": int(np.sum(keep * weight)),
             "flagged": list(zip(*(a[flag].tolist() for a in (masks, m, t)))),
@@ -735,23 +753,16 @@ def _block_labels(r: int, k: int) -> np.ndarray:
 
 
 def _full_scan_piece(args: tuple) -> dict:
-    """`_evaluate` on block k, the masks low | N_k << C(n-1, 2): on one
-    least low graph per orbit (`_block_labels`), in chunks of at most
-    2^_SCAN_CHUNK_BITS, each weighted by its orbit's size times C(n-1, k).
-    Each flagged (mask, m, t) and near (margin, mask) representative ends
-    with the sorted masks of its orbit."""
+    """`_evaluate` on block k, the masks low | N_k << C(n-1, 2), in one
+    call: on one least low graph per orbit (`_block_labels`), each weighted
+    by its orbit's size times C(n-1, k). Each flagged (mask, m, t) and near
+    (margin, mask) representative ends with the sorted masks of its orbit."""
     n, target, k = args
     r = max(n - 1, 0)
     high = ((1 << k) - 1) << r * (r - 1) // 2
     lab = _block_labels(r, k)
     low = np.flatnonzero(lab == np.arange(len(lab), dtype=lab.dtype))
-    weight = np.bincount(lab)[low] * comb(r, k)
-    out: dict = {"examined": 0, "flagged": [], "near": []}
-    for lo in range(0, len(low), 1 << _SCAN_CHUNK_BITS):
-        part = slice(lo, lo + (1 << _SCAN_CHUNK_BITS))
-        res = _evaluate(n, target, low[part] | high, weight[part])
-        for key, value in res.items():
-            out[key] += value
+    out = _evaluate(n, target, low | high, np.bincount(lab)[low] * comb(r, k))
 
     def orbit(rep: int) -> tuple:
         return tuple((np.flatnonzero(lab == rep ^ high) | high).tolist())
@@ -801,19 +812,22 @@ def _orbit_scan(n: int, target: str, workers: int) -> tuple:
     for, whose images `_orbit_images` gives, and for a row that tracks it
     the least (margin, mask) over the unflagged masks, or None.
 
-    Whether a mask is flagged rests on its float gap, which differs between
-    isomorphic copies in the last bits, so a representative's flag need not
-    be every member's. What the report keeps of the flagged masks is the
-    exactly violated or tight ones, and the exact sign is an isomorphism
-    invariant: such a mask has its true gap on the claim's wrong side or at
-    0, so its float gap lies within the band in every copy, the CW
-    prefilter keeps it, and every violated or tight image is an image of a
-    violated or tight representative. Likewise, every representative within
-    _NEAR_BEST of the least margin has all its orbit's images evaluated
-    again: the least unflagged mask of the labelled scan has a margin
-    within the spread (far below _NEAR_BEST) of its representative's, so
-    its orbit is among them, and the least (margin, mask) of the images is
-    the one the labelled scan of every mask would choose."""
+    BOOK and NOSAL flag a mask from its Collatz-Wielandt bound u, which is
+    bit-identical on isomorphic copies: they permute the same integer pairs
+    ((Ax)_i, x_i). So a representative's flag is every member's. BN flags
+    from its eigvalsh gap, which differs between isomorphic copies in the
+    last bits, so a representative's flag need not be every member's. What
+    the report keeps of BN's flagged masks is the exactly violated or tight
+    ones, and the exact sign is an isomorphism invariant: such a mask has
+    its true gap on the claim's wrong side or at 0, so its float gap lies
+    within the band in every copy, and every violated or tight image is an
+    image of a violated or tight representative. Likewise, every
+    representative within _NEAR_BEST of the least margin has all its
+    orbit's images evaluated again: the least unflagged mask of the
+    labelled scan has a margin within the spread (far below _NEAR_BEST) of
+    its representative's, so its orbit is among them, and the least
+    (margin, mask) of the images is the one the labelled scan of every mask
+    would choose."""
     pieces = [(n, target, k) for k in range(max(n - 1, 0) + 1)]
     examined = 0
     flagged: list[tuple] = []

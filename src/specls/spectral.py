@@ -78,13 +78,6 @@ class SpectralCertificate:
         }
 
 
-def rayleigh_lower_bound(g: Graph) -> Fraction:
-    """2m/n, exactly; a certified lower bound on the spectral radius."""
-    if g.n < 1:
-        raise ValueError("needs at least one vertex")
-    return Fraction(2 * g.m, g.n)
-
-
 def _iterate_component(
     A: np.ndarray, tols: Sequence[float]
 ) -> Iterator[tuple[float, float, np.ndarray, bool, int, float]]:

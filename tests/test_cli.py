@@ -166,6 +166,26 @@ def test_search_job_file(capsys, tmp_path):
     assert code == 0
 
 
+@pytest.mark.parametrize("field, value", [
+    ("target", 5), ("mode", ["exhaustive"]), ("grid", {"n": 5}), ("grid", [5]),
+    ("budget", "10"), ("seed", 1.5), ("ceiling", "x"),
+])
+def test_search_job_file_with_a_malformed_field_is_a_usage_error(capsys, tmp_path, field, value):
+    # exit 2, not a traceback and exit 1, which reads as a counterexample
+    job = {"target": "BOOK", "mode": "exhaustive", "grid": {"n": [5]}, field: value}
+    p = tmp_path / "job.json"
+    p.write_text(json.dumps(job))
+    code, out, err = run(capsys, "search", "--job", str(p), "--json")
+    assert code == 2 and out == "" and err.startswith("error: job ") and repr(field) in err
+
+
+def test_search_job_file_that_is_not_an_object_is_a_usage_error(capsys, tmp_path):
+    p = tmp_path / "job.json"
+    p.write_text("[1, 2]")
+    code, _, err = run(capsys, "search", "--job", str(p))
+    assert code == 2 and "JSON object" in err
+
+
 @pytest.mark.parametrize("flags", [[], ["--seed", "7"]])
 def test_search_job_file_seed_is_the_provenance_seed(capsys, tmp_path, flags):
     p = tmp_path / "job.json"

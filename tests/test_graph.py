@@ -19,7 +19,6 @@ from specls.graph import (
     complete_graph,
     components,
     cut_stats,
-    delete_vertex,
     empty_graph,
     from_matrix,
     from_rows,
@@ -97,15 +96,6 @@ def test_complement_involution():
         g = random_graph(rng, rng.randrange(0, 17))
         assert complement(complement(g)) == g
     assert complement(empty_graph(4)) == complete_graph(4)
-
-
-def test_delete_vertex_edge_count():
-    rng = random.Random(3)
-    for _ in range(200):
-        g = random_graph(rng, rng.randrange(1, 12))
-        v = rng.randrange(g.n)
-        assert delete_vertex(g, v).m == g.m - g.degree(v)
-    assert delete_vertex(complete_graph(4), 0) == complete_graph(3)
 
 
 def test_induced_path_from_cycle():

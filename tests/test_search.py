@@ -207,10 +207,10 @@ def test_popcount_table():
     assert got.tolist() == [v.bit_count() for v in small]
 
 
-def _unpruned_scan(n: int, target: str) -> tuple[list, tuple]:
-    """The BOOK/NOSAL/BN float tests with an eigensolve of every mask: the
-    flagged (mask, m, t), and BN's least (margin, mask) of the unflagged
-    masks without isolated vertices."""
+def _unpruned_scan(n: int, target: str, band: float = 1e-6) -> tuple[list, tuple]:
+    """The BOOK/NOSAL/BN float tests with an eigensolve of every mask, at
+    this float band: the flagged (mask, m, t), and BN's least (margin,
+    mask) of the unflagged masks without isolated vertices."""
     slots = edge_slots(n)
     masks = np.arange(1 << len(slots))
     A = np.zeros((len(masks), n, n))
@@ -222,14 +222,14 @@ def _unpruned_scan(n: int, target: str) -> tuple[list, tuple]:
     least = None
     if target == "BOOK":
         gap = lam * lam - lam - (m - 1)
-        suspects = (m >= 1) & (gap >= -1e-6) & (2 * t < m - 1)
-        flagged = suspects | (m >= 1) & (np.abs(gap) <= 1e-6) & (2 * t == m - 1)
+        suspects = (m >= 1) & (gap >= -band) & (2 * t < m - 1)
+        flagged = suspects | (m >= 1) & (np.abs(gap) <= band) & (2 * t == m - 1)
     elif target == "NOSAL":
-        flagged = (t == 0) & (lam * lam >= m - 1e-6) & (m > 0)
+        flagged = (t == 0) & (lam * lam >= m - band) & (m > 0)
     else:
         keep = (A.sum(1) > 0).all(1) & (m > 0)
         margin = t - lam * (lam * lam - m) / 3
-        flagged = keep & (margin <= 1e-6)
+        flagged = keep & (margin <= band)
         ok = keep & ~flagged
         least = min(zip(margin[ok].tolist(), masks[ok].tolist()), default=None)
     return list(zip(*(a[flagged].astype(int).tolist() for a in (masks, m, t)))), least
@@ -241,21 +241,31 @@ def _scan_all_chunks(n: int, target: str) -> dict:
 
 @pytest.mark.parametrize("target", ["BOOK", "NOSAL", "BN"])
 @pytest.mark.parametrize("n", range(1, 7))
-def test_cw_prefilter_keeps_every_flagged_mask(n, target):
-    # BN runs no prefilter, but eigensolves only the masks that meet its
-    # hypothesis; its least unflagged margin is read off those
+def test_cw_prefilter_keeps_every_flagged_mask(monkeypatch, n, target):
+    # BOOK and NOSAL flag from the CW bound alone, and flag what an
+    # eigensolve of every mask flags; BN eigensolves only the masks that
+    # meet its hypothesis, and its least unflagged margin is read off those
     got = _scan_all_chunks(n, target)
     flagged, least = _unpruned_scan(n, target)
     assert got["flagged"] == flagged
     assert min(got["near"], default=None) == least
     assert bool(flagged) == (n >= 2)  # K_2 is tight for each target
     assert (least is None) == (target != "BN" or n < 3)
+    if target != "BN":
+        # the gap at u >= lambda is above the gap at lambda, so the CW flags
+        # hold the eigensolve's at any band; a drop of the masks whose gap
+        # at u is below -1/2 keeps 330 of the 539 BOOK masks at n = 5
+        monkeypatch.setattr(search, "_FLOAT_BAND", 1.0)
+        wide = set(_unpruned_scan(n, target, band=1.0)[0])
+        assert wide <= set(_scan_all_chunks(n, target)["flagged"])
 
 
 @pytest.mark.parametrize("k", range(1, 6))
 def test_cw_prefilter_never_drops_a_book(k):
     # B_k = K_2 joined to k independent vertices: 2t = m - 1 and
-    # lambda^2 - lambda = m - 1 exactly, so every placement is an equality
+    # lambda^2 - lambda = m - 1 exactly, so every placement is an equality;
+    # each is read among the masks of its aligned range of 2^10
+    chunk_bits = 10
     rng = random.Random(k)
     for n in range(k + 2, 8):
         index = {e: s for s, e in enumerate(edge_slots(n))}
@@ -263,10 +273,23 @@ def test_cw_prefilter_never_drops_a_book(k):
             a, b, *pages = rng.sample(range(n), k + 2)
             edges = [(a, b)] + [(a, p) for p in pages] + [(b, p) for p in pages]
             mask = sum(1 << index[min(e), max(e)] for e in edges)
-            chunk = mask >> search._SCAN_CHUNK_BITS << search._SCAN_CHUNK_BITS
-            size = min(1 << search._SCAN_CHUNK_BITS, (1 << len(index)) - chunk)
+            chunk = mask >> chunk_bits << chunk_bits
+            size = min(1 << chunk_bits, (1 << len(index)) - chunk)
             got = search._evaluate(n, "BOOK", np.arange(chunk, chunk + size, dtype=np.int64))
             assert (mask, 2 * k + 1, k) in got["flagged"]
+
+
+def test_cw_flagged_rows_hold_below_zero_and_gain_with_lambda():
+    # `_evaluate` flags a row without `least` from the CW bound u >= lambda
+    # alone, which is sound when its claim holds at s = -1 and its gap is
+    # nondecreasing in lambda, on every m, t that n <= 11 vertices have
+    lam = np.linspace(1.0, 11.0, 1001)[:, None]
+    m, t = (a.ravel() for a in np.meshgrid(np.arange(comb(11, 2) + 1), np.arange(comb(11, 3) + 1)))
+    rows = {name: row for name, row in search._SCAN_TARGETS.items() if not row.least}
+    assert set(rows) == {"BOOK", "NOSAL"}
+    for name, row in rows.items():
+        assert not np.any(row.violated(-1, m, t) | row.tight(-1, m, t)), name
+        assert (np.diff(row.gap(lam, m, t), axis=0) >= 0).all(), name
 
 
 def _einsum_cw_upper(A: np.ndarray, deg: np.ndarray) -> np.ndarray:
@@ -306,10 +329,10 @@ def test_graph6_of_masks_equals_emit_graph6(n):
 
 
 def _labelled_scan(n: int, target: str) -> tuple:
-    """The scan kernel over every labelled mask, chunk by chunk: the examined
-    count, the flagged (mask, m, t), and BN's least (margin, mask), the
-    first least margin of each chunk compared as tuples."""
-    total, chunk = 1 << n * (n - 1) // 2, 1 << search._SCAN_CHUNK_BITS
+    """The scan kernel over every labelled mask, in chunks of 2^15: the
+    examined count, the flagged (mask, m, t), and BN's least (margin, mask),
+    the first least margin of each chunk compared as tuples."""
+    total, chunk = 1 << n * (n - 1) // 2, 1 << 15
     parts = [search._evaluate(n, target, np.arange(base, min(base + chunk, total), dtype=np.int64))
              for base in range(0, total, chunk)]
     near = [c for p in parts for c in p["near"]]
@@ -405,7 +428,7 @@ def test_book_scan_at_n_7_evaluates_one_block_per_neighbourhood_size(monkeypatch
 
 def test_full_scans_decide_each_flagged_orbit_once(monkeypatch):
     # the exact stage reads one graph per flagged representative, and the
-    # kernel builds adjacency matrices only for the CW survivors
+    # kernel flags BOOK and NOSAL from the CW bound with no adjacency matrix
     batches, built, rows = [], [], []
     signs, from_mask = search.signs_at_lambda, search._graph_from_mask
     adjacency = search._adjacency_batch
@@ -416,12 +439,12 @@ def test_full_scans_decide_each_flagged_orbit_once(monkeypatch):
     monkeypatch.setattr(search, "_adjacency_batch",
                         lambda n, masks: rows.append(len(masks)) or adjacency(n, masks))
     rep = run_exhaustive(SearchJob("BOOK", "exhaustive", {"n": [7]}), workers=1)
-    assert (batches, len(built), sum(rows)) == ([15], 15, 115)
+    assert (batches, len(built), sum(rows)) == ([15], 15, 0)
     assert len(rep.detail["equality_set"]) == 602
     batches.clear()
     rows.clear()
     run_exhaustive(SearchJob("NOSAL", "exhaustive", {"n": [7]}), workers=1)
-    assert (batches, sum(rows)) == ([30], 89)
+    assert (batches, sum(rows)) == ([30], 0)
 
 
 @pytest.mark.parametrize("target", ["BN", "BOOK"])
@@ -480,7 +503,8 @@ def test_forced_sign_scan_reports_match_golden_digests(monkeypatch, sign):
     # every claim holds at n <= 7, so no true sign reaches the counterexample
     # entries: one forced sign for every flagged graph reaches each entry.
     # BOOK flags no graph with 2t < m - 1 at n <= 7, so its counterexample
-    # entries are reached only with the float band widened to 1.
+    # entries are reached only with the float band widened to 1, where its
+    # gap at the CW bound flags 470 such labelled masks at n = 5.
     golden = json.loads((Path(__file__).parent / "golden" / "scan_digests.json").read_text())
     monkeypatch.setattr(search, "signs_at_lambda", lambda graphs, qs: [sign] * len(graphs))
 

@@ -21,7 +21,6 @@ from specls.spectral import (
     compare_lambda,
     exact_lambda_sq,
     perron_enclosure,
-    rayleigh_lower_bound,
 )
 from specls.theorems import rotation_increases_lambda
 
@@ -223,14 +222,6 @@ def test_compare_seed_invariance():
     g, h = y_n2q(14, 2).graph, t_n2q(14, 2).graph
     assert compare_lambda(g, h) is Ordering.LESS
     assert perron_enclosure(g, 1e-9).lambda_hi < perron_enclosure(h, 1e-9).lambda_lo
-
-
-def test_rayleigh_lower_bound():
-    assert rayleigh_lower_bound(complete_graph(4)) == 3
-    c5 = build_graph(5, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 0)])
-    assert rayleigh_lower_bound(c5) == 2
-    g = y_n2q(10, 2).graph
-    assert rayleigh_lower_bound(g) == Fraction(2 * (25 + 2), 10)
 
 
 def test_exact_lambda_routes():
