@@ -35,9 +35,10 @@ call (a Faddeev-LeVerrier run per n and a Sturm sign per distinct
 characteristic polynomial) decides the flagged representatives, so
 reported counterexamples and equality sets are certified, not
 floating-point guesses. Only the violated and tight ones are expanded, to
-their orbits and then to every relabelled block. Shard, block and chunk
-boundaries depend on n alone, so reports are byte-identical for any worker
-count.
+their orbits and then to every relabelled block. Full scans run in the
+calling process; only the LS walk and `enumerate` spread their shards over
+worker processes, and shard and chunk boundaries depend on n alone, so
+reports are byte-identical for any worker count.
 """
 
 from __future__ import annotations
@@ -100,8 +101,12 @@ class SearchJob:
             value = getattr(job, name)
             if not isinstance(value, kind) or isinstance(value, bool):
                 raise ValueError(f"job field {name!r} must be a {kind.__name__}, not {value!r}")
-        if not all(isinstance(v, list) for v in job.grid.values()):
-            raise ValueError(f"job field 'grid' must map names to lists, not {job.grid!r}")
+        for key, values in job.grid.items():
+            kinds = (str, int) if key == "gamma" else (int,)  # gamma is read as a Fraction
+            if not isinstance(values, list) or not values or any(
+                    isinstance(v, bool) or not isinstance(v, kinds) for v in values):
+                raise ValueError(f"job field 'grid' must map {key!r} to a non-empty list of "
+                                 f"{' or '.join(k.__name__ for k in kinds)}, not {values!r}")
         return job
 
 
@@ -419,7 +424,7 @@ def _pool_map(fn: Callable, items: list, workers: int) -> list:
     if workers <= 1 or len(items) <= 1:
         return [fn(it) for it in items]
     ctx = multiprocessing.get_context("fork")
-    with ctx.Pool(workers) as pool:
+    with ctx.Pool(min(workers, len(items))) as pool:
         return pool.map(fn, items)
 
 
@@ -542,7 +547,7 @@ def _adjacency_batch(n: int, masks: np.ndarray) -> np.ndarray:
     entry[i, j] = entry[j, i] = np.arange(ns)
     shifts = np.append(np.arange(ns), 62)  # masks stay below 2^62
     bits = ((masks[:, None] >> shifts) & 1).astype(np.uint8)
-    # a gather, not a matmul: BLAS would add its buffers to each worker's memory
+    # a gather, not a matmul: BLAS would add its buffers to the scan's memory
     return np.take(bits, entry, axis=1)
 
 
@@ -752,26 +757,6 @@ def _block_labels(r: int, k: int) -> np.ndarray:
     return lab
 
 
-def _full_scan_piece(args: tuple) -> dict:
-    """`_evaluate` on block k, the masks low | N_k << C(n-1, 2), in one
-    call: on one least low graph per orbit (`_block_labels`), each weighted
-    by its orbit's size times C(n-1, k). Each flagged (mask, m, t) and near
-    (margin, mask) representative ends with the sorted masks of its orbit."""
-    n, target, k = args
-    r = max(n - 1, 0)
-    high = ((1 << k) - 1) << r * (r - 1) // 2
-    lab = _block_labels(r, k)
-    low = np.flatnonzero(lab == np.arange(len(lab), dtype=lab.dtype))
-    out = _evaluate(n, target, low | high, np.bincount(lab)[low] * comb(r, k))
-
-    def orbit(rep: int) -> tuple:
-        return tuple((np.flatnonzero(lab == rep ^ high) | high).tolist())
-
-    out["flagged"] = [(*f, orbit(f[0])) for f in out["flagged"]]
-    out["near"] = [(*f, orbit(f[1])) for f in out["near"]]
-    return out
-
-
 def _orbit_images(n: int, reps: list[tuple]) -> list[tuple]:
     """Every image of these representatives (mask, *invariants) under the
     relabellings of vertices 0..n-2, with the invariants. A mask low | N_k
@@ -791,9 +776,10 @@ def _orbit_images(n: int, reps: list[tuple]) -> list[tuple]:
     return out
 
 
-def _orbit_scan(n: int, target: str, workers: int) -> tuple:
+def _orbit_scan(n: int, target: str) -> tuple:
     """The scan of all 2^C(n,2) masks of n vertices, evaluated on one mask
-    per orbit of the relabellings of vertices 0..n-2 (`_full_scan_piece`).
+    per orbit of the relabellings of vertices 0..n-2, one `_evaluate` call
+    per block.
 
     A mask is low | N << C(n-1, 2): low is a graph on vertices 0..n-2 and N
     the neighbourhood of vertex n-1, since the slots from C(n-1, 2) on are
@@ -805,7 +791,9 @@ def _orbit_scan(n: int, target: str, workers: int) -> tuple:
     only the low graphs equal to their label are read: `_block_labels`
     labels each one by its orbit's least member, so there is one per orbit.
     A representative's examined count is taken once per orbit member and
-    per k-set, its orbit's size times C(n-1, k) times.
+    per k-set, its orbit's size times C(n-1, k) times. Blocks 0 and n-1
+    share one labelling: their stabilisers, S_{n-1}, are generated by every
+    (i, i + 1) of 0..n-2.
 
     Returns the examined count, the sorted flagged representatives (mask,
     m, t, orbit), the orbit being the masks of its block that it stands
@@ -828,14 +816,23 @@ def _orbit_scan(n: int, target: str, workers: int) -> tuple:
     its representative's, so its orbit is among them, and the least
     (margin, mask) of the images is the one the labelled scan of every mask
     would choose."""
-    pieces = [(n, target, k) for k in range(max(n - 1, 0) + 1)]
+    r = max(n - 1, 0)
+    whole = _block_labels(r, 0)
     examined = 0
     flagged: list[tuple] = []
     near: list[tuple] = []
-    for res in _pool_map(_full_scan_piece, pieces, workers):
+    for k in range(r + 1):
+        lab = whole if k in (0, r) else _block_labels(r, k)
+        high = ((1 << k) - 1) << r * (r - 1) // 2
+        low = np.flatnonzero(lab == np.arange(len(lab), dtype=lab.dtype))
+        res = _evaluate(n, target, low | high, np.bincount(lab)[low] * comb(r, k))
+
+        def orbit(rep: int) -> tuple:  # the sorted masks of rep's orbit in block k
+            return tuple((np.flatnonzero(lab == rep ^ high) | high).tolist())
+
         examined += res["examined"]
-        flagged.extend(res["flagged"])
-        near.extend(res["near"])
+        flagged += [(*f, orbit(f[0])) for f in res["flagged"]]
+        near += [(*f, orbit(f[1])) for f in res["near"]]
     best = None
     if near:
         cut = min(near)[0] + _NEAR_BEST
@@ -857,7 +854,7 @@ def core_is_book(g: Graph) -> bool:
     return sum(g.rows[v] | 1 << v == c for v in core) >= 2
 
 
-def _run_full_scan(job: SearchJob, workers: int) -> SearchReport:
+def _run_full_scan(job: SearchJob) -> SearchReport:
     report = SearchReport(job)
     row = _SCAN_TARGETS[job.target]
     reps, bests = [], []
@@ -867,7 +864,7 @@ def _run_full_scan(job: SearchJob, workers: int) -> SearchReport:
             raise ValueError(
                 f"n={n}: full scan would visit {total_masks} graphs > ceiling {job.ceiling}"
             )
-        examined, n_reps, n_best = _orbit_scan(n, job.target, workers)
+        examined, n_reps, n_best = _orbit_scan(n, job.target)
         report.graphs_examined += examined
         if n_best is not None:
             bests.append((n_best[0], n, n_best[1]))
@@ -899,8 +896,9 @@ def _run_full_scan(job: SearchJob, workers: int) -> SearchReport:
 
 
 def run_exhaustive(job: SearchJob, workers: int = 1) -> SearchReport:
+    """The exhaustive check of job's target; only the LS walk reads workers."""
     if job.target in _SCAN_TARGETS:
-        return _run_full_scan(job, workers)
+        return _run_full_scan(job)
     if job.target != "LS":
         raise ValueError(f"no exhaustive runner for target {job.target!r}")
     return _run_ls_exhaustive(job, workers)

@@ -169,6 +169,8 @@ def test_search_job_file(capsys, tmp_path):
 @pytest.mark.parametrize("field, value", [
     ("target", 5), ("mode", ["exhaustive"]), ("grid", {"n": 5}), ("grid", [5]),
     ("budget", "10"), ("seed", 1.5), ("ceiling", "x"),
+    ("grid", {"n": ["5"]}), ("grid", {"n": []}), ("grid", {"n": [5], "gamma": [[1]]}),
+    ("grid", {"n": [True]}),
 ])
 def test_search_job_file_with_a_malformed_field_is_a_usage_error(capsys, tmp_path, field, value):
     # exit 2, not a traceback and exit 1, which reads as a counterexample

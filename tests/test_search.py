@@ -9,6 +9,7 @@ from fractions import Fraction
 from itertools import combinations, permutations
 from math import comb
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -98,6 +99,32 @@ def test_every_star_representative_has_the_margin_of_its_complement(monkeypatch)
     _dense_dfs(n, 0, qmax, 1, 10**6)
     assert len(seen) == (1 << nl) * n  # 2^10 nodes, each with k = 0..5
     assert all(got == want for got, want in seen)
+
+
+def test_walk_pool_starts_at_most_one_process_per_shard(monkeypatch):
+    # n = 6 has 32 shards: 64 workers start 32 processes, and 2 start 2.
+    # The fake context records the process count and maps in this process.
+    started = []
+
+    class Pool:
+        def __init__(self, processes):
+            started.append(processes)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return [fn(it) for it in items]
+
+    monkeypatch.setattr(search.multiprocessing, "get_context",
+                        lambda method: SimpleNamespace(Pool=Pool))
+    expected = enumerate_dense(6, 0, workers=1)
+    assert started == []
+    assert enumerate_dense(6, 0, workers=64) == enumerate_dense(6, 0, workers=2) == expected
+    assert started == [32, 2]
 
 
 def test_enumerate_ceiling():
@@ -350,7 +377,7 @@ def test_orbit_scan_equals_the_labelled_scan(n, target):
     # each flagged representative is the least mask of its orbit in its
     # block; the orbit, then `_orbit_images`, give every labelled image
     expected = _labelled_scan(n, target)
-    examined, reps, best = search._orbit_scan(n, target, 1)
+    examined, reps, best = search._orbit_scan(n, target)
     assert all(mask == orbit[0] == min(orbit) for mask, m, t, orbit in reps)
     images = search._orbit_images(n, [(x, m, t) for mask, m, t, orbit in reps for x in orbit])
     assert (examined, sorted(images), best) == expected
@@ -461,13 +488,32 @@ def test_equality_fields_hold_on_each_image(target):
 
 
 @pytest.mark.parametrize("target", ["BOOK", "NOSAL", "BN"])
-def test_full_scan_reports_are_byte_identical_for_any_worker_count(target):
+def test_full_scans_start_no_process(monkeypatch, target):
+    # a full scan runs in the calling process whatever the worker count, so
+    # its bytes at 4 workers are those at 1
+    def no_pool(method):
+        raise AssertionError(f"a full scan asked for a {method!r} context")
+
+    monkeypatch.setattr(search.multiprocessing, "get_context", no_pool)
     jobs = [SearchJob(target, "exhaustive", {"n": list(range(7))})]
     if target == "BOOK":
         jobs.append(SearchJob(target, "exhaustive", {"n": [7]}))
     for job in jobs:
-        outs = {run_exhaustive(job, workers=w).to_json() for w in (1, 2, 4)}
-        assert len(outs) == 1
+        assert run_exhaustive(job, workers=4).to_json() == run_exhaustive(job, workers=1).to_json()
+
+
+def test_blocks_0_and_n_minus_1_share_one_labelling(monkeypatch):
+    # both stabilisers are S_r, generated by every (i, i + 1) of 0..r-1, so
+    # a scan labels max(n - 1, 1) blocks, not n
+    for r in range(7):
+        assert np.array_equal(search._block_labels(r, 0), search._block_labels(r, r))
+    calls = []
+    labels = search._block_labels
+    monkeypatch.setattr(search, "_block_labels", lambda r, k: calls.append(k) or labels(r, k))
+    for n in range(8):
+        calls.clear()
+        run_exhaustive(SearchJob("BOOK", "exhaustive", {"n": [n]}))
+        assert len(calls) == max(n - 1, 1), n
 
 
 def test_ls_exhaustive_counts_and_determinism():
