@@ -1,6 +1,6 @@
 """Exact-rational polynomial root isolation and family spectral polynomials.
 
-Polynomials are dense coefficient lists, low degree first, over Fraction.
+Polynomials are dense coefficient lists, low degree first, read as Fractions.
 One engine finds every exact root in two steps. `_isolate` takes the
 square-free part s = p / gcd(p, p') and runs Sturm bisection on s's chain
 until a bracket holds a single distinct root; the chain of a square-free
@@ -43,7 +43,7 @@ def _poly_trim(p: Poly) -> Poly:
 
 def _poly_divmod(a: Poly, b: Poly) -> tuple[Poly, Poly]:
     """Quotient and remainder of a / b over the rationals (b nonzero)."""
-    a, b = _poly_trim(list(a)), _poly_trim(list(b))
+    a, b = _poly_trim([Fraction(c) for c in a]), _poly_trim([Fraction(c) for c in b])
     db = len(b) - 1
     quot = [Fraction(0)] * max(len(a) - db, 0)
     for i in reversed(range(len(quot))):
@@ -55,7 +55,7 @@ def _poly_divmod(a: Poly, b: Poly) -> tuple[Poly, Poly]:
 
 def poly_gcd(a: Poly, b: Poly) -> Poly:
     """Monic greatest common divisor ([] when both are zero)."""
-    a, b = _poly_trim(list(a)), _poly_trim(list(b))
+    a, b = _poly_trim([Fraction(c) for c in a]), _poly_trim([Fraction(c) for c in b])
     while b:
         a, b = b, _poly_divmod(a, b)[1]
     return [c / a[-1] for c in a]
@@ -95,6 +95,7 @@ def _isolate(p: Poly, lo: Fraction, hi: Fraction) -> tuple[Poly, Fraction, Fract
     """The square-free part s of p and a bracket (lo, hi] around the largest
     root of p in (lo, hi] that holds no other root of s and has s(lo) != 0,
     by Sturm bisection on s's chain; each step evaluates the chain once."""
+    lo, hi = Fraction(lo), Fraction(hi)
     s = _square_free(p)
     chain = sturm_chain(s)
     vlo, vhi = _sign_variations(chain, lo), _sign_variations(chain, hi)
@@ -113,6 +114,7 @@ def _isolate(p: Poly, lo: Fraction, hi: Fraction) -> tuple[Poly, Fraction, Fract
 def bisect_root(p: Poly, lo: Fraction, hi: Fraction, tol: Fraction) -> tuple[Fraction, Fraction]:
     """Sign bisection of a bracket [lo, hi] where p changes sign once, to
     width <= tol; [r, r] when an end or a bisection point is the root r."""
+    lo, hi = Fraction(lo), Fraction(hi)
     flo, fhi = poly_eval(p, lo), poly_eval(p, hi)
     if flo == 0:
         return lo, lo

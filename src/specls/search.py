@@ -26,19 +26,19 @@ min-propagation over adjacent transpositions (`_block_labels`). These are
 the rooted graphs, 5,096 at n = 7, read as one numpy batch per block.
 Each target is one row of `_SCAN_TARGETS`: an exact hypothesis on the edge
 and triangle counts and degrees, which bit operations on the masks give,
-and a claim stated once on the sign of an integer polynomial at lambda.
-Masks whose float value of it lies within a band of breaking the claim are
-flagged: for BOOK and NOSAL the value at a Collatz-Wielandt bound u >=
-lambda read off the mask bits, which proves every other mask's claim, for
-BN the value at eigvalsh's lambda. One batched `roots.signs_at_lambda`
-call (a Faddeev-LeVerrier run per n and a Sturm sign per distinct
-characteristic polynomial) decides the flagged representatives, so
-reported counterexamples and equality sets are certified, not
-floating-point guesses. Only the violated and tight ones are expanded, to
-their orbits and then to every relabelled block. Full scans run in the
-calling process; only the LS walk and `enumerate` spread their shards over
-worker processes, and shard and chunk boundaries depend on n alone, so
-reports are byte-identical for any worker count.
+and a claim stated once on the sign of an integer polynomial at lambda,
+convex on lambda >= 0, that holds where the sign is -1. A mask is flagged
+unless that polynomial is negative at both ends of a Collatz-Wielandt
+bracket l <= lambda <= u, exact integer fractions read off the mask bits,
+which proves every other mask's claim with no eigenvalue. One batched
+`roots.signs_at_lambda` call (a Faddeev-LeVerrier run per n and a Sturm
+sign per distinct characteristic polynomial) decides the flagged
+representatives, so reported counterexamples and equality sets are
+certified, not floating-point guesses. Only the violated and tight ones
+are expanded, to their orbits and then to every relabelled block. Full
+scans run in the calling process; only the LS walk and `enumerate` spread
+their shards over worker processes, and shard and chunk boundaries depend
+on n alone, so reports are byte-identical for any worker count.
 """
 
 from __future__ import annotations
@@ -66,7 +66,6 @@ from .triangles import degree_triangle_floor, dense_triangle_count, triangle_cou
 from .triangles import triangle_workspace
 from .verdicts import jsonable_value
 
-_FLOAT_BAND = 1e-6
 _NEAR_BEST = 1e-9  # far above the spread of eigvalsh over isomorphic copies
 DEFAULT_CEILING = 200_000_000
 
@@ -437,6 +436,8 @@ def _dense_dfs(n: int, min_edges: int, qmax: Optional[int], workers: int,
     and of its margin, one per k-set N = N_F(n-1), so the labelled
     complements are counted, listed and compared as a walk of every one
     would. With qmax None only the counts are taken."""
+    if n < 0:
+        raise ValueError(f"n={n}: a graph has n >= 0 vertices")
     est = dense_enumeration_size(n, min_edges)
     if est > ceiling:
         raise ValueError(f"n={n}: enumeration would visit {est} graphs > ceiling {ceiling}")
@@ -518,7 +519,8 @@ def _run_ls_exhaustive(job: SearchJob, workers: int) -> SearchReport:
 # ---------------------------------------------------------------------------
 
 
-_CW_STEPS = 4  # (A + I) power steps before the Collatz-Wielandt bound
+_CW_STEPS = 4  # (A + I) power steps before the Collatz-Wielandt bracket
+_CW_MAX_N = 9  # the largest n whose bracket and signs are proved to fit in int64
 
 
 def _scan_chunk_stats(n: int, masks: np.ndarray):
@@ -551,20 +553,18 @@ def _adjacency_batch(n: int, masks: np.ndarray) -> np.ndarray:
     return np.take(bits, entry, axis=1)
 
 
-def _cw_upper(n: int, masks: np.ndarray, deg: np.ndarray) -> np.ndarray:
-    """Collatz-Wielandt bounds u = max_i (Ax)_i / x_i >= lambda of these
-    masks' graphs, at the positive vector x = (A + I)^_CW_STEPS (deg + 1);
-    0 with no vertex.
-
-    x and Ax are formed in int32 straight from the mask bits, one slot's
-    bit vector at a time; x <= n^(_CW_STEPS + 1) and Ax < n^(_CW_STEPS +
-    2), at most 11^6 < 2^31 since masks stay below 2^62, so every product
-    and sum is exact. Only the division (Ax)_i / x_i rounds, in float64,
-    and then a gap at u (BOOK's u * u - u - (m - 1), NOSAL's u * u - m),
-    each step by a relative error of at most 2^-52. Where that gap is below
-    -_FLOAT_BAND, u * u < m + u with m < n^2 / 2, so u < n, and for n <= 11
-    the roundings move the gap by less than 1e-12, far below the band: the
-    exact gap at u is negative there."""
+def _cw_bracket(n: int, masks: np.ndarray, deg: np.ndarray) -> tuple:
+    """Collatz-Wielandt bounds l = min_i (Ax)_i / x_i <= lambda <= u =
+    max_i (Ax)_i / x_i of these masks' graphs, at the positive vector x =
+    (A + I)^_CW_STEPS (deg + 1), as int64 fractions (p, q), q > 0; 0/1 with
+    no vertex. Isomorphic copies permute the pairs ((Ax)_i, x_i), so l and
+    u are orbit invariants. x and Ax are formed in int32 from the mask
+    bits, one slot's bit vector at a time. deg + 1 <= n and each step
+    multiplies by at most n, so q <= x <= n^5 < 2^16 and p <= Ax < n^6 <
+    2^20 for n <= _CW_MAX_N: the cross products that pick the ends stay
+    below 2^36."""
+    if n > _CW_MAX_N:
+        raise ValueError(f"n={n}: the integer bracket is proved exact only for n <= {_CW_MAX_N}")
     ends = edge_slots(n)
     bits = ((masks >> np.arange(len(ends))[:, None]) & 1).astype(np.int32)  # row s: slot s
 
@@ -578,7 +578,21 @@ def _cw_upper(n: int, masks: np.ndarray, deg: np.ndarray) -> np.ndarray:
     x = deg.T.astype(np.int32) + 1
     for _ in range(_CW_STEPS):
         x = times_a(x) + x
-    return (times_a(x) / x).max(0, initial=0.0)
+    (lp, lq) = (up, uq) = np.zeros(len(masks), np.int64), np.ones(len(masks), np.int64)
+    for v, (p, q) in enumerate(zip(times_a(x).astype(np.int64), x.astype(np.int64))):
+        below, above = (p * lq < lp * q) | (v == 0), p * uq > up * q  # vertex 0 starts l
+        lp, lq = np.where(below, p, lp), np.where(below, q, lq)
+        up, uq = np.where(above, p, up), np.where(above, q, uq)
+    return (lp, lq), (up, uq)
+
+
+def _scaled_poly(coeffs: list, p: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """q^d poly(p/q) = sum_k c_k p^k q^(d-k), of poly's sign at p/q, for
+    poly = sum_k c_k x^k of degree d. At a bracket end, the rows of
+    `_SCAN_TARGETS` keep every term and partial sum below 2^60 + 2^58 +
+    2^56 < 2^63 (BN's p^3, m p q^2 and 3t q^3, m < 2^6, 3t < 2^8)."""
+    d = len(coeffs) - 1
+    return sum(c * p**k * q ** (d - k) for k, c in enumerate(coeffs))
 
 
 def _graph_from_mask(n: int, mask: int) -> Graph:
@@ -597,26 +611,21 @@ class _ScanTarget:
     """One full-scan target, its claim stated once as `violated(s, m, t)` and
     `tight(s, m, t)`, s (an int) the sign of the integer polynomial `poly(m,
     t)` at lambda and m, t ints or arrays: the exact stage reads them on the
-    true sign, the kernel on each sign that the float `gap(lam, m, t)`, a
-    positive multiple of `poly`, allows (`_may_break`). `hypothesis(m, t,
-    deg)` is exact; `counterexample` and `equality` map (g, m, t) to report
-    fields besides the graph6. `equality` must be an isomorphism invariant:
-    it runs once per flagged representative, `counterexample` once per
-    image. A `least` row tracks the least strict margin -gap and reads the
-    gap at eigvalsh's lambda. Any other row is flagged from the
-    Collatz-Wielandt bound u >= lambda alone (`_evaluate`), so its claim
-    must hold at s = -1 (neither violated nor tight) and its gap must be
-    nondecreasing in lambda on the lambda >= 1 that graphs with an edge
-    have."""
+    true sign, the kernel on the signs s >= 0 (`_evaluate`), so the claim
+    must hold at s = -1 and poly be convex on lambda >= 0. `hypothesis(m,
+    t, deg)` is exact; `counterexample` and `equality` map (g, m, t) to
+    report fields besides the graph6. `equality` must be an isomorphism
+    invariant: it runs once per flagged representative, `counterexample`
+    once per image. A row's float `margin(lam, m, t)`, a positive multiple
+    of -poly, is tracked at eigvalsh's lambda over the unflagged masks."""
 
     hypothesis: Callable
     violated: Callable
     tight: Callable
-    gap: Callable
     poly: Callable
     counterexample: Callable
     equality: Optional[Callable]
-    least: bool
+    margin: Optional[Callable] = None
 
 
 _SCAN_TARGETS = {
@@ -625,86 +634,76 @@ _SCAN_TARGETS = {
         hypothesis=lambda m, t, deg: (m > 0) & deg.all(1),
         violated=lambda s, m, t: s > 0,
         tight=lambda s, m, t: s == 0,
-        gap=lambda lam, m, t: lam * (lam * lam - m) / 3.0 - t,
         poly=lambda m, t: [-3 * t, -m, 0, 1],
         counterexample=lambda g, m, t: {"verdict": verify_by_id("BN_INEQ", g, {})[0].to_jsonable()},
         equality=lambda g, m, t: {"complete_bipartite": is_complete_bipartite(g)},
-        least=True,
+        margin=lambda lam, m, t: t - lam * (lam * lam - m) / 3.0,
     ),
     # lambda^2 - lambda >= m - 1, i.e. lambda >= (1 + sqrt(4m - 3))/2, forces 2t >= m - 1
     "BOOK": _ScanTarget(
         hypothesis=lambda m, t, deg: m >= 1,
         violated=lambda s, m, t: s >= 0 and 2 * t < m - 1,
         tight=lambda s, m, t: s == 0 and 2 * t == m - 1,
-        gap=lambda lam, m, t: lam * lam - lam - (m - 1),
         poly=lambda m, t: [-(m - 1), -1, 1],
         counterexample=lambda g, m, t: {"verdict": {
             "m": m, "t": t, "claim": "lambda >= (1+sqrt(4m-3))/2 certified exactly",
             "needed_t": f"{m - 1}/2"}},
         equality=lambda g, m, t: {"m": m, "core_is_book": core_is_book(g)},
-        least=False,
     ),
     # lambda <= sqrt(m) on triangle-free graphs
     "NOSAL": _ScanTarget(
         hypothesis=lambda m, t, deg: t == 0,
         violated=lambda s, m, t: s > 0 and m > 0,
         tight=lambda s, m, t: False,
-        gap=lambda lam, m, t: lam * lam - m,
         poly=lambda m, t: [-m, 0, 1],
         counterexample=lambda g, m, t: {
             "verdict": verify_by_id("NOSAL_NZ", g, {})[0].to_jsonable(),
             "note": "triangle-free graph with lambda > sqrt(m)"},
         equality=None,
-        least=False,
     ),
 }
 
 EXHAUSTIVE_TARGETS = ("LS", *_SCAN_TARGETS)
 
 
-def _may_break(row: _ScanTarget, m: np.ndarray, t: np.ndarray, lo, hi) -> np.ndarray:
-    """Where the claim may break at a sign allowed by the bounds lo <= gap
-    <= hi: a sign s is allowed when its float region, gap <= 0 for s = -1,
-    0 for s = 0 and gap >= 0 for s = 1, widened by _FLOAT_BAND, meets [lo,
-    hi]. (0, 0) allows every sign."""
-    out = np.zeros(len(m), dtype=bool)
-    for s in (-1, 0, 1):
-        allowed = (s > 0 or lo <= _FLOAT_BAND) & (s < 0 or hi >= -_FLOAT_BAND)
-        out |= allowed & (row.violated(s, m, t) | row.tight(s, m, t))
-    return out
-
-
 def _evaluate(n: int, target: str, masks: np.ndarray, weight: np.ndarray | int = 1) -> dict:
-    """The float tests of one scan target on these masks: the total weight
-    of those that meet its hypothesis (`examined`), the `flagged` (mask, m,
-    t), and for a `least` row the unflagged (margin, mask) within _NEAR_BEST
-    of the least (`near`).
+    """One scan target's kernel on these masks: the weight of those that
+    meet its hypothesis (`examined`), the `flagged` (mask, m, t), and a
+    margin row's unflagged (margin, mask) near the least (`near`).
 
-    Only masks that meet the hypothesis and may break the claim at some
-    sign are read further. A `least` row (BN) bounds the gap on both sides
-    by its value at eigvalsh's lambda. Any other row bounds it above by the
-    gap at the Collatz-Wielandt bound u >= lambda (`_cw_upper`), since its
-    gap is nondecreasing in lambda and its claim holds where s < 0
-    (`_ScanTarget`): a mask left unflagged has a float gap at u below
-    -_FLOAT_BAND, so s = -1, and no eigenvalue of the row is trusted."""
+    A mask that meets the hypothesis and may break the claim at a sign s >=
+    0 is flagged unless poly < 0 at both ends of its bracket l <= lambda <=
+    u (`_cw_bracket`), exact integer signs (`_scaled_poly`). poly is convex
+    on lambda >= 0, so then poly(lambda) < 0 and the claim holds.
+
+    A concave margin is at least min(margin(l), margin(u)) there. eigvalsh
+    runs on the mask with the least such bound, whose margin is at or above
+    the least one, and then on the masks whose bound reaches that plus
+    _NEAR_BEST; floats stray far less."""
     row = _SCAN_TARGETS[target]
     m, t, deg = _scan_chunk_stats(n, masks)
     keep = row.hypothesis(m, t, deg)
-    live = np.flatnonzero(keep & _may_break(row, m, t, 0.0, 0.0))
+    breaks = [row.violated(s, m, t) | row.tight(s, m, t) for s in (0, 1)]
+    live = np.flatnonzero(keep & (breaks[0] | breaks[1]))
     masks, m, t = masks[live], m[live], t[live]
-    if row.least:
-        A = _adjacency_batch(n, masks)
-        # no eigensolve on an empty batch, which n = 0 always gives
-        lam = np.linalg.eigvalsh(A.astype(np.float64))[:, -1] if len(live) else np.zeros(0)
-        lo = hi = row.gap(lam, m, t)
-    else:
-        lo, hi = -np.inf, row.gap(_cw_upper(n, masks, deg[live]), m, t)
-    flag = _may_break(row, m, t, lo, hi)
-    margin, ok = -hi[~flag], masks[~flag]
-    close = margin <= margin.min(initial=np.inf) + _NEAR_BEST
-    return {"examined": int(np.sum(keep * weight)),
-            "flagged": list(zip(*(a[flag].tolist() for a in (masks, m, t)))),
-            "near": list(zip(margin[close].tolist(), ok[close].tolist())) if row.least else []}
+    lo, hi = _cw_bracket(n, masks, deg[live])
+    poly = row.poly(m, t)
+    flag = (_scaled_poly(poly, *lo) >= 0) | (_scaled_poly(poly, *hi) >= 0)
+    out = {"examined": int(np.sum(keep * weight)),
+           "flagged": list(zip(*(a[flag].tolist() for a in (masks, m, t)))), "near": []}
+    if row.margin is not None and not flag.all():
+        ok, m, t = masks[~flag], m[~flag], t[~flag]
+        low = np.minimum(*(row.margin(p[~flag] / q[~flag], m, t) for p, q in (lo, hi)))
+
+        def margins(idx: np.ndarray) -> np.ndarray:  # at eigvalsh's lambda
+            lam = np.linalg.eigvalsh(_adjacency_batch(n, ok[idx]).astype(np.float64))[:, -1]
+            return row.margin(lam, m[idx], t[idx])
+
+        reads = np.flatnonzero(low <= margins(np.argmin(low, keepdims=True))[0] + _NEAR_BEST)
+        margin = margins(reads)
+        close = margin <= margin.min() + _NEAR_BEST
+        out["near"] = list(zip(margin[close].tolist(), ok[reads[close]].tolist()))
+    return out
 
 
 def _transposed(x: np.ndarray, r: int, i: int) -> np.ndarray:
@@ -800,32 +799,27 @@ def _orbit_scan(n: int, target: str) -> tuple:
     for, whose images `_orbit_images` gives, and for a row that tracks it
     the least (margin, mask) over the unflagged masks, or None.
 
-    BOOK and NOSAL flag a mask from its Collatz-Wielandt bound u, which is
-    bit-identical on isomorphic copies: they permute the same integer pairs
-    ((Ax)_i, x_i). So a representative's flag is every member's. BN flags
-    from its eigvalsh gap, which differs between isomorphic copies in the
-    last bits, so a representative's flag need not be every member's. What
-    the report keeps of BN's flagged masks is the exactly violated or tight
-    ones, and the exact sign is an isomorphism invariant: such a mask has
-    its true gap on the claim's wrong side or at 0, so its float gap lies
-    within the band in every copy, and every violated or tight image is an
-    image of a violated or tight representative. Likewise, every
-    representative within _NEAR_BEST of the least margin has all its
-    orbit's images evaluated again: the least unflagged mask of the
-    labelled scan has a margin within the spread (far below _NEAR_BEST) of
-    its representative's, so its orbit is among them, and the least
-    (margin, mask) of the images is the one the labelled scan of every mask
-    would choose."""
+    Flags are orbit invariants, as the brackets are (`_cw_bracket`).
+    Margins are read at eigvalsh's lambda, which differs between isomorphic
+    copies in the last bits, so every representative within _NEAR_BEST of
+    the least margin has all its orbit's images evaluated again: the least
+    unflagged mask of the labelled scan has a margin within the spread (far
+    below _NEAR_BEST) of its representative's, so its orbit is among them,
+    and the least (margin, mask) of the images is the one the labelled scan
+    of every mask would choose. Orbit weights that do not add up to
+    2^C(n,2), every labelled mask once, raise RuntimeError."""
     r = max(n - 1, 0)
     whole = _block_labels(r, 0)
-    examined = 0
+    examined = weights = 0
     flagged: list[tuple] = []
     near: list[tuple] = []
     for k in range(r + 1):
         lab = whole if k in (0, r) else _block_labels(r, k)
         high = ((1 << k) - 1) << r * (r - 1) // 2
         low = np.flatnonzero(lab == np.arange(len(lab), dtype=lab.dtype))
-        res = _evaluate(n, target, low | high, np.bincount(lab)[low] * comb(r, k))
+        weight = np.bincount(lab)[low] * comb(r, k)
+        weights += int(weight.sum())
+        res = _evaluate(n, target, low | high, weight)
 
         def orbit(rep: int) -> tuple:  # the sorted masks of rep's orbit in block k
             return tuple((np.flatnonzero(lab == rep ^ high) | high).tolist())
@@ -833,6 +827,8 @@ def _orbit_scan(n: int, target: str) -> tuple:
         examined += res["examined"]
         flagged += [(*f, orbit(f[0])) for f in res["flagged"]]
         near += [(*f, orbit(f[1])) for f in res["near"]]
+    if weights != 1 << n * (n - 1) // 2:
+        raise RuntimeError(f"n={n}: the orbit weights add up to {weights}, not 2^C(n,2)")
     best = None
     if near:
         cut = min(near)[0] + _NEAR_BEST
@@ -859,6 +855,8 @@ def _run_full_scan(job: SearchJob) -> SearchReport:
     row = _SCAN_TARGETS[job.target]
     reps, bests = [], []
     for n in sorted(job.grid.get("n", [])):
+        if not 0 <= n <= _CW_MAX_N:
+            raise ValueError(f"n={n}: a full scan needs 0 <= n <= {_CW_MAX_N}")
         total_masks = 1 << n * (n - 1) // 2  # the ceiling counts labelled graphs
         if total_masks > job.ceiling:
             raise ValueError(

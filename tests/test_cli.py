@@ -70,6 +70,18 @@ def test_exact_limit_above_the_exact_cut_limit_is_a_usage_error(capsys, argv):
     assert "unrecognized arguments: --exact-limit" in err
 
 
+@pytest.mark.parametrize("argv", [
+    ["enumerate", "--n", "-2", "--min-edges", "0"],
+    ["enumerate", "--n", "-1", "--min-edges", "0"],
+    ["verify", "BOOK", "--exhaustive", "--n", "-1"],
+    ["verify", "BN", "--exhaustive", "--n", "-3"],
+])
+def test_a_negative_n_is_a_usage_error(capsys, argv):
+    # exit 2 with n named, not a report and exit 1, the counterexample code
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and not out and f"error: n={argv[argv.index('--n') + 1]}: " in err
+
+
 def test_verify_ok_and_csv(capsys):
     code, out, _ = run(capsys, "verify", "LS", "--spec", "T:n=10,q=3", "--q", "3", "--csv")
     assert code == 0

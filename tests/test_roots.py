@@ -15,6 +15,7 @@ from specls.roots import (
     lambda_interval_exact,
     largest_root_interval,
     poly_eval,
+    poly_gcd,
     sign_at_lambda,
     sign_at_largest_root,
     signs_at_lambda,
@@ -243,6 +244,28 @@ def test_sturm_counts():
     assert count_roots(chain, Fraction(3, 2), Fraction(5, 2)) == 1
     lo, hi = largest_root_interval(p, Fraction(1, 2), Fraction(9, 2), Fraction(1, 10**9))
     assert lo <= 3 <= hi
+
+
+def test_int_coefficients_and_ends_give_the_exact_fraction_results():
+    # int / int would be a float; each routine reads ints as Fractions
+    def exact(x):
+        if isinstance(x, (list, tuple)):
+            return all(exact(y) for y in x)
+        return isinstance(x, (int, Fraction))
+
+    cubic = [-6, 11, -6, 1]  # (x-1)(x-2)(x-3)
+    as_fractions = [Fraction(c) for c in cubic]
+    got = poly_gcd([-1, 0, 1], [-1, 1])
+    assert got == [-1, 1] and exact(got)
+    chain = sturm_chain(cubic)
+    assert chain == sturm_chain(as_fractions) and exact(chain)
+    assert chain[2] == [Fraction(-4, 3), Fraction(2, 3)]
+    assert count_roots(chain, 0, 4) == 3 and count_roots(chain, 2, 4) == 1
+    got = largest_root_interval([-2, 0, 1], 0, 2, Fraction(1, 100))
+    assert got == (Fraction(181, 128), Fraction(91, 64)) and exact(got)
+    assert got == largest_root_interval([Fraction(-2), 0, 1], Fraction(0), Fraction(2),
+                                        Fraction(1, 100))
+    assert [sign_at_largest_root(cubic, [-r, 1], 0, 4) for r in (2, 3, 4)] == [1, 0, -1]
 
 
 def test_sign_at_largest_root():

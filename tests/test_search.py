@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import json
 import os
@@ -266,12 +267,21 @@ def _scan_all_chunks(n: int, target: str) -> dict:
     return search._evaluate(n, target, np.arange(1 << n * (n - 1) // 2, dtype=np.int64))
 
 
+def _shift_by_one(monkeypatch, target: str) -> None:
+    """Make the BOOK or NOSAL row's polynomial its own less 1, so that it
+    flags where the gap at a bracket end is at least -1, as a float band of
+    1 did: BOOK x^2 - x - (m - 2), NOSAL x^2 - (m - 1)."""
+    shifted = {"BOOK": lambda m, t: [-(m - 2), -1, 1], "NOSAL": lambda m, t: [-(m - 1), 0, 1]}
+    row = dataclasses.replace(search._SCAN_TARGETS[target], poly=shifted[target])
+    monkeypatch.setitem(search._SCAN_TARGETS, target, row)
+
+
 @pytest.mark.parametrize("target", ["BOOK", "NOSAL", "BN"])
 @pytest.mark.parametrize("n", range(1, 7))
 def test_cw_prefilter_keeps_every_flagged_mask(monkeypatch, n, target):
-    # BOOK and NOSAL flag from the CW bound alone, and flag what an
-    # eigensolve of every mask flags; BN eigensolves only the masks that
-    # meet its hypothesis, and its least unflagged margin is read off those
+    # every row flags from its CW bracket alone, and flags what an
+    # eigensolve of every mask flags; BN's least unflagged margin is read
+    # off eigvalsh on a few of them
     got = _scan_all_chunks(n, target)
     flagged, least = _unpruned_scan(n, target)
     assert got["flagged"] == flagged
@@ -279,10 +289,8 @@ def test_cw_prefilter_keeps_every_flagged_mask(monkeypatch, n, target):
     assert bool(flagged) == (n >= 2)  # K_2 is tight for each target
     assert (least is None) == (target != "BN" or n < 3)
     if target != "BN":
-        # the gap at u >= lambda is above the gap at lambda, so the CW flags
-        # hold the eigensolve's at any band; a drop of the masks whose gap
-        # at u is below -1/2 keeps 330 of the 539 BOOK masks at n = 5
-        monkeypatch.setattr(search, "_FLOAT_BAND", 1.0)
+        # the row shifted by 1 flags what an eigensolve flags at band 1
+        _shift_by_one(monkeypatch, target)
         wide = set(_unpruned_scan(n, target, band=1.0)[0])
         assert wide <= set(_scan_all_chunks(n, target)["flagged"])
 
@@ -307,25 +315,27 @@ def test_cw_prefilter_never_drops_a_book(k):
 
 
 def test_cw_flagged_rows_hold_below_zero_and_gain_with_lambda():
-    # `_evaluate` flags a row without `least` from the CW bound u >= lambda
-    # alone, which is sound when its claim holds at s = -1 and its gap is
-    # nondecreasing in lambda, on every m, t that n <= 11 vertices have
-    lam = np.linspace(1.0, 11.0, 1001)[:, None]
-    m, t = (a.ravel() for a in np.meshgrid(np.arange(comb(11, 2) + 1), np.arange(comb(11, 3) + 1)))
-    rows = {name: row for name, row in search._SCAN_TARGETS.items() if not row.least}
-    assert set(rows) == {"BOOK", "NOSAL"}
-    for name, row in rows.items():
+    # `_evaluate` flags a mask unless poly < 0 at both ends of its CW
+    # bracket, which proves the claim when it holds at s = -1 and poly is
+    # convex on lambda >= 0; checked in integers on every m, t that n <= 9
+    # vertices have, convexity as coefficients of poly'' that are >= 0
+    m, t = (a.ravel() for a in np.meshgrid(np.arange(comb(9, 2) + 1), np.arange(comb(9, 3) + 1)))
+    assert set(search._SCAN_TARGETS) == {"BN", "BOOK", "NOSAL"}
+    for name, row in search._SCAN_TARGETS.items():
         assert not np.any(row.violated(-1, m, t) | row.tight(-1, m, t)), name
-        assert (np.diff(row.gap(lam, m, t), axis=0) >= 0).all(), name
+        assert all(np.all(k * (k - 1) * c >= 0) for k, c in enumerate(row.poly(m, t))), name
+    # BN's margin, a positive multiple of -poly, is concave
+    lam = np.linspace(0.0, 9.0, 901)[:, None]
+    assert (np.diff(search._SCAN_TARGETS["BN"].margin(lam, m, t), 2, axis=0) <= 1e-9).all()
 
 
-def _einsum_cw_upper(A: np.ndarray, deg: np.ndarray) -> np.ndarray:
-    """The Collatz-Wielandt bound as an einsum over a uint8 adjacency batch,
-    in float64: the reference for `search._cw_upper`."""
-    x = deg + 1.0
+def _einsum_cw_vectors(A: np.ndarray, deg: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Ax and x = (A + I)^_CW_STEPS (deg + 1) as einsums over a uint8
+    adjacency batch, in int64: the reference for `search._cw_bracket`."""
+    A, x = A.astype(np.int64), deg + 1
     for _ in range(search._CW_STEPS):
         x = np.einsum("bij,bj->bi", A, x) + x
-    return (np.einsum("bij,bj->bi", A, x) / x).max(1)
+    return np.einsum("bij,bj->bi", A, x), x
 
 
 def _mask_samples(n: int, rng: random.Random, count: int) -> np.ndarray:
@@ -338,12 +348,58 @@ def _mask_samples(n: int, rng: random.Random, count: int) -> np.ndarray:
 
 @pytest.mark.parametrize("n", range(1, 12))
 def test_cw_bound_from_the_mask_bits_equals_the_einsum(n):
-    # both form the same exact integers x and Ax and divide once in float64
+    # the bracket's ends are int64 fractions p/q, the least and the largest
+    # of the einsum's (Ax)_i / x_i, compared exactly; above n = 9 it refuses
     masks = _mask_samples(n, random.Random(n), 20_000)
     deg = search._scan_chunk_stats(n, masks)[2]
-    got = search._cw_upper(n, masks, deg)
-    assert got.dtype == np.float64
-    assert (got == _einsum_cw_upper(search._adjacency_batch(n, masks), deg)).all()
+    if n > search._CW_MAX_N:
+        with pytest.raises(ValueError, match=rf"n={n}: the integer bracket"):
+            search._cw_bracket(n, masks, deg)
+        return
+    y, x = _einsum_cw_vectors(search._adjacency_batch(n, masks), deg)
+    assert (x <= n**5).all() and (y < n**6).all()
+    (lp, lq), (up, uq) = search._cw_bracket(n, masks, deg)
+    for p, q in ((lp, lq), (up, uq)):
+        assert p.dtype == q.dtype == np.int64 and (q > 0).all()
+        assert ((p[:, None] * x == y * q[:, None]).any(1)).all()  # p/q is one of the ratios
+    assert (y * lq[:, None] >= lp[:, None] * x).all()
+    assert (y * uq[:, None] <= up[:, None] * x).all()
+
+
+def test_scaled_poly_is_exact_over_the_bracket_range():
+    # q^d poly(p/q) in int64 equals Python's integers for every row's
+    # polynomial, at the largest p < 2^20, q < 2^16, m and t of n = 9
+    rng = random.Random(9)
+    p = np.array([2**20 - 1, 2**20 - 1, 1, 0] + [rng.randrange(2**20) for _ in range(500)])
+    q = np.array([2**16 - 1, 1, 2**16 - 1, 1] + [rng.randrange(1, 2**16) for _ in range(500)])
+    m = np.array([36, 0, 36, 0] + [rng.randrange(37) for _ in range(500)])
+    t = np.array([84, 0, 84, 0] + [rng.randrange(85) for _ in range(500)])
+    for name, row in search._SCAN_TARGETS.items():
+        got = search._scaled_poly(row.poly(m, t), p, q).tolist()
+        want = [sum(int(c) * int(a)**k * int(b)**(len(cs) - 1 - k) for k, c in enumerate(cs))
+                for a, b, cs in zip(p, q, (row.poly(int(x), int(y)) for x, y in zip(m, t)))]
+        assert got == want, name
+
+
+@pytest.mark.parametrize("target", ["BN", "BOOK", "NOSAL"])
+def test_every_mask_that_may_break_its_claim_is_flagged(target):
+    # the exact sign at lambda of every mask at n <= 5: each one that meets
+    # the hypothesis, whose claim some sign s >= 0 would break or meet, and
+    # whose own sign is >= 0 is flagged, so an unflagged one has sign -1
+    row = search._SCAN_TARGETS[target]
+    for n in range(6):
+        masks = np.arange(1 << n * (n - 1) // 2, dtype=np.int64)
+        m, t, deg = (a.tolist() for a in search._scan_chunk_stats(n, masks))
+        graphs = [_graph_from_mask(n, x) for x in masks.tolist()]
+        signs = roots.signs_at_lambda(graphs, [row.poly(a, b) for a, b in zip(m, t)])
+        hypothesis = row.hypothesis(*(np.array(a) for a in (m, t, deg))).tolist()
+        breaks = [any(row.violated(r, a, b) or row.tight(r, a, b) for r in (0, 1))
+                  for a, b in zip(m, t)]
+        must = {x for x, s, h, b in zip(masks.tolist(), signs, hypothesis, breaks)
+                if h and b and s >= 0}
+        flagged = {f[0] for f in _scan_all_chunks(n, target)["flagged"]}
+        assert must <= flagged, n
+        assert bool(must) == (n >= 2)  # K_2 is tight for each target
 
 
 @pytest.mark.parametrize("n", range(12))
@@ -455,7 +511,10 @@ def test_book_scan_at_n_7_evaluates_one_block_per_neighbourhood_size(monkeypatch
 
 def test_full_scans_decide_each_flagged_orbit_once(monkeypatch):
     # the exact stage reads one graph per flagged representative, and the
-    # kernel flags BOOK and NOSAL from the CW bound with no adjacency matrix
+    # kernel flags every row from the CW bracket with no adjacency matrix;
+    # BN eigensolves only 16 least-margin candidates and, in 211 rows, the
+    # images of the 4 near ones, where it eigensolved 4,430 representatives
+    # and 210 images
     batches, built, rows = [], [], []
     signs, from_mask = search.signs_at_lambda, search._graph_from_mask
     adjacency = search._adjacency_batch
@@ -472,6 +531,10 @@ def test_full_scans_decide_each_flagged_orbit_once(monkeypatch):
     rows.clear()
     run_exhaustive(SearchJob("NOSAL", "exhaustive", {"n": [7]}), workers=1)
     assert (batches, sum(rows)) == ([30], 0)
+    batches.clear()
+    rep = run_exhaustive(SearchJob("BN", "exhaustive", {"n": [7]}), workers=1)
+    assert (batches, sum(rows)) == ([6], 227)
+    assert len(rep.detail["equality_set"]) == 63
 
 
 @pytest.mark.parametrize("target", ["BN", "BOOK"])
@@ -516,6 +579,36 @@ def test_blocks_0_and_n_minus_1_share_one_labelling(monkeypatch):
         assert len(calls) == max(n - 1, 1), n
 
 
+def test_orbit_scan_checks_that_the_orbit_weights_cover_every_mask(monkeypatch):
+    # a label that is not itself a label drops its graph's weight: here the
+    # complete graph on 0..3 is labelled by the graph one below it, which
+    # in block 0 is not the least of its orbit
+    labels = search._block_labels
+
+    def corrupt(r, k):
+        lab = labels(r, k).copy()
+        lab[-1] = len(lab) - 2
+        return lab
+
+    monkeypatch.setattr(search, "_block_labels", corrupt)
+    with pytest.raises(RuntimeError, match=r"n=5: the orbit weights add up to \d+, not 2\^C"):
+        run_exhaustive(SearchJob("BOOK", "exhaustive", {"n": [5]}))
+
+
+@pytest.mark.parametrize("n", [-1, 10])
+def test_full_scan_refuses_n_outside_the_proved_range(n):
+    # before any labelling: at n = 10 one block would hold 2^36 labels
+    job = SearchJob("BN", "exhaustive", {"n": [n]}, ceiling=1 << 62)
+    with pytest.raises(ValueError, match=rf"n={n}: a full scan needs 0 <= n <= 9"):
+        run_exhaustive(job)
+
+
+@pytest.mark.parametrize("n", [-1, -2])
+def test_complement_walk_refuses_a_negative_n(n):
+    with pytest.raises(ValueError, match=rf"n={n}: a graph has n >= 0 vertices"):
+        enumerate_dense(n, 0)
+
+
 def test_ls_exhaustive_counts_and_determinism():
     job = SearchJob("LS", "exhaustive", {"n": [4, 5, 6], "q": [1, 2]})
     rep = run_exhaustive(job, workers=1)
@@ -549,8 +642,9 @@ def test_forced_sign_scan_reports_match_golden_digests(monkeypatch, sign):
     # every claim holds at n <= 7, so no true sign reaches the counterexample
     # entries: one forced sign for every flagged graph reaches each entry.
     # BOOK flags no graph with 2t < m - 1 at n <= 7, so its counterexample
-    # entries are reached only with the float band widened to 1, where its
-    # gap at the CW bound flags 470 such labelled masks at n = 5.
+    # entries are reached only through the row whose polynomial is BOOK's
+    # less 1, as a float band of 1 reached them, which flags 470 such
+    # labelled masks at n = 5.
     golden = json.loads((Path(__file__).parent / "golden" / "scan_digests.json").read_text())
     monkeypatch.setattr(search, "signs_at_lambda", lambda graphs, qs: [sign] * len(graphs))
 
@@ -560,34 +654,41 @@ def test_forced_sign_scan_reports_match_golden_digests(monkeypatch, sign):
 
     for target in ("BN", "BOOK", "NOSAL"):
         assert digest(target) == golden[f"{target} n=5 sign={sign:+d}"], target
-    monkeypatch.setattr(search, "_FLOAT_BAND", 1.0)
+    _shift_by_one(monkeypatch, "BOOK")
     assert digest("BOOK") == golden[f"BOOK n=5 band=1 sign={sign:+d}"]
 
 
 def test_a_scan_target_is_one_table_row(monkeypatch):
-    # a false claim, lambda^2 <= m on every graph, which K_3 breaks (lambda =
-    # 2, m = 3), against eigvalsh plus the exact sign on every labelled graph
-    monkeypatch.setitem(search._SCAN_TARGETS, "SQ", search._ScanTarget(
-        hypothesis=lambda m, t, deg: m >= 0,
-        violated=lambda s, m, t: s > 0,
-        tight=lambda s, m, t: s == 0,
-        gap=lambda lam, m, t: lam * lam - m,
-        poly=lambda m, t: [-m, 0, 1],
-        counterexample=lambda g, m, t: {"m": m, "t": t},
-        equality=lambda g, m, t: {},
-        least=False,
-    ))
-    for n in range(1, 6):
-        graphs = [_graph_from_mask(n, mask) for mask in range(1 << n * (n - 1) // 2)]
-        lam = np.linalg.eigvalsh(np.array([adjacency_matrix(g) for g in graphs], float))[:, -1]
-        near = [g for g, x in zip(graphs, lam) if x * x - g.m > -0.01]  # the rest hold
-        signs = roots.signs_at_lambda(near, [[-g.m, 0, 1] for g in near])
-        bad = sorted((emit_graph6(g), g.m, triangle_count(g)) for g, s in zip(near, signs) if s > 0)
-        tight = sorted(emit_graph6(g) for g, s in zip(near, signs) if s == 0)
-        rep = run_exhaustive(SearchJob("SQ", "exhaustive", {"n": [n]}), workers=1)
-        assert [(c["graph6"], c["m"], c["t"]) for c in rep.counterexamples] == bad
-        assert [e["graph6"] for e in rep.detail["equality_set"]] == tight
-        assert bool(bad) == (n >= 3) and tight
+    # two false claims against the exact sign on every labelled graph:
+    # lambda^2 <= m, which K_3 breaks (lambda = 2, m = 3), and lambda > 2,
+    # whose polynomial 2 - lambda is positive at 0, so that the upper end
+    # alone does not prove it: K_{1,4} has lambda = 2 and the bracket
+    # [728/365, 365/182], whose lower end flags it
+    def row(poly):
+        return search._ScanTarget(
+            hypothesis=lambda m, t, deg: m >= 0,
+            violated=lambda s, m, t: s > 0,
+            tight=lambda s, m, t: s == 0,
+            poly=poly,
+            counterexample=lambda g, m, t: {"m": m, "t": t},
+            equality=lambda g, m, t: {},
+        )
+
+    star = emit_graph6(build_graph(5, [(0, v) for v in range(1, 5)]))
+    for name, poly in (("SQ", lambda m, t: [-m, 0, 1]), ("TWO", lambda m, t: [2, -1])):
+        monkeypatch.setitem(search._SCAN_TARGETS, name, row(poly))
+        for n in range(1, 6):
+            graphs = [_graph_from_mask(n, mask) for mask in range(1 << n * (n - 1) // 2)]
+            signs = roots.signs_at_lambda(graphs, [poly(g.m, 0) for g in graphs])
+            bad = sorted((emit_graph6(g), g.m, triangle_count(g))
+                         for g, s in zip(graphs, signs) if s > 0)
+            tight = sorted(emit_graph6(g) for g, s in zip(graphs, signs) if s == 0)
+            rep = run_exhaustive(SearchJob(name, "exhaustive", {"n": [n]}), workers=1)
+            assert [(c["graph6"], c["m"], c["t"]) for c in rep.counterexamples] == bad
+            assert [e["graph6"] for e in rep.detail["equality_set"]] == tight
+            assert bool(bad) == (n >= 3 or name == "TWO")
+            assert bool(tight) == (n >= 3 or name == "SQ")
+        assert star in tight
 
 
 def test_full_scans_count_no_triangles_of_flagged_graphs(monkeypatch):
