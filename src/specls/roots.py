@@ -1,6 +1,6 @@
 """Exact-rational polynomial root isolation and family spectral polynomials.
 
-Polynomials are dense coefficient lists, low degree first, read as Fractions.
+Polynomials are dense coefficient lists, low degree first, of ints or Fractions.
 One engine finds every exact root in two steps. `_isolate` takes the
 square-free part s = p / gcd(p, p') and runs Sturm bisection on s's chain
 until a bracket holds a single distinct root; the chain of a square-free
@@ -43,11 +43,11 @@ def _poly_trim(p: Poly) -> Poly:
 
 def _poly_divmod(a: Poly, b: Poly) -> tuple[Poly, Poly]:
     """Quotient and remainder of a / b over the rationals (b nonzero)."""
-    a, b = _poly_trim([Fraction(c) for c in a]), _poly_trim([Fraction(c) for c in b])
-    db = len(b) - 1
+    a, b = _poly_trim(list(a)), _poly_trim(list(b))
+    db, lead = len(b) - 1, Fraction(b[-1])  # int / int would be a float
     quot = [Fraction(0)] * max(len(a) - db, 0)
     for i in reversed(range(len(quot))):
-        c = quot[i] = a[i + db] / b[-1]
+        c = quot[i] = a[i + db] / lead
         for j in range(db + 1):
             a[i + j] -= c * b[j]
     return _poly_trim(quot), _poly_trim(a[:db])
@@ -55,10 +55,10 @@ def _poly_divmod(a: Poly, b: Poly) -> tuple[Poly, Poly]:
 
 def poly_gcd(a: Poly, b: Poly) -> Poly:
     """Monic greatest common divisor ([] when both are zero)."""
-    a, b = _poly_trim([Fraction(c) for c in a]), _poly_trim([Fraction(c) for c in b])
+    a, b = _poly_trim(list(a)), _poly_trim(list(b))
     while b:
         a, b = b, _poly_divmod(a, b)[1]
-    return [c / a[-1] for c in a]
+    return [c / Fraction(a[-1]) for c in a]
 
 
 def _square_free(p: Poly) -> Poly:
