@@ -512,7 +512,7 @@ def test_book_scan_at_n_7_evaluates_one_block_per_neighbourhood_size(monkeypatch
 def test_full_scans_decide_each_flagged_orbit_once(monkeypatch):
     # the exact stage reads one graph per flagged representative, and the
     # kernel flags every row from the CW bracket with no adjacency matrix;
-    # BN eigensolves only 16 least-margin candidates and, in 211 rows, the
+    # BN eigensolves only 16 rows of least-margin candidates and, in 211, the
     # images of the 4 near ones, where it eigensolved 4,430 representatives
     # and 210 images
     batches, built, rows = [], [], []
