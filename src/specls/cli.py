@@ -1,7 +1,7 @@
 """Command-line front end.
 
 Exit codes: 0 success, 1 counterexample found (machine-checkable), 2 usage
-or input error, 3 results contain Indeterminate verdicts.
+or input error, 3 results contain Indeterminate verdicts, 4 internal error.
 """
 
 from __future__ import annotations
@@ -10,6 +10,7 @@ import argparse
 import json
 import os
 import sys
+import traceback
 from fractions import Fraction
 
 from .families import build_from_spec
@@ -36,6 +37,7 @@ EXIT_OK = 0
 EXIT_COUNTEREXAMPLE = 1
 EXIT_USAGE = 2
 EXIT_INDETERMINATE = 3
+EXIT_INTERNAL = 4
 
 
 def _add_flags(p: argparse.ArgumentParser, *flags: str) -> None:
@@ -186,6 +188,10 @@ def main(argv=None) -> int:
     except (Graph6Error, ValueError, OSError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except Exception as exc:  # a fault of the program, never a counterexample
+        traceback.print_exc()
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return EXIT_INTERNAL
 
 
 def _dispatch(args, argv: list[str]) -> int:

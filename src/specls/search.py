@@ -908,7 +908,8 @@ def run_exhaustive(job: SearchJob, workers: int = 1) -> SearchReport:
 
 
 def floyd_sample(rng: random.Random, universe: int, k: int) -> np.ndarray:
-    """Uniform k-subset of range(universe) as a sorted int64 array.
+    """Uniform k-subset of range(universe) as a bool mask of shape
+    (universe,) with exactly k entries True.
 
     One `rng.getrandbits(universe)` call tosses a fair coin for every
     element, which chooses some c of them. If c != k, Floyd's loop (Bentley &
@@ -936,7 +937,7 @@ def floyd_sample(rng: random.Random, universe: int, k: int) -> np.ndarray:
             t = rng.randrange(j + 1)
             picked.add(j if t in picked else t)
         mask[pool[list(picked)]] = c < k
-    return np.flatnonzero(mask)
+    return mask
 
 
 @functools.lru_cache(maxsize=8)
@@ -967,6 +968,15 @@ def _flat_slots(n: int) -> tuple[np.ndarray, np.ndarray]:
     return upper, lower
 
 
+@functools.lru_cache(maxsize=2)
+def _lower_triangle(n: int) -> np.ndarray:
+    """The read-only bool n x n mask of the strict lower triangle. Its True
+    entries, in row-major order, are the edge slots in slot order."""
+    tril = np.tri(n, k=-1, dtype=bool)
+    tril.flags.writeable = False
+    return tril
+
+
 def _move_edge(A: np.ndarray, t: int, ab: tuple[int, int], cd: tuple[int, int]) -> int:
     """Move the edge ab of the graph that the float32 matrix A holds to cd,
     a non-edge or ab itself, in place, and return the triangle count after
@@ -992,7 +1002,10 @@ def run_random(job: SearchJob) -> SearchReport:
     Samples are subsets of the edge slots (`graph.slot_ends` order). Every
     sample is written into one float32 adjacency matrix that the job reuses,
     as is the triangle count's workspace, so a sample allocates no n x n
-    array unless its lambda needs the CW rungs.
+    array unless its lambda needs the CW rungs. A uniform sample stays the
+    slot mask that `floyd_sample` draws: one boolean store puts it in the
+    strict lower triangle of a bool buffer, whose union with its transpose
+    overwrites every entry of A, so A is never cleared between samples.
 
     Triangles are proved where they can be and counted only where a proof
     falls short; the report is the one that counting every
@@ -1029,11 +1042,12 @@ def run_random(job: SearchJob) -> SearchReport:
     bound = q * (n // 2)
     y_slots, y_t, y_lo2, y_hi2 = _y_reference(n, q)
     upper, lower = _flat_slots(n)
+    tril = _lower_triangle(n)
     ns = len(upper)
     A = np.zeros((n, n), np.float32)
     flat = A.reshape(-1)  # a view: writes go to A
+    L, B = np.zeros((n, n), bool), np.empty((n, n), bool)  # L is False on and above the diagonal
     walks = triangle_workspace(n)
-    pos = np.empty(m, np.int64)
 
     def above_y(iv) -> Optional[bool]:  # is lambda(G) > lambda(Y)?
         return True if iv[0] > y_hi2 else False if iv[1] < y_lo2 else None
@@ -1042,9 +1056,10 @@ def run_random(job: SearchJob) -> SearchReport:
         for half in (upper, lower):
             flat[half[slots]] = value
 
-    def put_uniform(idx: np.ndarray) -> None:  # into an A that holds no edge
-        for half in (upper, lower):
-            flat[np.take(half, idx, out=pos)] = 1.0
+    def put_uniform(mask: np.ndarray) -> None:  # overwrites every entry of A
+        L[tril] = mask
+        np.logical_or(L, L.T, out=B)
+        np.copyto(A, B)
 
     hyp_true = 0
     min_t = None
@@ -1084,7 +1099,7 @@ def run_random(job: SearchJob) -> SearchReport:
                 record(dense_triangle_count(A, walks))
             elif lowers_min(floor):
                 deferred[i] = floor
-        A.fill(0.0)
+    A.fill(0.0)  # it still holds the last uniform sample
     put(y_slots, 1.0)  # A holds Y from here on, between perturbations
     for _ in range(n_perturb):
         dropped = int(y_slots[rng.randrange(len(y_slots))])
@@ -1098,15 +1113,13 @@ def run_random(job: SearchJob) -> SearchReport:
         put(cand, 0.0)
         put(dropped, 1.0)
     last = max((i for i, floor in deferred.items() if lowers_min(floor)), default=-1)
-    if last >= 0:  # replay the uniform draws; A holds no edge between counts
-        A.fill(0.0)
+    if last >= 0:  # replay the uniform draws
         rng.setstate(start)
         for i in range(last + 1):
-            idx = floyd_sample(rng, ns, m)
+            mask = floyd_sample(rng, ns, m)
             if i in deferred and lowers_min(deferred[i]):
-                put_uniform(idx)
+                put_uniform(mask)
                 record(dense_triangle_count(A, walks))
-                A.fill(0.0)
     report.graphs_examined = examined
     report.counterexamples.sort(key=lambda c: c["graph6"])
     report.extremal_tracker = {

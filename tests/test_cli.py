@@ -124,6 +124,21 @@ def test_verify_exhaustive_runs_the_full_scan_of_its_target(capsys, target):
     assert verified[0]["job"]["target"] == target
 
 
+@pytest.mark.parametrize("error", [RuntimeError, ArithmeticError])
+def test_an_internal_fault_is_exit_4_not_a_counterexample(capsys, monkeypatch, error):
+    from specls import search
+
+    def broken(n, target):
+        raise error("n=5: the orbit weights add up to 1014, not 2^C(n,2)")
+
+    monkeypatch.setattr(search, "_orbit_scan", broken)
+    code, out, err = run(capsys, "verify", "BOOK", "--exhaustive", "--n", "5")
+    assert code == 4 and not out
+    assert err.startswith("Traceback") and "in broken" in err
+    assert err.endswith(
+        f"internal error: {error.__name__}: n=5: the orbit weights add up to 1014, not 2^C(n,2)\n")
+
+
 def test_verify_bad_file(capsys, tmp_path):
     p = tmp_path / "bad.g6"
     p.write_text("thisisnotgraph6!!!\n")

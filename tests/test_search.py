@@ -815,26 +815,26 @@ def test_floyd_sample_uniform_shape():
     rng = random.Random(3)
     for _ in range(100):
         s = floyd_sample(rng, 30, 7)
-        assert len(s) == len(set(s)) == 7
-        assert all(0 <= x < 30 for x in s)
+        assert s.dtype == bool and s.shape == (30,)
+        assert int(np.count_nonzero(s)) == 7
 
 
 def test_floyd_sample_edge_cases():
     rng = random.Random(1)
     empty = floyd_sample(rng, 10, 0)
-    assert empty.dtype == np.int64 and empty.shape == (0,)
+    assert empty.dtype == bool and empty.shape == (10,) and not empty.any()
     full = floyd_sample(rng, 10, 10)
-    assert full.dtype == np.int64 and full.tolist() == list(range(10))
-    assert floyd_sample(rng, 1, 1).tolist() == [0]
+    assert full.dtype == bool and full.shape == (10,) and full.all()
+    assert floyd_sample(rng, 1, 1).tolist() == [True]
+    assert floyd_sample(rng, 0, 0).shape == (0,)
 
 
-def test_floyd_sample_is_sorted_distinct_int64():
+def test_floyd_sample_is_a_bool_mask_with_k_true():
     rng = random.Random(2)
     for universe, k in [(30, 7), (45, 26), (1000, 999), (44_850, 22_501)]:
         s = floyd_sample(rng, universe, k)
-        assert s.dtype == np.int64 and s.shape == (k,)
-        assert (np.diff(s) > 0).all()
-        assert 0 <= s[0] and s[-1] < universe
+        assert s.dtype == bool and s.shape == (universe,)
+        assert int(np.count_nonzero(s)) == k
 
 
 def test_floyd_sample_rejects_k_outside_the_universe():
@@ -882,7 +882,7 @@ def test_floyd_sample_is_uniform():
     for universe, k, bound in [(6, 3, 43.82), (7, 2, 45.31), (7, 6, 22.46), (8, 1, 24.32)]:
         counts = dict.fromkeys(combinations(range(universe), k), 0)
         for _ in range(draws):
-            counts[tuple(floyd_sample(rng, universe, k).tolist())] += 1
+            counts[tuple(np.flatnonzero(floyd_sample(rng, universe, k)).tolist())] += 1
         assert len(counts) == comb(universe, k) and min(counts.values()) > 0
         expected = draws / len(counts)
         chi2 = sum((c - expected) ** 2 / expected for c in counts.values())
@@ -896,7 +896,9 @@ def test_floyd_sample_takes_the_k_smallest_keys(seed, universe, data):
     # reference; both leave the generator in the same state
     k = data.draw(st.integers(0, universe))
     rng, twin = random.Random(seed), random.Random(seed)
-    assert floyd_sample(rng, universe, k).tolist() == _coin_floyd_reference(twin, universe, k)
+    s = floyd_sample(rng, universe, k)
+    assert s.dtype == bool and s.shape == (universe,)
+    assert np.flatnonzero(s).tolist() == _coin_floyd_reference(twin, universe, k)
     assert rng.getstate() == twin.getstate()
 
 
@@ -1074,7 +1076,7 @@ def _counting_reference(job: SearchJob) -> search.SearchReport:
     rng = random.Random(job.seed)
     y_slots, _, lo2, hi2 = search._y_reference(n, q)
     ends = edge_slots(n)
-    samples = [floyd_sample(rng, len(ends), m).tolist()
+    samples = [np.flatnonzero(floyd_sample(rng, len(ends), m)).tolist()
                for _ in range(job.grid["samples"][0])]
     y = set(y_slots.tolist())
     for _ in range(job.grid["perturbations"][0]):
@@ -1143,6 +1145,49 @@ def test_replay_counts_the_uniform_samples_when_no_perturbation_is_hypothesis_tr
     assert rep.extremal_tracker["min_triangles_given_hypothesis"] is not None
     monkeypatch.undo()
     assert rep.to_json() == _counting_reference(job).to_json()
+
+
+def test_no_edge_survives_from_an_earlier_sample(monkeypatch):
+    # A is overwritten, never cleared, between uniform samples: each decided
+    # and each replayed matrix is a fresh build of its own draw, and the
+    # first perturbation is Y with at most one edge swapped, not Y on top of
+    # the last uniform sample
+    job = _probe_job("12,1,30,1,2")  # its one perturbation is decided False
+    n, m, n_uniform = 12, 12 * 12 // 4 + 1, 30
+    decided, counted = [], []
+    real_decide, real_count = search._decide, search.dense_triangle_count
+
+    def spy_decide(test, A, **kw):
+        decided.append((A.copy(), real_decide(test, A, **kw)))
+        return decided[-1][1]
+
+    def spy_count(A, *args):
+        counted.append(A.copy())
+        return real_count(A, *args)
+
+    monkeypatch.setattr(search, "_decide", spy_decide)
+    monkeypatch.setattr(search, "dense_triangle_count", spy_count)
+    run_random(job)
+    ends = edge_slots(n)
+    twin = random.Random(job.seed)
+    fresh = []
+    for _ in range(n_uniform):
+        A = np.zeros((n, n), np.float32)
+        for slot in np.flatnonzero(floyd_sample(twin, len(ends), m)).tolist():
+            i, j = ends[slot]
+            A[i, j] = A[j, i] = 1.0
+        fresh.append(A)
+    assert len(decided) == n_uniform + 1 and decided[-1][1] is False
+    for (A, _), expected in zip(decided, fresh):
+        assert A.dtype == np.float32 and np.array_equal(A, expected)
+    hyp_true = [i for i, (_, true) in enumerate(decided[:n_uniform]) if true]
+    assert counted and len(counted) <= len(hyp_true)
+    at = iter(hyp_true)  # the replay counts some of them, in draw order
+    for A in counted:
+        assert any(np.array_equal(A, fresh[i]) for i in at)
+    y = adjacency_matrix(y_n2q(n, 1).graph)
+    iu, jv = np.triu_indices(n, 1)
+    assert int((decided[-1][0] != y)[iu, jv].sum()) in (0, 2)
 
 
 def test_probe_job_at_n_300_counts_no_triangles(monkeypatch):
