@@ -60,7 +60,8 @@ from .graph import Graph, complete_graph, from_matrix, from_slot_bits, is_comple
 from .graph import remove_edge, slot_bits, slot_ends, toggle_edge
 from .graph6 import emit_graph6, emit_graph6_rows
 from .roots import family_lambda, signs_at_lambda
-from .spectral import Ordering, _decide, certify_lambda_ge_frac, exact_lambda_sq, perron_enclosure
+from .spectral import Ordering, _decide, certify_lambda_ge_frac, degree_rung, exact_lambda_sq
+from .spectral import perron_enclosure
 from .theorems import verify_by_id
 from .triangles import degree_triangle_floor, dense_triangle_count, triangle_count
 from .triangles import triangle_workspace
@@ -957,6 +958,16 @@ def _y_reference(n: int, q: int) -> tuple[np.ndarray, int, Fraction, Fraction]:
     return y_slots, triangle_count(yc.graph), y_lo * y_lo, y_hi * y_hi
 
 
+@functools.lru_cache(maxsize=8)
+def _y_mask(n: int, q: int) -> np.ndarray:
+    """The edges of Y_{n,2,q} as a read-only bool mask over the edge slots,
+    the form in which `run_random` writes a sample into its matrix."""
+    mask = np.zeros(n * (n - 1) // 2, bool)
+    mask[_y_reference(n, q)[0]] = True
+    mask.flags.writeable = False
+    return mask
+
+
 @functools.lru_cache(maxsize=2)
 def _flat_slots(n: int) -> tuple[np.ndarray, np.ndarray]:
     """The flat (row-major) entries i*n + j and j*n + i of each edge slot
@@ -993,32 +1004,47 @@ def _move_edge(A: np.ndarray, t: int, ab: tuple[int, int], cd: tuple[int, int]) 
     return t + int(A[c] @ A[d])
 
 
+def _grid_point(job: SearchJob) -> dict:
+    """The grid of a runner that examines one point of it, as key -> value.
+    A key with more or fewer than one value raises ValueError, so no value
+    of the job is dropped without a word."""
+    for key, values in job.grid.items():
+        if len(values) != 1:
+            raise ValueError(f"a {job.mode} job takes one value of {key!r}, not {values!r}")
+    return {key: values[0] for key, values in job.grid.items()}
+
+
 def run_random(job: SearchJob) -> SearchReport:
     """Probe the matching-embedding spectral threshold on random graphs.
 
     Samples uniform G(n, m) at m = floor(n^2/4)+q plus edge-swap
     perturbations of the matching construction; every sample with certified
     lambda >= lambda(Y_{n,2,q}) must have at least q*floor(n/2) triangles.
-    Samples are subsets of the edge slots (`graph.slot_ends` order). Every
-    sample is written into one float32 adjacency matrix that the job reuses,
-    as is the triangle count's workspace, so a sample allocates no n x n
-    array unless its lambda needs the CW rungs. A uniform sample stays the
-    slot mask that `floyd_sample` draws: one boolean store puts it in the
-    strict lower triangle of a bool buffer, whose union with its transpose
-    overwrites every entry of A, so A is never cleared between samples.
+    Samples are subsets of the edge slots (`graph.slot_ends` order). A
+    uniform sample stays the slot mask that `floyd_sample` draws: one
+    boolean store puts it in the strict lower triangle of a bool buffer L,
+    whose row and column sums are its degrees. It is settled on its degrees
+    alone when it can be: Hofmeister's free rung (`degree_rung`) decides
+    the hypothesis, and `degree_triangle_floor` bounds its triangles. One
+    float32 adjacency matrix A, which the job reuses as it does the
+    triangle count's workspace, is built from L (its union with its
+    transpose overwrites every entry of A) only when a CW rung or a
+    triangle count reads the sample. Y is written the same way, and each
+    perturbation swaps one edge of Y in A and swaps it back, so A is never
+    cleared, and a sample allocates no n x n array unless its lambda needs
+    the CW rungs.
 
     Triangles are proved where they can be and counted only where a proof
     falls short; the report is the one that counting every
     hypothesis-true sample gives.
 
     - A hypothesis-true uniform sample has at least
-      ceil((sum(d^2) - n*m)/3) triangles (`degree_triangle_floor`). It is
-      counted at once when that floor is below q*floor(n/2), since it could
-      be a counterexample. A floor at or above the running minimum of the
-      counts cannot lower `min_triangles_given_hypothesis`, and the sample
-      is done. Otherwise the sample is counted at once when no
-      perturbation follows, and deferred, as its index and floor, when
-      one does.
+      ceil((sum(d^2) - n*m)/3) triangles. It is counted at once when that
+      floor is below q*floor(n/2), since it could be a counterexample. A
+      floor at or above the running minimum of the counts cannot lower
+      `min_triangles_given_hypothesis`, and the sample is done. Otherwise
+      the sample is counted at once when no perturbation follows, and
+      deferred, as its index and floor, when one does.
     - A perturbation Y - ab + cd is counted from t(Y), which `_y_reference`
       keeps, by the codegree identity of `_move_edge`.
     - After the perturbations, if some deferred floor is below the running
@@ -1029,15 +1055,21 @@ def run_random(job: SearchJob) -> SearchReport:
       has a floor below it too, so the minimum that results is exact. The
       job holds one rng state and one int per deferred sample, never a
       state or a slot array per sample.
+
+    Every grid key takes one value, and samples and perturbations are
+    counts; anything else raises ValueError.
     """
     if job.target != "SPEC_LS_Y":
         raise ValueError(f"no random runner for target {job.target!r}")
     report = SearchReport(job)
     rng = random.Random(job.seed)
-    n = job.grid["n"][0]
-    q = job.grid.get("q", [1])[0]
-    n_uniform = job.grid.get("samples", [job.budget or 1000])[0]
-    n_perturb = job.grid.get("perturbations", [0])[0]
+    grid = _grid_point(job)
+    n, q = grid["n"], grid.get("q", 1)
+    n_uniform = grid.get("samples", job.budget or 1000)
+    n_perturb = grid.get("perturbations", 0)
+    for key, value in (("samples", n_uniform), ("perturbations", n_perturb)):
+        if value < 0:
+            raise ValueError(f"a random job takes a count >= 0 of {key!r}, not {value}")
     m = n * n // 4 + q
     bound = q * (n // 2)
     y_slots, y_t, y_lo2, y_hi2 = _y_reference(n, q)
@@ -1047,7 +1079,9 @@ def run_random(job: SearchJob) -> SearchReport:
     A = np.zeros((n, n), np.float32)
     flat = A.reshape(-1)  # a view: writes go to A
     L, B = np.zeros((n, n), bool), np.empty((n, n), bool)  # L is False on and above the diagonal
+    Lu = L.view(np.uint8)
     walks = triangle_workspace(n)
+    built = False  # does A hold the sample that L holds?
 
     def above_y(iv) -> Optional[bool]:  # is lambda(G) > lambda(Y)?
         return True if iv[0] > y_hi2 else False if iv[1] < y_lo2 else None
@@ -1056,19 +1090,34 @@ def run_random(job: SearchJob) -> SearchReport:
         for half in (upper, lower):
             flat[half[slots]] = value
 
-    def put_uniform(mask: np.ndarray) -> None:  # overwrites every entry of A
+    def put_mask(mask: np.ndarray) -> None:  # L holds the sample from here on; A not yet
+        nonlocal built
         L[tril] = mask
-        np.logical_or(L, L.T, out=B)
-        np.copyto(A, B)
+        built = False
+
+    def build() -> None:  # A holds the sample that L holds
+        nonlocal built
+        if not built:
+            np.logical_or(L, L.T, out=B)
+            np.copyto(A, B)
+            built = True
+
+    def degrees() -> np.ndarray:  # of the sample in L; exact in int16, as n <= 4096 < 2^15
+        return (Lu.sum(axis=0, dtype=np.int16) + Lu.sum(axis=1, dtype=np.int16)).astype(np.int64)
 
     hyp_true = 0
     min_t = None
     examined = 0
 
-    def hypothesis() -> bool:  # is the sample that A holds hypothesis-true?
+    def hypothesis(d: Optional[np.ndarray] = None) -> bool:
+        """Is the sample hypothesis-true? d: the degrees of the uniform
+        sample that L holds; None: the perturbation that A holds."""
         nonlocal hyp_true, examined
         examined += 1
-        decided = _decide(above_y, A)
+        decided = None if d is None else above_y(degree_rung(d))
+        if decided is None:
+            build()
+            decided = _decide(above_y, A)
         if isinstance(decided, Ordering):
             report.ties += 1
             return False
@@ -1078,6 +1127,10 @@ def run_random(job: SearchJob) -> SearchReport:
 
     def lowers_min(floor: int) -> bool:
         return min_t is None or floor < min_t
+
+    def count() -> int:  # the triangles of the uniform sample that L holds
+        build()
+        return dense_triangle_count(A, walks)
 
     def record(t: int) -> None:  # the hypothesis-true sample that A holds has t triangles
         nonlocal min_t
@@ -1092,15 +1145,16 @@ def run_random(job: SearchJob) -> SearchReport:
     start = rng.getstate()
     deferred: dict[int, int] = {}  # uniform sample index -> its triangle floor
     for i in range(n_uniform):
-        put_uniform(floyd_sample(rng, ns, m))
-        if hypothesis():
-            floor = degree_triangle_floor(A)
+        put_mask(floyd_sample(rng, ns, m))
+        d = degrees()
+        if hypothesis(d):
+            floor = degree_triangle_floor(d)
             if floor < bound or (lowers_min(floor) and not n_perturb):
-                record(dense_triangle_count(A, walks))
+                record(count())
             elif lowers_min(floor):
                 deferred[i] = floor
-    A.fill(0.0)  # it still holds the last uniform sample
-    put(y_slots, 1.0)  # A holds Y from here on, between perturbations
+    put_mask(_y_mask(n, q))
+    build()  # A holds Y from here on, between perturbations
     for _ in range(n_perturb):
         dropped = int(y_slots[rng.randrange(len(y_slots))])
         while True:  # any slot outside Y minus the dropped one, which may come back
@@ -1118,8 +1172,8 @@ def run_random(job: SearchJob) -> SearchReport:
         for i in range(last + 1):
             mask = floyd_sample(rng, ns, m)
             if i in deferred and lowers_min(deferred[i]):
-                put_uniform(mask)
-                record(dense_triangle_count(A, walks))
+                put_mask(mask)
+                record(count())
     report.graphs_examined = examined
     report.counterexamples.sort(key=lambda c: c["graph6"])
     report.extremal_tracker = {
@@ -1144,14 +1198,15 @@ def run_local_search(job: SearchJob) -> SearchReport:
         raise ValueError(f"no local-search runner for target {job.target!r}")
     report = SearchReport(job)
     rng = random.Random(job.seed)
-    n = job.grid["n"][0]
-    gamma = Fraction(job.grid["gamma"][0])
+    grid = _grid_point(job)
+    n = grid["n"]
+    gamma = Fraction(grid["gamma"])
     s = next((s for s in range(2, 64) if Fraction(s - 1, s) < gamma <= Fraction(s, s + 1)), None)
     if s is None:
         raise ValueError(f"gamma must lie in (1/2, 63/64], got {gamma}")
     steps = job.budget or 200
-    restarts = job.grid.get("restarts", [3])[0]
-    plateau_budget = job.grid.get("plateau", [30])[0]
+    restarts = grid.get("restarts", 3)
+    plateau_budget = grid.get("plateau", 30)
     target_lam = gamma * n
 
     def feasible(g: Graph) -> bool:

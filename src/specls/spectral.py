@@ -252,6 +252,15 @@ def _tols_down_to(tol_floor: float) -> list[float]:
     return tols
 
 
+def degree_rung(d: np.ndarray) -> Interval:
+    """The free rung of a graph with int64 degree vector d: Hofmeister's
+    bound lambda^2 >= sum(d^2)/n (the Rayleigh quotient of A^2 at the
+    all-ones vector), never weaker than (2m/n)^2 by Cauchy-Schwarz, and no
+    upper bound. `d @ d` runs in int64, so it is exact however large
+    sum(d^2) grows."""
+    return Fraction(int(d @ d), len(d)), math.inf
+
+
 def _lambda_sq_rungs(
     subject: Union[Graph, np.ndarray], tols: Sequence[float]
 ) -> Iterator[Optional[Interval]]:
@@ -259,13 +268,10 @@ def _lambda_sq_rungs(
     adjacency matrix of one: the free rung, then one rung per tolerance.
     None marks an unconverged rung; nothing follows it.
 
-    Unless `exact_lambda_sq` applies, the free rung is Hofmeister's bound
-    lambda^2 >= sum(d^2)/n (the Rayleigh quotient of A^2 at the all-ones
-    vector), never weaker than (2m/n)^2 by Cauchy-Schwarz. The matrix may
-    have any 0/1 dtype: each degree is an integer at most n < 2^24, exact
-    even in float32, and `d @ d` runs in int64, so it is exact however
-    large sum(d^2) grows. The CW rungs run on a float64 copy, made only
-    when they are reached."""
+    Unless `exact_lambda_sq` applies, the free rung is `degree_rung`. The
+    matrix may have any 0/1 dtype: each degree is an integer at most
+    n < 2^24, exact even in float32. The CW rungs run on a float64 copy,
+    made only when they are reached."""
     if isinstance(subject, Graph):
         exact = exact_lambda_sq(subject)
         if exact is not None:
@@ -274,8 +280,7 @@ def _lambda_sq_rungs(
         if subject.n < 1:
             raise ValueError("needs at least one vertex")
         subject = adjacency_matrix(subject)
-    d = subject.sum(axis=1).astype(np.int64)
-    yield Fraction(int(d @ d), len(d)), math.inf
+    yield degree_rung(subject.sum(axis=1).astype(np.int64))
     for lo, hi, converged, *_ in _cw_rungs(subject.astype(np.float64, copy=False), tols):
         yield (Fraction(lo) ** 2, Fraction(hi) ** 2) if converged else None
 

@@ -162,13 +162,11 @@ def degree_square_sum(g: Graph) -> int:
     return sum(d * d for d in g.degrees())
 
 
-def degree_triangle_floor(A: np.ndarray) -> int:
+def degree_triangle_floor(d: np.ndarray) -> int:
     """ceil((sum(d^2) - n*m) / 3), a lower bound on the triangle count of
-    the graph with 0/1 adjacency matrix A (any dtype; each degree is an
-    integer at most n < 2^24, exact even in float32). The ends of an edge
-    uv have at least d_u + d_v - n common neighbours, and summing over the
-    edges counts each triangle three times and each d_u^2 once."""
-    d = A.sum(axis=1).astype(np.int64)
+    the graph with int64 degree vector d. The ends of an edge uv have at
+    least d_u + d_v - n common neighbours, and summing over the edges
+    counts each triangle three times and each d_u^2 once."""
     n, m = len(d), int(d.sum()) // 2
     return -((n * m - int(d @ d)) // 3)
 

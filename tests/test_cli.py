@@ -208,6 +208,20 @@ def test_search_job_file_with_a_malformed_field_is_a_usage_error(capsys, tmp_pat
     assert code == 2 and out == "" and err.startswith("error: job ") and repr(field) in err
 
 
+@pytest.mark.parametrize("grid, key", [
+    ({"n": [12, 40], "q": [1, 2], "samples": [5, 50]}, "n"),
+    ({"n": [12], "samples": [-3], "perturbations": [-2]}, "samples"),
+])
+def test_search_job_file_that_a_random_run_would_drop_is_a_usage_error(
+        capsys, tmp_path, grid, key):
+    # a second grid value or a negative count exits 2, not 0 after running
+    # part of the job, or nothing
+    p = tmp_path / "job.json"
+    p.write_text(json.dumps({"target": "SPEC_LS_Y", "mode": "random", "grid": grid}))
+    code, out, err = run(capsys, "search", "--job", str(p), "--json")
+    assert code == 2 and out == "" and repr(key) in err
+
+
 def test_search_job_file_that_is_not_an_object_is_a_usage_error(capsys, tmp_path):
     p = tmp_path / "job.json"
     p.write_text("[1, 2]")

@@ -1123,8 +1123,10 @@ def test_run_random_matches_the_counting_reference(spec):
 
 def test_replay_counts_the_uniform_samples_when_no_perturbation_is_hypothesis_true(
         monkeypatch):
-    # the one perturbation is decided False, so the minimum comes from the
-    # uniform samples, counted after the perturbations by drawing them again
+    # every uniform sample is settled on its degrees and never reaches
+    # _decide; the one perturbation is decided False, so the minimum comes
+    # from the uniform samples, counted after the perturbation by drawing
+    # them again
     decided, counted_at = [], []
     real_decide, real_count = search._decide, search.dense_triangle_count
 
@@ -1140,64 +1142,95 @@ def test_replay_counts_the_uniform_samples_when_no_perturbation_is_hypothesis_tr
     monkeypatch.setattr(search, "dense_triangle_count", spy_count)
     job = _probe_job("12,1,30,1,2")
     rep = run_random(job)
-    assert decided[-1] is False and decided[:-1].count(True) == 30
-    assert counted_at and set(counted_at) == {31}  # every count comes in the replay
+    assert decided == [False] and rep.extremal_tracker["hypothesis_true"] == 30
+    assert counted_at and set(counted_at) == {1}  # every count comes in the replay
     assert rep.extremal_tracker["min_triangles_given_hypothesis"] is not None
     monkeypatch.undo()
     assert rep.to_json() == _counting_reference(job).to_json()
 
 
+def _fresh_matrix(n: int, mask: np.ndarray) -> np.ndarray:
+    A, ends = np.zeros((n, n), np.float32), edge_slots(n)
+    for slot in np.flatnonzero(mask).tolist():
+        i, j = ends[slot]
+        A[i, j] = A[j, i] = 1.0
+    return A
+
+
 def test_no_edge_survives_from_an_earlier_sample(monkeypatch):
-    # A is overwritten, never cleared, between uniform samples: each decided
-    # and each replayed matrix is a fresh build of its own draw, and the
-    # first perturbation is Y with at most one edge swapped, not Y on top of
-    # the last uniform sample
-    job = _probe_job("12,1,30,1,2")  # its one perturbation is decided False
-    n, m, n_uniform = 12, 12 * 12 // 4 + 1, 30
-    decided, counted = [], []
-    real_decide, real_count = search._decide, search.dense_triangle_count
+    # A uniform sample is built into A only when a CW rung or a count reads
+    # it, and A is never cleared: each matrix that reaches _decide or
+    # dense_triangle_count is a fresh build of its own draw, a sample that
+    # the free rung decides never reaches _decide, and the perturbation is Y
+    # with at most one edge swapped, not Y on top of the last uniform sample.
+    # This job has uniform samples on the CW rungs, counts at once (each
+    # right after a CW rung) and counts in the replay
+    job = _probe_job("8,2,30,1,3")
+    n, q, n_uniform = 8, 2, 30
+    m = n * n // 4 + q
+    draws, decided, counted = [], [], []
+    real_sample, real_decide = search.floyd_sample, search._decide
+    real_count = search.dense_triangle_count
 
-    def spy_decide(test, A, **kw):
-        decided.append((A.copy(), real_decide(test, A, **kw)))
-        return decided[-1][1]
+    def spy_sample(*args):
+        draws.append(real_sample(*args))
+        return draws[-1]
 
-    def spy_count(A, *args):
-        counted.append(A.copy())
+    def spy_decide(test, A, **kw):  # the index of the last draw
+        decided.append((len(draws) - 1, A.copy()))
+        return real_decide(test, A, **kw)
+
+    def spy_count(A, *args):  # the draw's index and whether it is replayed
+        counted.append(((len(draws) - 1) % n_uniform, len(draws) > n_uniform, A.copy()))
         return real_count(A, *args)
 
+    monkeypatch.setattr(search, "floyd_sample", spy_sample)
     monkeypatch.setattr(search, "_decide", spy_decide)
     monkeypatch.setattr(search, "dense_triangle_count", spy_count)
     run_random(job)
-    ends = edge_slots(n)
     twin = random.Random(job.seed)
-    fresh = []
-    for _ in range(n_uniform):
-        A = np.zeros((n, n), np.float32)
-        for slot in np.flatnonzero(floyd_sample(twin, len(ends), m)).tolist():
-            i, j = ends[slot]
-            A[i, j] = A[j, i] = 1.0
-        fresh.append(A)
-    assert len(decided) == n_uniform + 1 and decided[-1][1] is False
-    for (A, _), expected in zip(decided, fresh):
-        assert A.dtype == np.float32 and np.array_equal(A, expected)
-    hyp_true = [i for i, (_, true) in enumerate(decided[:n_uniform]) if true]
-    assert counted and len(counted) <= len(hyp_true)
-    at = iter(hyp_true)  # the replay counts some of them, in draw order
-    for A in counted:
-        assert any(np.array_equal(A, fresh[i]) for i in at)
-    y = adjacency_matrix(y_n2q(n, 1).graph)
+    fresh = [_fresh_matrix(n, floyd_sample(twin, n * (n - 1) // 2, m)) for _ in range(n_uniform)]
+    y_hi2 = search._y_reference(n, q)[3]
+    free = [Fraction(int(d @ d), n) > y_hi2
+            for d in (A.sum(axis=1).astype(np.int64) for A in fresh)]
+    *uniform, (_, perturbed) = decided
+    assert [i for i, _ in uniform] == [i for i in range(n_uniform) if not free[i]]
+    assert uniform and {replayed for _, replayed, _ in counted} == {False, True}
+    for i, A in uniform + [(i, A) for i, _, A in counted]:
+        assert A.dtype == np.float32 and np.array_equal(A, fresh[i]), i
+    y = adjacency_matrix(y_n2q(n, q).graph)
     iu, jv = np.triu_indices(n, 1)
-    assert int((decided[-1][0] != y)[iu, jv].sum()) in (0, 2)
+    assert int((perturbed != y)[iu, jv].sum()) in (0, 2)
 
 
 def test_probe_job_at_n_300_counts_no_triangles(monkeypatch):
-    # every uniform sample's degree floor (here at least 6 435) is above both
-    # q*floor(n/2) = 150 and the perturbation's count, so nothing is replayed
+    # every uniform sample is settled on its degrees: the free rung decides
+    # it, and its degree floor (here at least 6 435) is above both
+    # q*floor(n/2) = 150 and the perturbation's count, so nothing is
+    # replayed. No uniform sample is built into the float32 matrix or
+    # reaches _decide: only Y's write and the one perturbation touch it
     search._y_reference(300, 1)
-    calls = []
+    calls, decided, builds = [], [], []
+    real_decide, real_copyto = search._decide, np.copyto
+
+    def spy_decide(test, A, **kw):
+        decided.append(A.copy())
+        return real_decide(test, A, **kw)
+
+    def spy_copyto(dst, src, *args, **kw):  # the build of the float32 matrix
+        builds.append(np.array(src, copy=True))
+        return real_copyto(dst, src, *args, **kw)
+
     monkeypatch.setattr(search, "dense_triangle_count", lambda *a: calls.append(a) or 0)
+    monkeypatch.setattr(search, "_decide", spy_decide)
+    monkeypatch.setattr(search.np, "copyto", spy_copyto)
     rep = run_random(_probe_job("300,1,10,1,1"))
+    monkeypatch.undo()
     assert calls == [] and rep.extremal_tracker["hypothesis_true"] == 11
+    y = adjacency_matrix(y_n2q(300, 1).graph)
+    assert len(builds) == 1 and np.array_equal(builds[0], y)
+    iu, jv = np.triu_indices(300, 1)
+    assert len(decided) == 1 and int((decided[0] != y)[iu, jv].sum()) in (0, 2)
 
 
 def test_probe_job_holds_no_state_or_slots_per_sample():
@@ -1320,6 +1353,25 @@ def test_ratio_scan_encloses_each_point_once(monkeypatch):
         scale = r["t"] / Fraction(r["n"] * r["n"])
         assert float(scale / (Fraction(cert.lambda_hi) - half)) <= r["C_lo"]
         assert r["C_hi"] <= float(scale / (Fraction(cert.lambda_lo) - half))
+
+
+@pytest.mark.parametrize("runner, target, mode, grid, key", [
+    (run_random, "SPEC_LS_Y", "random", {"n": [12, 40], "q": [1, 2], "samples": [5, 50]}, "n"),
+    (run_random, "SPEC_LS_Y", "random", {"n": [12], "samples": [5], "perturbations": [1, 3]},
+     "perturbations"),
+    (run_random, "SPEC_LS_Y", "random", {"n": [12], "samples": [-3], "perturbations": [-2]},
+     "samples"),
+    (run_random, "SPEC_LS_Y", "random", {"n": [12], "samples": [3], "perturbations": [-2]},
+     "perturbations"),
+    (run_local_search, "MIN_T", "local", {"n": [10], "gamma": ["2/3", "3/4"]}, "gamma"),
+    (run_local_search, "MIN_T", "local", {"n": [10], "gamma": ["2/3"], "restarts": [1, 2]},
+     "restarts"),
+])
+def test_one_point_runners_refuse_a_grid_value_they_would_drop(runner, target, mode, grid, key):
+    # the probe and the local search examine one point of the grid; a second
+    # value of a key, or a negative count, is refused rather than dropped
+    with pytest.raises(ValueError, match=repr(key)):
+        runner(SearchJob(target, mode, grid))
 
 
 def test_job_round_trip():
