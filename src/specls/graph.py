@@ -10,8 +10,9 @@ diagonal and packs its rows into the ints.
 This module also owns the order of the C(n,2) edge slots: slot
 s = j(j-1)/2 + i joins i < j, so the slots run through the upper adjacency
 triangle column by column. That is the bit order of a graph6 body and of
-every edge-set mask in `search`; `slot_ends`, `slot_bits` and
-`from_slot_bits` are the only code that derives it.
+every edge-set mask in `search`; `slot_index`, `slot_pair`, `slot_ends`,
+`_slot_mask`, `slot_bits` and `from_slot_bits` are the only code that
+derives it.
 """
 
 from __future__ import annotations
@@ -19,6 +20,7 @@ from __future__ import annotations
 import operator
 from dataclasses import dataclass
 from itertools import chain, repeat
+from math import isqrt
 from typing import Iterable, Iterator, Optional
 
 import numpy as np
@@ -176,11 +178,23 @@ def _slot_mask(n: int) -> np.ndarray:
     return np.tri(n, n, -1, dtype=bool)
 
 
+def slot_index(i, j):
+    """The slot j(j-1)/2 + i of the pair i < j; ints or int64 arrays."""
+    return j * (j - 1) // 2 + i
+
+
+def slot_pair(s: int) -> tuple[int, int]:
+    """The ends (i, j), i < j, of slot s, the inverse of `slot_index`:
+    j is the largest with j(j-1)/2 <= s."""
+    j = (1 + isqrt(8 * s + 1)) // 2
+    return s - j * (j - 1) // 2, j
+
+
 def slot_ends(n: int) -> tuple[np.ndarray, np.ndarray]:
     """Endpoint arrays (i, j), int64, of the C(n,2) edge slots in order:
     slot s = j(j-1)/2 + i joins i < j."""
     j = np.repeat(np.arange(n), np.arange(n))  # column j holds j slots
-    return np.arange(len(j)) - j * (j - 1) // 2, j
+    return np.arange(len(j)) - slot_index(0, j), j
 
 
 def slot_bits(g: Graph) -> np.ndarray:

@@ -2,19 +2,19 @@
 theorems and conjectures.
 
 Every graph here is a subset of the C(n,2) edge slots, in the order of the
-codec in `graph` (`slot_ends`, `slot_bits`, `from_slot_bits`), which is
-also the graph6 body order. One sharded complement walk (`_dense_dfs`
-over `_ls_shard`) serves both the LS exhaustive check and the `enumerate`
-count: graphs with at least min_edges edges correspond to subsets F of the
-edge-slot lattice of bounded size. F splits as F' + star(N), F' on the
-slots of K_{n-1} and N the complement neighbourhood of vertex n-1, and the
-margin is a graph invariant, so only the F' are walked, in colex order in
-32 shards (the patterns of the first five slots), each with the stars
-{0..k-1}; the other neighbourhoods are relabellings of these. Each shard
-expands its lattice one size at a time as numpy arrays, in bounded chunks,
-maintaining the statistics of F' (edge count f, cherries, triangles)
-incrementally, so each walked F' and each star on it costs a few array
-operations:
+codec in `graph` (`slot_index`, `slot_pair`, `slot_ends`, `slot_bits`,
+`from_slot_bits`), which is also the graph6 body order. One sharded
+complement walk (`_dense_dfs` over `_ls_shard`) serves both the LS
+exhaustive check and the `enumerate` count: graphs with at least min_edges
+edges correspond to subsets F of the edge-slot lattice of bounded size. F
+splits as F' + star(N), F' on the slots of K_{n-1} and N the complement
+neighbourhood of vertex n-1, and the margin is a graph invariant, so only
+the F' are walked, in colex order in 32 shards (the patterns of the first
+five slots), each with the stars {0..k-1}; the other neighbourhoods are
+relabellings of these. Each shard expands its lattice one size at a time
+as numpy arrays, in bounded chunks, maintaining the statistics of F' (edge
+count f, cherries, triangles) incrementally, so each walked F' and each
+star on it costs a few array operations:
 
     t(G) = C(n,3) - f*(n-2) + cherries(F) - t(F)   for G = K_n - F.
 
@@ -57,7 +57,8 @@ import numpy as np
 
 from .families import build_from_spec, l_nsalpha, y_n2q
 from .graph import Graph, complete_graph, from_matrix, from_slot_bits, is_complete_bipartite
-from .graph import remove_edge, slot_bits, slot_ends, toggle_edge
+from .graph import _slot_mask, remove_edge, slot_bits, slot_ends, slot_index, slot_pair
+from .graph import toggle_edge
 from .graph6 import emit_graph6, emit_graph6_rows
 from .roots import family_lambda, signs_at_lambda
 from .spectral import Ordering, _decide, certify_lambda_ge_frac, degree_rung, exact_lambda_sq
@@ -143,11 +144,6 @@ class SearchReport:
 def edge_slots(n: int) -> list[tuple[int, int]]:
     """The (i, j) pair of each edge slot, in slot order."""
     return list(zip(*(e.tolist() for e in slot_ends(n))))
-
-
-def graph_slots(g: Graph) -> np.ndarray:
-    """The edges of g as sorted slot indices."""
-    return np.flatnonzero(slot_bits(g))
 
 
 def graph_from_complement(n: int, comp_slots: tuple[int, ...]) -> Graph:
@@ -386,8 +382,7 @@ def _relabellings(r: int, k: int):
     for N in combinations(range(r), k):
         sigma = np.array(N + tuple(v for v in range(r) if v not in N), dtype=np.int64)
         a, b = sigma[i], sigma[j]
-        lo, hi = np.minimum(a, b), np.maximum(a, b)
-        yield N, hi * (hi - 1) // 2 + lo
+        yield N, slot_index(np.minimum(a, b), np.maximum(a, b))
 
 
 def _star_images(n: int, F: np.ndarray, k: int):
@@ -398,9 +393,8 @@ def _star_images(n: int, F: np.ndarray, k: int):
     (i, n-1), i in N, which follow every slot of F', so an image's sorted
     slot tuple is its row followed by star(N)."""
     r = max(n - 1, 0)
-    nl = r * (r - 1) // 2
     for N, to in _relabellings(r, k):
-        yield tuple(nl + v for v in N), np.sort(to[F], axis=1)
+        yield tuple(slot_index(v, r) for v in N), np.sort(to[F], axis=1)
 
 
 def _least_star_image(n: int, groups: list, least: Optional[tuple] = None) -> Optional[tuple]:
@@ -479,6 +473,8 @@ def enumerate_dense(
 def _run_ls_exhaustive(job: SearchJob, workers: int) -> SearchReport:
     report = SearchReport(job)
     q_values = sorted(job.grid.get("q", [1]))
+    if q_values and q_values[0] < 1:
+        raise ValueError(f"q={q_values[0]}: the LS check needs q >= 1")
     per_n = {}
     for n in sorted(job.grid.get("n", [])):
         below = [q for q in q_values if q <= (n + 1) // 2 - 1]
@@ -714,7 +710,7 @@ def _transposed(x: np.ndarray, r: int, i: int) -> np.ndarray:
     apart for j > i + 1, and {i, i + 1} stays."""
     for shift, ends in ((i, [(j, i) for j in range(i)]),
                         (1, [(i, j) for j in range(i + 2, r)])):
-        sel = sum(1 << b * (b - 1) // 2 + a for a, b in ends)
+        sel = sum(1 << slot_index(a, b) for a, b in ends)
         if sel:
             swap = x >> shift
             swap ^= x
@@ -895,12 +891,18 @@ def _run_full_scan(job: SearchJob) -> SearchReport:
 
 
 def run_exhaustive(job: SearchJob, workers: int = 1) -> SearchReport:
-    """The exhaustive check of job's target; only the LS walk reads workers."""
-    if job.target in _SCAN_TARGETS:
-        return _run_full_scan(job)
-    if job.target != "LS":
+    """The exhaustive check of job's target; only the LS walk reads workers.
+    An n that the grid lists twice raises ValueError: it would be examined
+    twice and counted twice."""
+    if job.target != "LS" and job.target not in _SCAN_TARGETS:
         raise ValueError(f"no exhaustive runner for target {job.target!r}")
-    return _run_ls_exhaustive(job, workers)
+    n_grid = job.grid.get("n", [])
+    for i, n in enumerate(n_grid):
+        if n in n_grid[:i]:
+            raise ValueError(f"n={n}: the n grid {n_grid} lists it twice")
+    if job.target == "LS":
+        return _run_ls_exhaustive(job, workers)
+    return _run_full_scan(job)
 
 
 # ---------------------------------------------------------------------------
@@ -942,48 +944,31 @@ def floyd_sample(rng: random.Random, universe: int, k: int) -> np.ndarray:
 
 
 @functools.lru_cache(maxsize=8)
-def _y_reference(n: int, q: int) -> tuple[np.ndarray, int, Fraction, Fraction]:
+def _y_reference(n: int, q: int) -> tuple[np.ndarray, np.ndarray, int, Fraction, Fraction]:
     """Y_{n,2,q} for the random probe, built once per (n, q): its edges as a
-    read-only sorted slot array, its triangle count, and a certified
-    bracket of its lambda^2 (the exact family polynomial that `y_n2q`
-    records at q = 1, CW otherwise)."""
+    read-only bool mask over the edge slots, the form in which `run_random`
+    writes a sample into its matrix, and as that mask's read-only sorted
+    slot array, its triangle count, and a certified bracket of its lambda^2
+    (the exact family polynomial that `y_n2q` records at q = 1, CW
+    otherwise)."""
     yc = y_n2q(n, q)
     if yc.predicted.lambda_poly is not None:
         y_lo, y_hi = family_lambda(yc.predicted.lambda_poly, Fraction(1, 10**14))
     else:
         ycert = perron_enclosure(yc.graph, 1e-10)
         y_lo, y_hi = Fraction(ycert.lambda_lo), Fraction(ycert.lambda_hi)
-    y_slots = graph_slots(yc.graph)
-    y_slots.flags.writeable = False
-    return y_slots, triangle_count(yc.graph), y_lo * y_lo, y_hi * y_hi
-
-
-@functools.lru_cache(maxsize=8)
-def _y_mask(n: int, q: int) -> np.ndarray:
-    """The edges of Y_{n,2,q} as a read-only bool mask over the edge slots,
-    the form in which `run_random` writes a sample into its matrix."""
-    mask = np.zeros(n * (n - 1) // 2, bool)
-    mask[_y_reference(n, q)[0]] = True
-    mask.flags.writeable = False
-    return mask
-
-
-@functools.lru_cache(maxsize=2)
-def _flat_slots(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """The flat (row-major) entries i*n + j and j*n + i of each edge slot
-    {i, j} of an n x n matrix, read-only int64, in slot order. An upper
-    entry e also gives the slot's ends: (i, j) = divmod(e, n)."""
-    iu, jv = slot_ends(n)
-    upper, lower = iu * n + jv, jv * n + iu
-    upper.flags.writeable = lower.flags.writeable = False
-    return upper, lower
+    y_mask = slot_bits(yc.graph).view(bool)
+    y_slots = np.flatnonzero(y_mask)
+    y_mask.flags.writeable = y_slots.flags.writeable = False
+    return y_mask, y_slots, triangle_count(yc.graph), y_lo * y_lo, y_hi * y_hi
 
 
 @functools.lru_cache(maxsize=2)
 def _lower_triangle(n: int) -> np.ndarray:
-    """The read-only bool n x n mask of the strict lower triangle. Its True
-    entries, in row-major order, are the edge slots in slot order."""
-    tril = np.tri(n, k=-1, dtype=bool)
+    """`graph._slot_mask(n)`, read-only and kept for the probe's jobs: the
+    bool n x n mask of the strict lower triangle, whose True entries, in
+    row-major order, are the edge slots in slot order."""
+    tril = _slot_mask(n)
     tril.flags.writeable = False
     return tril
 
@@ -1029,10 +1014,11 @@ def run_random(job: SearchJob) -> SearchReport:
     float32 adjacency matrix A, which the job reuses as it does the
     triangle count's workspace, is built from L (its union with its
     transpose overwrites every entry of A) only when a CW rung or a
-    triangle count reads the sample. Y is written the same way, and each
-    perturbation swaps one edge of Y in A and swaps it back, so A is never
-    cleared, and a sample allocates no n x n array unless its lambda needs
-    the CW rungs.
+    triangle count reads the sample. Y is written the same way, once, in a
+    job with perturbations; each perturbation moves one edge of Y in A,
+    its slots' ends read by `graph.slot_pair`, and `_move_edge` moves it
+    back, so A is never cleared, and a sample allocates no n x n array
+    unless its lambda needs the CW rungs.
 
     Triangles are proved where they can be and counted only where a proof
     falls short; the report is the one that counting every
@@ -1072,12 +1058,10 @@ def run_random(job: SearchJob) -> SearchReport:
             raise ValueError(f"a random job takes a count >= 0 of {key!r}, not {value}")
     m = n * n // 4 + q
     bound = q * (n // 2)
-    y_slots, y_t, y_lo2, y_hi2 = _y_reference(n, q)
-    upper, lower = _flat_slots(n)
+    y_mask, y_slots, y_t, y_lo2, y_hi2 = _y_reference(n, q)
     tril = _lower_triangle(n)
-    ns = len(upper)
+    ns = len(y_mask)
     A = np.zeros((n, n), np.float32)
-    flat = A.reshape(-1)  # a view: writes go to A
     L, B = np.zeros((n, n), bool), np.empty((n, n), bool)  # L is False on and above the diagonal
     Lu = L.view(np.uint8)
     walks = triangle_workspace(n)
@@ -1085,10 +1069,6 @@ def run_random(job: SearchJob) -> SearchReport:
 
     def above_y(iv) -> Optional[bool]:  # is lambda(G) > lambda(Y)?
         return True if iv[0] > y_hi2 else False if iv[1] < y_lo2 else None
-
-    def put(slots, value: float) -> None:
-        for half in (upper, lower):
-            flat[half[slots]] = value
 
     def put_mask(mask: np.ndarray) -> None:  # L holds the sample from here on; A not yet
         nonlocal built
@@ -1153,19 +1133,20 @@ def run_random(job: SearchJob) -> SearchReport:
                 record(count())
             elif lowers_min(floor):
                 deferred[i] = floor
-    put_mask(_y_mask(n, q))
-    build()  # A holds Y from here on, between perturbations
+    if n_perturb:
+        put_mask(y_mask)
+        build()  # A holds Y from here on, between perturbations
     for _ in range(n_perturb):
         dropped = int(y_slots[rng.randrange(len(y_slots))])
-        while True:  # any slot outside Y minus the dropped one, which may come back
+        while True:  # any slot outside Y, or the dropped one, which may come back
             cand = rng.randrange(ns)
-            if flat[upper[cand]] == 0.0 or cand == dropped:
+            if not y_mask[cand] or cand == dropped:
                 break
-        t = _move_edge(A, y_t, divmod(int(upper[dropped]), n), divmod(int(upper[cand]), n))
+        ab, cd = slot_pair(dropped), slot_pair(cand)
+        t = _move_edge(A, y_t, ab, cd)
         if hypothesis():
             record(t)
-        put(cand, 0.0)
-        put(dropped, 1.0)
+        _move_edge(A, t, cd, ab)  # back to Y
     last = max((i for i, floor in deferred.items() if lowers_min(floor)), default=-1)
     if last >= 0:  # replay the uniform draws
         rng.setstate(start)

@@ -222,6 +222,14 @@ def test_search_job_file_that_a_random_run_would_drop_is_a_usage_error(
     assert code == 2 and out == "" and repr(key) in err
 
 
+def test_search_job_file_that_repeats_an_exhaustive_n_is_a_usage_error(capsys, tmp_path):
+    # exit 2, not a report that examines and lists every graph at n = 5 twice
+    p = tmp_path / "job.json"
+    p.write_text(json.dumps({"target": "BOOK", "mode": "exhaustive", "grid": {"n": [5, 5]}}))
+    code, out, err = run(capsys, "search", "--job", str(p), "--json")
+    assert code == 2 and out == "" and "error: n=5: the n grid [5, 5] lists it twice" in err
+
+
 def test_search_job_file_that_is_not_an_object_is_a_usage_error(capsys, tmp_path):
     p = tmp_path / "job.json"
     p.write_text("[1, 2]")
@@ -263,6 +271,13 @@ def test_usage_errors(capsys):
     assert main(["verify"]) == 2
     code, _, err = run(capsys, "verify", "LS", "--exhaustive")  # missing --n
     assert code == 2
+
+
+@pytest.mark.parametrize("q", ["0", "-3"])
+def test_ls_exhaustive_with_q_below_1_is_a_usage_error(capsys, q):
+    code, out, err = run(capsys, "search", "--target", "LS", "--mode", "exhaustive",
+                         "--n", "6", "--q", q)
+    assert code == 2 and not out and f"error: q={q}: the LS check needs q >= 1" in err
 
 
 def test_ls_exhaustive_without_a_small_q_is_a_usage_error(capsys):

@@ -20,6 +20,7 @@ from specls.graph import (
     components,
     cut_stats,
     empty_graph,
+    MAX_VERTICES,
     from_matrix,
     from_rows,
     from_slot_bits,
@@ -31,6 +32,8 @@ from specls.graph import (
     remove_edge,
     slot_bits,
     slot_ends,
+    slot_index,
+    slot_pair,
 )
 
 
@@ -385,6 +388,21 @@ def test_slot_ends_follow_the_nested_loop_order(n):
     assert i.dtype == j.dtype == np.int64
     assert list(zip(i.tolist(), j.tolist())) == _nested_slots(n)
     assert (j * (j - 1) // 2 + i).tolist() == list(range(n * (n - 1) // 2))
+
+
+def test_slot_index_and_slot_pair_invert_slot_ends():
+    # the slots of n vertices are the first C(n, 2) slots of n + 1, so the
+    # pairs at n = 300 cover every n <= 300
+    for n in range(301):
+        i, j = slot_ends(n)
+        assert slot_index(i, j).tolist() == list(range(n * (n - 1) // 2))
+    i, j = slot_ends(300)
+    pairs = list(zip(i.tolist(), j.tolist()))
+    assert [slot_pair(s) for s in range(len(pairs))] == pairs
+    assert [slot_index(a, b) for a, b in pairs] == list(range(len(pairs)))
+    last = MAX_VERTICES * (MAX_VERTICES - 1) // 2 - 1
+    assert slot_pair(last) == (MAX_VERTICES - 2, MAX_VERTICES - 1)
+    assert slot_index(MAX_VERTICES - 2, MAX_VERTICES - 1) == last
 
 
 @pytest.mark.parametrize("n", [0, 1, 2, 7, 62, 63, 70])

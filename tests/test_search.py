@@ -31,7 +31,6 @@ from specls.search import (
     enumerate_dense,
     floyd_sample,
     graph_from_complement,
-    graph_slots,
     ratio_scan,
     run_exhaustive,
     run_local_search,
@@ -40,7 +39,7 @@ from specls.search import (
 from specls.graph import add_edge, adjacency_matrix, build_graph, complete_graph, empty_graph
 from specls.graph import from_matrix
 from specls.graph import remove_edge
-from specls.graph import is_complete_bipartite, slot_ends
+from specls.graph import is_complete_bipartite, slot_bits, slot_ends
 from specls.triangles import _triangle_count_bit_rows, dense_triangle_count, triangle_count
 
 
@@ -740,6 +739,23 @@ def test_ls_exhaustive_needs_a_q_below_half_n(n, q):
         run_exhaustive(job)
 
 
+@pytest.mark.parametrize("q", [[0], [-3], [0, 2]])
+def test_ls_exhaustive_needs_q_at_least_1(q):
+    # the LS bound needs q >= 1: q = 0 walked every graph with m >= n^2/4
+    # against a requirement of no triangles, and q < 0 against a negative one
+    job = SearchJob("LS", "exhaustive", {"n": [6], "q": q})
+    with pytest.raises(ValueError, match=rf"q={min(q)}: the LS check needs q >= 1"):
+        run_exhaustive(job)
+
+
+@pytest.mark.parametrize("target", search.EXHAUSTIVE_TARGETS)
+def test_exhaustive_grid_that_repeats_an_n_is_refused(target):
+    # a repeated n was examined and counted twice, with one per_n entry
+    job = SearchJob(target, "exhaustive", {"n": [5, 4, 5], "q": [1]})
+    with pytest.raises(ValueError, match=r"n=5: the n grid \[5, 4, 5\] lists it twice"):
+        run_exhaustive(job)
+
+
 def test_bn_exhaustive_small():
     job = SearchJob("BN", "exhaustive", {"n": [4, 5]})
     rep = run_exhaustive(job, workers=2)
@@ -911,10 +927,13 @@ def test_tril_indices_follow_the_edge_slots():
 @pytest.mark.parametrize("n", [10, 11, 300])
 @pytest.mark.parametrize("q", [1, 2])
 def test_graph_slots_of_y(n, q):
+    # the probe's reference holds Y's edges as a bool slot mask and as the
+    # sorted slots of that mask
     g = y_n2q(n, q).graph
     expected = [s for s, (u, v) in enumerate(edge_slots(n)) if g.has_edge(u, v)]
-    slots = graph_slots(g)
-    assert slots.tolist() == expected
+    y_mask, y_slots = search._y_reference(n, q)[:2]
+    assert y_mask.dtype == bool and y_mask.shape == (n * (n - 1) // 2,)
+    assert np.flatnonzero(y_mask).tolist() == y_slots.tolist() == expected
     assert len(expected) == g.m
 
 
@@ -1028,17 +1047,21 @@ def test_y_reference_is_built_once_per_n_q_and_read_only(monkeypatch):
                     {"n": [20], "q": [2], "samples": [3], "perturbations": [2]}, seed=1)
     assert run_random(job).to_json() == run_random(job).to_json()
     assert built == [(20, 2)]
-    y_slots, y_t, _, _ = search._y_reference(20, 2)
-    assert y_slots.tolist() == graph_slots(real(20, 2).graph).tolist()
+    y_mask, y_slots, y_t, _, _ = search._y_reference(20, 2)
+    assert y_mask.tolist() == slot_bits(real(20, 2).graph).astype(bool).tolist()
+    assert y_slots.tolist() == np.flatnonzero(y_mask).tolist()
     assert y_t == triangle_count(real(20, 2).graph) == 2 * 10
     with pytest.raises(ValueError):
         y_slots[0] = 0
+    with pytest.raises(ValueError):
+        y_mask[0] = False
     search._y_reference.cache_clear()
 
 
 def test_y_reference_pins_little_memory():
     # the cache keeps up to eight references; at n = 1200 one holds the
-    # 360 001 slots of Y (2.9 MB) and its bracket, and no per-slot set
+    # 360 001 slots of Y (2.9 MB), its slot mask (0.7 MB) and its bracket,
+    # and no per-slot set
     search._y_reference.cache_clear()
     tracemalloc.start()
     try:
@@ -1074,7 +1097,7 @@ def _counting_reference(job: SearchJob) -> search.SearchReport:
     n, q = job.grid["n"][0], job.grid["q"][0]
     m, bound = n * n // 4 + q, q * (n // 2)
     rng = random.Random(job.seed)
-    y_slots, _, lo2, hi2 = search._y_reference(n, q)
+    _, y_slots, _, lo2, hi2 = search._y_reference(n, q)
     ends = edge_slots(n)
     samples = [np.flatnonzero(floyd_sample(rng, len(ends), m)).tolist()
                for _ in range(job.grid["samples"][0])]
@@ -1190,7 +1213,7 @@ def test_no_edge_survives_from_an_earlier_sample(monkeypatch):
     run_random(job)
     twin = random.Random(job.seed)
     fresh = [_fresh_matrix(n, floyd_sample(twin, n * (n - 1) // 2, m)) for _ in range(n_uniform)]
-    y_hi2 = search._y_reference(n, q)[3]
+    y_hi2 = search._y_reference(n, q)[4]
     free = [Fraction(int(d @ d), n) > y_hi2
             for d in (A.sum(axis=1).astype(np.int64) for A in fresh)]
     *uniform, (_, perturbed) = decided
@@ -1233,12 +1256,50 @@ def test_probe_job_at_n_300_counts_no_triangles(monkeypatch):
     assert len(decided) == 1 and int((decided[0] != y)[iu, jv].sum()) in (0, 2)
 
 
+def test_probe_job_without_perturbations_builds_only_what_it_counts(monkeypatch):
+    # Y is written into the float32 matrix only for a job with
+    # perturbations, so here each build is the one before a triangle count
+    search._y_reference(300, 1)
+    counts, builds = [], []
+    real_count, real_copyto = search.dense_triangle_count, np.copyto
+
+    def spy_count(A, *args):
+        counts.append(1)
+        return real_count(A, *args)
+
+    def spy_copyto(dst, src, *args, **kw):  # the build of the float32 matrix
+        builds.append(1)
+        return real_copyto(dst, src, *args, **kw)
+
+    monkeypatch.setattr(search, "dense_triangle_count", spy_count)
+    monkeypatch.setattr(search.np, "copyto", spy_copyto)
+    run_random(_probe_job("300,1,10,0,1"))
+    monkeypatch.undo()
+    assert counts and len(builds) == len(counts)
+
+
+def test_probe_job_holds_no_slot_tables_after_it_ends():
+    # with Y's reference warm, a job keeps only the cached 4 MB lower
+    # triangle at n = 2000: no per-slot offset tables (two int64 arrays of
+    # 16 MB) and no second copy of Y's slot mask
+    search._y_reference(2000, 1)
+    search._lower_triangle.cache_clear()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        run_random(_probe_job("2000,1,1,1,1"))
+        held = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+        search._y_reference.cache_clear()
+    assert held < 8_000_000, held
+
+
 def test_probe_job_holds_no_state_or_slots_per_sample():
     # 2000 deferred samples: one int each, never a Python rng state (about
     # 24 KB) or a slot array (401 int64) per sample
     job = _probe_job("40,1,2000,2,5")
     search._y_reference(40, 1)
-    search._flat_slots(40)
     tracemalloc.start()
     try:
         rep = run_random(job)
